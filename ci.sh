@@ -15,6 +15,9 @@ cargo clippy $CARGO_FLAGS --workspace --all-targets -- -D warnings
 echo "== benches compile"
 cargo bench $CARGO_FLAGS --no-run
 
+echo "== end-to-end benchmark harness compiles against the current API"
+cargo check $CARGO_FLAGS --manifest-path perfbench/Cargo.toml
+
 echo "== workspace builds warning-free"
 RUSTFLAGS="-D warnings" cargo build $CARGO_FLAGS --workspace
 

@@ -1,21 +1,23 @@
-//! Throughput of the transformation-space search itself: serial
-//! exhaustive vs pool-parallel exhaustive vs parallel + prune + memo vs
-//! the arena-backed SoA batch projector, on the largest paper workload
-//! (CFD at 232K elements — three kernels, the widest candidate space in
-//! the suite).
+//! Throughput of the transformation-space search itself: the serial
+//! exhaustive oracle vs the SoA batch engine, on the largest paper
+//! workload (CFD at 232K elements — three kernels, the widest candidate
+//! space in the suite).
 //!
 //! The timed region is exactly the kernel × axis × transformation search
-//! (`project_best_with` over every task the app projector would spawn);
-//! characteristics extraction and the transfer-plan analysis are hoisted
-//! because no search option touches them. All search arms produce
-//! bit-identical projections (the determinism suite asserts this); only
-//! wall-clock differs.
+//! over every task the app projector would spawn (`project_all` for the
+//! oracle arm, `project_best` for the engine); characteristics extraction
+//! and the transfer-plan analysis are hoisted because neither arm touches
+//! them. Both arms select bit-identical projections (the determinism
+//! suite asserts this); only wall-clock differs.
 //!
-//! A fifth arm, `overlap`, times the full application projection of a
+//! A third arm, `overlap`, times one full application projection of a
 //! stream-annotated chunked schedule — the timeline construction the
 //! overlap semantics added on top of the (memoized) kernel search.
 //! Gating it keeps the per-transfer timeline bookkeeping from creeping
 //! into the projection hot path.
+//!
+//! Every arm reports seconds per operation: one 3-search CFD pass for
+//! the search arms, one projection for `overlap`.
 //!
 //! Writes `BENCH_project.json` at the repository root (override the
 //! destination with `GPP_BENCH_OUT`) with per-arm timings and the
@@ -35,10 +37,12 @@ use std::time::Instant;
 
 const ITERS: u32 = 20;
 
-struct Arm {
+/// One timed search arm: the `GPP_THREADS` it runs at (0 = unset:
+/// `GPP_THREADS` or available parallelism) and one pass over the tasks.
+struct Arm<'a> {
     name: &'static str,
     threads: usize,
-    opts: gpp_gpu_model::SearchOpts,
+    run: &'a dyn Fn(),
 }
 
 fn main() {
@@ -48,7 +52,7 @@ fn main() {
     }
     .case();
 
-    // The same task list `Grophecy::project_with` flattens: one search
+    // The same task list `Grophecy::project` flattens: one search
     // per (kernel, thread-axis candidate).
     let tasks: Vec<(String, KernelCharacteristics)> = case
         .program
@@ -68,46 +72,40 @@ fn main() {
         .map(|(_, c)| gpp_gpu_model::candidate_space(c, &spec).len())
         .sum();
 
+    let oracle = || {
+        for (name, chars) in &tasks {
+            black_box(gpp_gpu_model::project_all(name, chars, &spec).0);
+        }
+    };
+    let soa = || {
+        for (name, chars) in &tasks {
+            black_box(gpp_gpu_model::project_best(name, chars, &spec));
+        }
+    };
     let arms = [
         Arm {
             name: "serial_exhaustive",
             threads: 1,
-            opts: gpp_gpu_model::SearchOpts::exhaustive(),
+            run: &oracle,
         },
         Arm {
-            name: "parallel_exhaustive",
-            threads: 0, // 0 = unset: GPP_THREADS or available parallelism
-            opts: gpp_gpu_model::SearchOpts::exhaustive(),
-        },
-        Arm {
-            name: "parallel_prune",
+            name: "soa",
             threads: 0,
-            opts: gpp_gpu_model::SearchOpts::scalar(),
-        },
-        Arm {
-            name: "soa_prune",
-            threads: 0,
-            opts: gpp_gpu_model::SearchOpts::default(),
+            run: &soa,
         },
     ];
-
-    let run = |opts: gpp_gpu_model::SearchOpts| {
-        for (name, chars) in &tasks {
-            black_box(gpp_gpu_model::project_best_with(name, chars, &spec, opts));
-        }
-    };
 
     let mut results: Vec<(&'static str, f64, f64)> = Vec::new();
     for arm in &arms {
         gpp_par::set_threads(arm.threads);
         // One untimed pass so every arm runs against warm caches — the
-        // memo arm's steady state is the quantity of interest (a serve
+        // engine's steady state is the quantity of interest (a serve
         // deployment pays synthesis once per distinct kernel).
-        run(arm.opts);
+        (arm.run)();
         let mut times = Vec::with_capacity(ITERS as usize);
         for _ in 0..ITERS {
             let t0 = Instant::now();
-            run(arm.opts);
+            (arm.run)();
             times.push(t0.elapsed().as_secs_f64());
         }
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -149,6 +147,8 @@ kernel k2
     write d [i]
 d2h d stream 2 chunks=8
 ";
+    // Each timed sample runs this many projections, to stay well above
+    // the clock's resolution; the arm reports the time of one.
     const OVERLAP_REPS: u32 = 32;
     let program = gpp_skeleton::text::parse(STREAMED).expect("bench skeleton parses");
     let hints = gpp_datausage::Hints::for_program(&program);
@@ -167,8 +167,9 @@ d2h d stream 2 chunks=8
         run_overlap();
         times.push(t0.elapsed().as_secs_f64());
     }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
+    let reps = f64::from(OVERLAP_REPS);
+    let min = times.iter().cloned().fold(f64::INFINITY, f64::min) / reps;
+    let mean = times.iter().sum::<f64>() / times.len() as f64 / reps;
     eprintln!(
         "{:<22} min {:>9.3} ms  mean {:>9.3} ms",
         "overlap",

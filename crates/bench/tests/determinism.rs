@@ -1,12 +1,13 @@
-//! The parallel projection engine's central guarantee: the projection a
-//! user sees is bit-identical to the serial exhaustive search — at any
-//! thread count, with and without pruning and the synthesis memo.
+//! The projection engine's central guarantee: the search a user's
+//! projection runs is bit-identical to the exhaustive oracle
+//! (`project_all`) at any thread count, and the application projection
+//! does not depend on the thread count either.
 //!
 //! `Debug` for `f64` prints the shortest string that round-trips, so two
 //! projections render identically iff every float in them has the same
 //! bits.
 
-use gpp_gpu_model::{project_all, project_best_with, SearchOpts};
+use gpp_gpu_model::{project_all, project_best};
 use gpp_workloads::paper_cases;
 use grophecy::machine::MachineConfig;
 use grophecy::projector::Grophecy;
@@ -14,32 +15,39 @@ use grophecy::projector::Grophecy;
 const SEED: u64 = 2013;
 
 #[test]
-fn projections_are_bit_identical_across_thread_counts_and_options() {
+fn projections_are_bit_identical_across_thread_counts() {
     let machine = MachineConfig::anl_eureka_node(SEED);
     let mut node = machine.node();
     let gro = Grophecy::calibrate(&machine, &mut node);
+    let spec = &machine.gpu_spec;
 
     for case in paper_cases() {
-        // The reference: the exact serial seed code path.
         gpp_par::set_threads(1);
-        let reference = format!(
-            "{:?}",
-            gro.project_with(&case.program, &case.hints, SearchOpts::exhaustive())
-        );
+        let app_reference = format!("{:?}", gro.project(&case.program, &case.hints));
         for threads in [1, 2, 8] {
             gpp_par::set_threads(threads);
-            for (label, opts) in [
-                ("exhaustive", SearchOpts::exhaustive()),
-                ("scalar prune+memo", SearchOpts::scalar()),
-                ("soa prune+memo", SearchOpts::default()),
-            ] {
-                let got = format!("{:?}", gro.project_with(&case.program, &case.hints, opts));
-                assert_eq!(
-                    got, reference,
-                    "{} {}: {} projection at {} threads diverged from serial",
-                    case.app, case.dataset, label, threads
-                );
+            for kernel in &case.program.kernels {
+                for axis in kernel.axis_candidates() {
+                    let chars = kernel.characteristics_with_axis(&case.program, axis);
+                    let (oracle, _) = project_all(&kernel.name, &chars, spec);
+                    assert_eq!(
+                        format!("{:?}", project_best(&kernel.name, &chars, spec)),
+                        format!("{oracle:?}"),
+                        "{} {} kernel {} axis {axis:?}: search at {threads} threads \
+                         diverged from the oracle",
+                        case.app,
+                        case.dataset,
+                        kernel.name,
+                    );
+                }
             }
+            assert_eq!(
+                format!("{:?}", gro.project(&case.program, &case.hints)),
+                app_reference,
+                "{} {}: projection at {threads} threads diverged from serial",
+                case.app,
+                case.dataset
+            );
         }
         gpp_par::set_threads(0);
     }
@@ -90,53 +98,5 @@ fn empty_fault_plan_is_bit_identical_to_plain_path() {
             "{} {}: projection through the empty-plan path diverged",
             case.app, case.dataset
         );
-    }
-}
-
-#[test]
-fn pruning_never_changes_the_selected_best_config() {
-    let spec = MachineConfig::anl_eureka_node(SEED).gpu_spec;
-    for case in paper_cases() {
-        for kernel in &case.program.kernels {
-            for axis in kernel.axis_candidates() {
-                let chars = kernel.characteristics_with_axis(&case.program, axis);
-                let (exhaustive_best, _) = project_all(&kernel.name, &chars, &spec);
-                for opts in [
-                    SearchOpts::default(),
-                    SearchOpts::scalar(),
-                    SearchOpts {
-                        prune: true,
-                        memo: false,
-                        soa: false,
-                    },
-                    SearchOpts {
-                        prune: false,
-                        memo: true,
-                        soa: false,
-                    },
-                    SearchOpts {
-                        prune: true,
-                        memo: false,
-                        soa: true,
-                    },
-                    SearchOpts {
-                        prune: false,
-                        memo: false,
-                        soa: true,
-                    },
-                ] {
-                    let pruned = project_best_with(&kernel.name, &chars, &spec, opts);
-                    assert_eq!(
-                        format!("{:?}", pruned),
-                        format!("{:?}", exhaustive_best),
-                        "{} {} kernel {}: {:?} changed the selected best",
-                        case.app,
-                        case.dataset,
-                        kernel.name,
-                        opts
-                    );
-                }
-            }
-        }
     }
 }

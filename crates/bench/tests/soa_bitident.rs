@@ -1,23 +1,22 @@
-//! The SoA batch projector against the committed artifact corpus: every
-//! skeleton in `skeletons/` × every machine datasheet in
-//! `fixtures/machines/` (plus the built-ins), at several thread counts,
-//! must project bit-identically to the serial exhaustive search.
+//! The SoA batch projector against the committed artifact corpus: for
+//! every skeleton in `skeletons/` × every machine datasheet in
+//! `fixtures/machines/` (plus the built-ins), each (kernel, axis) search
+//! must select bit-identically what the exhaustive oracle (`project_all`)
+//! does, at several thread counts.
 //!
 //! `determinism.rs` proves the same property over the synthetic paper
 //! workloads; this suite proves it over the artifacts users actually
 //! feed the tools — skeleton files parsed from text and machines loaded
 //! from `.gmach` datasheets (including the replay-bus one with its
-//! sidecar trace). Adding a skeleton or a datasheet to the repository
-//! automatically widens the corpus.
+//! sidecar trace, and the multi-GPU nodes). Adding a skeleton or a
+//! datasheet to the repository automatically widens the corpus.
 //!
 //! `Debug` for `f64` prints the shortest string that round-trips, so two
 //! projections render identically iff every float in them has the same
 //! bits.
 
-use gpp_datausage::Hints;
-use gpp_gpu_model::SearchOpts;
+use gpp_gpu_model::{project_all, project_best};
 use gpp_skeleton::text;
-use grophecy::projector::Grophecy;
 use grophecy::MachineRegistry;
 use std::path::{Path, PathBuf};
 
@@ -56,34 +55,27 @@ fn soa_projection_is_bit_identical_over_the_committed_corpus() {
         .collect();
 
     for name in registry.names() {
-        let machine = registry.config(&name, SEED).unwrap();
-        let mut node = machine.node();
-        let gro = Grophecy::calibrate(&machine, &mut node);
+        let spec = registry.config(&name, SEED).unwrap().gpu_spec;
         for (path, program) in &skeletons {
-            let hints = Hints::for_program(program);
-
-            // The reference: the exact serial seed code path.
-            gpp_par::set_threads(1);
-            let reference = format!(
-                "{:?}",
-                gro.project_with(program, &hints, SearchOpts::exhaustive())
-            );
-
-            for threads in [1, 2, 8] {
-                gpp_par::set_threads(threads);
-                let got = format!(
-                    "{:?}",
-                    gro.project_with(program, &hints, SearchOpts::default())
-                );
-                assert_eq!(
-                    got,
-                    reference,
-                    "{} on `{name}`: SoA projection at {threads} threads \
-                     diverged from serial exhaustive",
-                    path.file_name().unwrap().to_string_lossy(),
-                );
+            for kernel in &program.kernels {
+                for axis in kernel.axis_candidates() {
+                    let chars = kernel.characteristics_with_axis(program, axis);
+                    let (oracle, _) = project_all(&kernel.name, &chars, &spec);
+                    let reference = format!("{oracle:?}");
+                    for threads in [1, 2, 8] {
+                        gpp_par::set_threads(threads);
+                        assert_eq!(
+                            format!("{:?}", project_best(&kernel.name, &chars, &spec)),
+                            reference,
+                            "{} kernel {} axis {axis:?} on `{name}`: SoA search at \
+                             {threads} threads diverged from the oracle",
+                            path.file_name().unwrap().to_string_lossy(),
+                            kernel.name,
+                        );
+                    }
+                }
             }
-            gpp_par::set_threads(0);
         }
     }
+    gpp_par::set_threads(0);
 }

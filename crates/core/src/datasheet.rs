@@ -73,7 +73,7 @@
 
 use crate::machine::{BusSpec, DeviceLink, MachineConfig, ReplayTrace, RootComplex};
 use gpp_cpu_sim::CpuParams;
-use gpp_gpu_model::GpuSpec;
+use gpp_gpu_model::{GpuSpec, ModelOccupancy, BASE_REGS, MIN_BLOCK_THREADS};
 use gpp_gpu_sim::DeviceParams;
 use gpp_pcie::{BusParams, Direction, MemType, PcieGen};
 use std::collections::BTreeMap;
@@ -407,6 +407,40 @@ fn bus_params_from_fields(sec: &str, f: &mut Fields) -> Result<BusParams, GmachE
     })
 }
 
+/// Rejects a `gpu_spec` the transformation search cannot run on: a zero
+/// divisor of the occupancy and issue-rate rules, a rate that would feed
+/// infinite or NaN times into the search, or a device that cannot launch
+/// the smallest candidate every kernel's search space contains.
+fn check_gpu_spec(s: &GpuSpec) -> Result<(), GmachError> {
+    let err = |message: String| Err(GmachError::new(0, format!("`gpu_spec`: {message}")));
+    for (key, v) in [
+        ("sms", s.sms),
+        ("sps_per_sm", s.sps_per_sm),
+        ("warp_size", s.warp_size),
+    ] {
+        if v == 0 {
+            return err(format!("`{key}` must be non-zero"));
+        }
+    }
+    for (key, v) in [
+        ("clock_hz", s.clock_hz),
+        ("mem_bw", s.mem_bw),
+        ("bw_derate", s.bw_derate),
+    ] {
+        if !(v.is_finite() && v > 0.0) {
+            return err(format!("`{key}` must be positive and finite, got {v}"));
+        }
+    }
+    let smallest = u64::from(MIN_BLOCK_THREADS);
+    if ModelOccupancy::compute_parts(s, MIN_BLOCK_THREADS, BASE_REGS, 0, smallest).is_none() {
+        return err(format!(
+            "cannot launch the smallest candidate block \
+             ({MIN_BLOCK_THREADS} threads × {BASE_REGS} registers)"
+        ));
+    }
+    Ok(())
+}
+
 /// Parses `.gmach` text into a machine. Inline datasheets only: a
 /// `bus replay ... from "file"` reference fails here — use [`parse_with`]
 /// (or the registry's directory loader) to resolve sidecar trace files.
@@ -661,6 +695,7 @@ pub fn parse_with(
         misaligned_halfwarp_transactions: f.f64(sec, "misaligned_halfwarp_transactions")?,
     };
     gpu_spec_fields.finish(sec)?;
+    check_gpu_spec(&gpu_spec)?;
 
     let sec = "gpu";
     let dev_name = gpu_name.ok_or_else(|| GmachError::new(0, "missing `gpu`"))?;
@@ -921,6 +956,50 @@ mod tests {
         assert!(e.to_string().contains("must be positive"), "{e}");
         let e = parse(&(base + "\nroot_complex\n  shared_bw 1e9\n\nroot_complex\n")).unwrap_err();
         assert!(e.to_string().contains("duplicate `root_complex`"), "{e}");
+    }
+
+    /// Replaces one `gpu_spec` field (the first occurrence of `key`, which
+    /// precedes the `gpu` section's) and parses.
+    fn parse_with_spec_field(key: &str, value: &str) -> GmachError {
+        let good = to_text(&MachineConfig::anl_eureka_node(1));
+        let at = good.find(&format!("\n  {key} ")).expect("field present") + 1;
+        let end = at + good[at..].find('\n').unwrap();
+        parse(&format!("{}  {key} {value}{}", &good[..at], &good[end..])).unwrap_err()
+    }
+
+    #[test]
+    fn gpu_spec_rejects_zero_divisors() {
+        for key in ["warp_size", "sms", "sps_per_sm"] {
+            let e = parse_with_spec_field(key, "0");
+            assert!(
+                e.to_string().contains(&format!("`{key}` must be non-zero")),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn gpu_spec_rejects_non_positive_or_non_finite_rates() {
+        for key in ["clock_hz", "mem_bw", "bw_derate"] {
+            for value in ["0", "-1", "inf", "NaN"] {
+                let e = parse_with_spec_field(key, value);
+                assert!(
+                    e.to_string().contains(&format!("`{key}` must be positive")),
+                    "{key} {value}: {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gpu_spec_rejects_a_device_that_cannot_launch_the_smallest_block() {
+        for (key, value) in [("max_threads_per_block", "32"), ("regs_per_sm", "512")] {
+            let e = parse_with_spec_field(key, value);
+            assert!(
+                e.to_string().contains("smallest candidate block"),
+                "{key}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::machine::{BusSpec, DeviceLink, MachineConfig, RootComplex, SimulatedN
 use crate::timeline::{MultiGpuProjection, Timeline};
 use gpp_datausage::{analyze, Hints, TransferDir, TransferPlan};
 use gpp_fault::FaultInjector;
-use gpp_gpu_model::{project_best_with, GpuSpec, KernelProjection, SearchOpts};
+use gpp_gpu_model::{project_best, GpuSpec, KernelProjection};
 use gpp_pcie::model::DirectionalModel;
 use gpp_pcie::overlap::DEFAULT_STAGING_LATENCY;
 use gpp_pcie::{
@@ -223,24 +223,13 @@ impl Grophecy {
     /// Each kernel's transformation search also explores loop interchange:
     /// every parallel loop is tried as the thread axis, since the mapping
     /// determines every coalescing class.
-    pub fn project(&self, program: &Program, hints: &Hints) -> AppProjection {
-        self.project_with(program, hints, SearchOpts::default())
-    }
-
-    /// [`Grophecy::project`] with explicit search options (benchmarks and
-    /// the determinism suite compare the code paths).
     ///
     /// The kernel × axis × transformation search is flattened into one
     /// task list and distributed over the `gpp-par` global pool; results
     /// land in pre-sized index slots and every reduction below is serial
     /// in program order, so the projection is bit-identical to the serial
     /// path (`GPP_THREADS=1`) at any thread count.
-    pub fn project_with(
-        &self,
-        program: &Program,
-        hints: &Hints,
-        opts: SearchOpts,
-    ) -> AppProjection {
+    pub fn project(&self, program: &Program, hints: &Hints) -> AppProjection {
         // One task per (kernel, axis-candidate) pair.
         let tasks: Vec<(usize, usize, gpp_skeleton::LoopId)> = program
             .kernels
@@ -257,7 +246,7 @@ impl Grophecy {
             let (ki, ai, axis) = tasks[t];
             let k = &program.kernels[ki];
             let chars = k.characteristics_with_axis(program, axis);
-            let mut proj = project_best_with(&k.name, &chars, &self.spec, opts);
+            let mut proj = project_best(&k.name, &chars, &self.spec);
             // Record non-default axis choices so the lowering (and
             // reports) reproduce the same mapping. Index 0 is the
             // innermost parallel loop — the default.

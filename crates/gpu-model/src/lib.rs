@@ -18,10 +18,12 @@
 //!    achievable performance and the transformations necessary to reach
 //!    that performance" (paper §II-C).
 //!
-//! The search runs on the `gpp-par` global pool with a branch-and-bound
-//! prune (memory-roofline lower bound) and a process-wide synthesis memo;
-//! all three are observationally pure — the selected best projection is
-//! bit-identical to the serial exhaustive search at any `GPP_THREADS`.
+//! [`project_best`] is the one search engine: it synthesizes once per
+//! shared-memory staging class through a process-wide memo, evaluates the
+//! candidates as structure-of-arrays lanes from a per-thread setup cache,
+//! and splits large spaces over the `gpp-par` global pool. Its answer is
+//! bit-identical to the exhaustive, unmemoized [`project_all`] — the
+//! oracle the tests compare against — at any `GPP_THREADS`.
 //!
 //! The model sees only *public* information: the code skeleton and the
 //! device datasheet. It does **not** see the timing simulator's internal
@@ -41,13 +43,10 @@ pub mod spec;
 pub mod transform;
 
 pub use occupancy::ModelOccupancy;
-pub use project::{
-    project, project_all, project_best, project_best_with, KernelProjection, ProjectionBound,
-    SearchOpts,
-};
+pub use project::{project, project_all, project_best, KernelProjection, ProjectionBound};
 pub use spec::GpuSpec;
 pub use transform::{
-    candidate_space, candidate_space_into, program_fingerprint, synth_memo_stats,
-    synthesize_cached, synthesize_cached_keyed, synthesize_transformed, CharsKey,
-    SynthesizedKernel, Transformation,
+    candidate_space, program_fingerprint, synth_memo_stats, synthesize_cached_keyed,
+    synthesize_transformed, CharsKey, SynthesizedKernel, Transformation, BASE_REGS,
+    MIN_BLOCK_THREADS,
 };

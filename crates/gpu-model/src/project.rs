@@ -20,11 +20,9 @@
 use crate::occupancy::ModelOccupancy;
 use crate::spec::GpuSpec;
 use crate::transform::{
-    candidate_space, synthesize_cached_keyed, synthesize_transformed, CharsKey, SynthesizedKernel,
-    Transformation,
+    candidate_space, synthesize_transformed, SynthesizedKernel, Transformation,
 };
 use gpp_skeleton::KernelCharacteristics;
-use std::sync::Mutex;
 
 /// Pipeline-drain cost of one `__syncthreads()`, in cycles.
 pub(crate) const BARRIER_CYCLES: f64 = 24.0;
@@ -67,15 +65,13 @@ pub struct KernelProjection {
     pub dram_bytes: f64,
 }
 
-/// The name-free evaluation of one candidate (what the search actually
-/// computes; the winner gets its `String` name exactly once). Shared
-/// with the SoA batch engine (`crate::soa`).
+/// The name-free evaluation of one candidate.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Eval {
-    pub(crate) time: f64,
-    pub(crate) bound: ProjectionBound,
-    pub(crate) occupancy: ModelOccupancy,
-    pub(crate) dram_bytes: f64,
+struct Eval {
+    time: f64,
+    bound: ProjectionBound,
+    occupancy: ModelOccupancy,
+    dram_bytes: f64,
 }
 
 /// Projects the execution time of one synthesized kernel.
@@ -139,177 +135,22 @@ fn project_inner(spec: &GpuSpec, kernel: &SynthesizedKernel) -> Option<Eval> {
     })
 }
 
-/// Options controlling the transformation-space search. The defaults are
-/// what production paths use; every switch is observationally pure —
-/// they change wall-clock time, never the selected best projection.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchOpts {
-    /// Branch-and-bound prune: skip a candidate whose analytic lower
-    /// bound (memory-traffic roofline + launch overhead) already loses
-    /// to the best time found so far.
-    pub prune: bool,
-    /// Route synthesis through the process-wide memo
-    /// ([`synthesize_cached`]).
-    pub memo: bool,
-    /// Evaluate candidates through the SoA batch engine (one synthesis
-    /// per staging class, structure-of-arrays lanes in a reusable
-    /// per-thread arena, work-stealing over candidate blocks) instead of
-    /// per-candidate scalar evaluation. Bit-identical output.
-    pub soa: bool,
-}
-
-impl Default for SearchOpts {
-    fn default() -> Self {
-        SearchOpts {
-            prune: true,
-            memo: true,
-            soa: true,
-        }
-    }
-}
-
-impl SearchOpts {
-    /// The legacy exhaustive search: no pruning, no memo, scalar
-    /// per-candidate evaluation. With `GPP_THREADS=1` this is
-    /// bit-for-bit the serial seed code path.
-    pub fn exhaustive() -> Self {
-        SearchOpts {
-            prune: false,
-            memo: false,
-            soa: false,
-        }
-    }
-
-    /// The pre-SoA production path: scalar evaluation with prune and
-    /// memo. Kept for benchmarks and bit-identity comparisons against
-    /// the batch engine.
-    pub fn scalar() -> Self {
-        SearchOpts {
-            prune: true,
-            memo: true,
-            soa: false,
-        }
-    }
-}
-
-/// The best-so-far prune threshold: the lexicographic minimum of
-/// `(time, candidate index)` over everything evaluated so far. Ordering
-/// by index as the tie-break makes pruning safe under *any* evaluation
-/// order: a candidate is skipped only if it provably loses that
-/// tie-break to an already-evaluated candidate, which the final winner
-/// beats or equals.
-pub(crate) struct Threshold {
-    pub(crate) time: f64,
-    pub(crate) idx: usize,
-}
-
 /// Explores the transformation space and returns only the best
 /// projection — the hot path (the core projector calls this once per
-/// kernel × axis). Work is distributed over the `gpp-par` global pool
-/// and reduced serially in candidate-index order, so the result is
-/// bit-identical to the serial exhaustive search at any thread count,
-/// with or without pruning.
+/// kernel × axis). The search runs on the SoA batch engine with its
+/// per-thread setup cache; it is bit-identical to [`project_all`]'s best
+/// at any thread count.
 pub fn project_best(name: &str, chars: &KernelCharacteristics, spec: &GpuSpec) -> KernelProjection {
-    project_best_with(name, chars, spec, SearchOpts::default())
-}
-
-/// [`project_best`] with explicit search options (benchmarks and the
-/// determinism suite compare the paths).
-pub fn project_best_with(
-    name: &str,
-    chars: &KernelCharacteristics,
-    spec: &GpuSpec,
-    opts: SearchOpts,
-) -> KernelProjection {
-    if opts.soa {
-        return crate::soa::project_best_soa(name, chars, spec, opts);
-    }
-    let candidates = candidate_space(chars, spec);
-    // One fingerprint per search, shared by every candidate's memo lookup.
-    let memo_key = opts.memo.then(|| CharsKey::of(chars));
-
-    // Memory traffic is invariant across block size and unroll factor —
-    // it depends only on whether reusable loads are staged (see
-    // `synthesize_transformed`: staging rewrites the access streams, the
-    // other knobs touch compute slots and resources). One synthesis per
-    // staging option therefore yields an *exact* per-candidate memory
-    // roofline, and
-    //     time(c) = max(compute, memory, latency) + launch ≥ memory(c) + launch
-    // makes it a valid lower bound for the prune.
-    let lower_bounds: [Option<f64>; 2] = if opts.prune && !candidates.is_empty() {
-        let mut lb = [None, None];
-        for use_shared in [false, true] {
-            if candidates.iter().any(|c| c.use_shared == use_shared) {
-                let probe = Transformation {
-                    use_shared,
-                    unroll: 1,
-                    thread_axis: None,
-                    ..candidates[0]
-                };
-                let synth = synthesize_for(chars, probe, memo_key);
-                let dram = chars.threads as f64 * synth.global_bytes_per_thread(spec);
-                lb[use_shared as usize] = Some(dram / spec.assumed_mem_bw() + spec.launch_overhead);
-            }
-        }
-        lb
-    } else {
-        [None, None]
-    };
-
-    let threshold = Mutex::new(Threshold {
-        time: f64::INFINITY,
-        idx: usize::MAX,
-    });
-    let evals: Vec<Option<Eval>> = gpp_par::par_map(candidates.len(), |i| {
-        let config = candidates[i];
-        if let Some(lb) = lower_bounds[config.use_shared as usize] {
-            let t = threshold.lock().unwrap();
-            if lb > t.time || (lb == t.time && i > t.idx) {
-                return None; // provably loses the (time, index) tie-break
-            }
-        }
-        let synth = synthesize_for(chars, config, memo_key);
-        let ev = project_inner(spec, &synth)?;
-        if opts.prune {
-            let mut t = threshold.lock().unwrap();
-            if ev.time < t.time || (ev.time == t.time && i < t.idx) {
-                *t = Threshold {
-                    time: ev.time,
-                    idx: i,
-                };
-            }
-        }
-        Some(ev)
-    });
-
-    // Serial index-ordered reduction: first strict minimum wins, exactly
-    // like the seed's stable sort-by-time.
-    let mut best: Option<(usize, Eval)> = None;
-    for (i, ev) in evals.into_iter().enumerate() {
-        if let Some(ev) = ev {
-            if best.is_none_or(|(_, b)| ev.time < b.time) {
-                best = Some((i, ev));
-            }
-        }
-    }
-    let (idx, ev) = best.unwrap_or_else(|| {
-        panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
-    });
-    KernelProjection {
-        name: name.to_string(),
-        config: candidates[idx],
-        time: ev.time,
-        bound: ev.bound,
-        occupancy: ev.occupancy,
-        dram_bytes: ev.dram_bytes,
-    }
+    crate::soa::project_best_soa(name, chars, spec)
 }
 
 /// Explores the whole transformation space and materializes every
 /// candidate for reports, sorted by projected time: "GROPHECY projects
 /// the best achievable performance and the transformations necessary to
-/// reach that performance". Never prunes (a report wants the losers
-/// too); the hot path should call [`project_best`] instead.
+/// reach that performance". Every candidate is synthesized afresh and
+/// evaluated by the scalar roofline, so this is also the oracle the
+/// bit-identity suites hold [`project_best`] to; the hot path should call
+/// [`project_best`] instead.
 pub fn project_all(
     name: &str,
     chars: &KernelCharacteristics,
@@ -341,20 +182,6 @@ pub fn project_all(
     );
     all.sort_by(|a, b| a.time.total_cmp(&b.time));
     (all[0].clone(), all)
-}
-
-/// Synthesis with or without the process-wide memo. The memo holds
-/// exactly the value the direct path computes (synthesis is pure), so
-/// both arms are interchangeable bit-for-bit.
-pub(crate) fn synthesize_for(
-    chars: &KernelCharacteristics,
-    config: Transformation,
-    memo_key: Option<CharsKey>,
-) -> std::sync::Arc<SynthesizedKernel> {
-    match memo_key {
-        Some(key) => synthesize_cached_keyed(key, chars, config),
-        None => std::sync::Arc::new(synthesize_transformed(chars, config)),
-    }
 }
 
 #[cfg(test)]

@@ -1,50 +1,45 @@
-//! The SoA batch projector — the zero-allocation transformation-search
-//! hot path.
+//! The SoA batch projector — the transformation-search engine behind
+//! [`crate::project::project_best`].
 //!
-//! The scalar search ([`crate::project::project_best_with`] with
-//! `soa: false`) pays per candidate: a synthesis (or a memo probe — a
-//! lock, a hash, an `Arc` clone), a heap-backed `SynthesizedKernel`, and
-//! scalar roofline arithmetic. But almost everything a candidate needs is
-//! invariant across the block-geometry and unroll knobs: the access
-//! streams, shared-memory traffic, barriers, and DRAM roofline depend
-//! *only* on whether reusable loads are staged (see
-//! [`crate::transform::synthesize_transformed`]). This module therefore
-//! synthesizes **once per staging class** (at most twice per search),
-//! folds each class into a small [`StagingAgg`] of plain `f64`/integer
-//! aggregates, and evaluates the whole candidate space as
-//! structure-of-arrays lanes in tight loops: one integer/occupancy pass,
-//! one pure-`f64` arithmetic pass, one masked index-ordered reduction.
+//! Almost everything a candidate needs is invariant across the
+//! block-geometry and unroll knobs: the access streams, shared-memory
+//! traffic, barriers, and DRAM roofline depend *only* on whether reusable
+//! loads are staged (see [`crate::transform::synthesize_transformed`]).
+//! This module therefore synthesizes **once per staging class** (at most
+//! twice per search, through the process-wide synthesis memo), folds each
+//! class into a small [`StagingAgg`] of plain `f64`/integer aggregates,
+//! and precomputes the integer occupancy and issue-cycle lanes of the
+//! whole candidate space. A search then runs one pure-`f64` roofline
+//! pass and a masked index-ordered reduction over those lanes.
 //!
-//! Scratch lives in a per-thread [`SearchArena`] — the candidate buffer
-//! and the lanes are reused across searches, so the steady-state serial
+//! The precomputed setup lives in a small per-thread cache keyed by
+//! (characteristics fingerprint, spec fingerprint), so the steady-state
 //! hot path allocates nothing but the winner's name `String`.
 //!
 //! # Bit-identity
 //!
-//! Every lane reproduces the scalar path's float expressions *textually*
-//! — same associativity, same cast sites, same `clamp`/`max` order — so
-//! an evaluated lane is bit-for-bit the scalar `project_inner` of the
-//! same candidate, and the (time, candidate-index) lexicographic prune
-//! skips only provable losers. The determinism suite and the
-//! skeleton × machine proptests hold the engine to that claim at every
-//! thread count.
+//! Every lane reproduces the scalar `project_inner` float expressions
+//! *textually* — same associativity, same cast sites, same `clamp`/`max`
+//! order — so an evaluated lane is bit-for-bit the scalar evaluation of
+//! the same candidate, and the strict-minimum reduction in index order
+//! picks exactly the candidate [`crate::project::project_all`] sorts
+//! first. The determinism suites and the skeleton × machine proptests
+//! hold the engine to that claim at every thread count.
 
 use crate::occupancy::ModelOccupancy;
-use crate::project::{
-    synthesize_for, Eval, KernelProjection, ProjectionBound, SearchOpts, Threshold, BARRIER_CYCLES,
-};
+use crate::project::{KernelProjection, ProjectionBound, BARRIER_CYCLES};
 use crate::spec::GpuSpec;
 use crate::transform::{
-    candidate_space_into, CharsKey, SynthesizedKernel, Transformation, BASE_REGS,
+    candidate_space, synthesize_cached_keyed, CharsKey, SynthesizedKernel, Transformation,
+    BASE_REGS,
 };
 use gpp_skeleton::KernelCharacteristics;
 use std::cell::RefCell;
-use std::sync::Mutex;
 
-/// Candidates evaluated per SoA block: the work-stealing granule
-/// (`gpp_par::par_map_blocks`) and the prune-threshold update interval.
-/// Small enough that typical spaces (≤ 36 candidates) split across
-/// workers, large enough that the lanes amortize the block overhead.
+/// Candidates evaluated per work-stealing granule
+/// (`gpp_par::par_map_blocks`). Small enough that typical spaces (≤ 36
+/// candidates) split across workers, large enough that the lanes
+/// amortize the block overhead.
 const BLOCK: usize = 16;
 
 thread_local! {
@@ -65,13 +60,10 @@ fn with_arena<R>(f: impl FnOnce(&mut SearchArena) -> R) -> R {
     })
 }
 
-/// Reusable per-thread scratch for the SoA search: the candidate list,
-/// the per-candidate lanes, and the per-(kernel, spec) setup cache.
-/// Capacity persists across searches.
+/// Per-thread state of the SoA search: the per-(kernel, spec) setup
+/// cache and its round-robin eviction cursor.
 #[derive(Default)]
 pub(crate) struct SearchArena {
-    candidates: Vec<Transformation>,
-    lanes: Lanes,
     cache: Vec<SetupEntry>,
     next_evict: usize,
 }
@@ -89,11 +81,6 @@ const SETUP_CACHE_CAP: usize = 8;
 /// All of it is a pure function of `(chars, spec)`, so a hit replays the
 /// integer passes from the arena and the search runs only the pure-`f64`
 /// roofline lanes and the reduction.
-///
-/// The static lanes cover the *whole* space (no pruning at build time):
-/// a pruned lane is a provable loser of the (time, index) tie-break, so
-/// evaluating it anyway cannot change the argmin — the prune exists to
-/// save work, and here the work is already done.
 struct SetupEntry {
     chars_key: CharsKey,
     spec_key: u64,
@@ -132,38 +119,6 @@ fn spec_fingerprint(spec: &GpuSpec) -> u64 {
     push(spec.launch_overhead.to_bits());
     push(spec.misaligned_halfwarp_transactions.to_bits());
     h
-}
-
-/// The structure-of-arrays lanes, indexed by in-block candidate
-/// position. `warps_per_sm == 0` marks a lane that is skipped (pruned or
-/// unrunnable) — warp counts of runnable candidates are always ≥ 1.
-#[derive(Default)]
-struct Lanes {
-    warp_cycles: Vec<f64>,
-    compute_time: Vec<f64>,
-    latency_time: Vec<f64>,
-    time: Vec<f64>,
-    blocks_per_sm: Vec<u32>,
-    warps_per_sm: Vec<u32>,
-}
-
-impl Lanes {
-    /// Zeroes the first `n` lanes, reusing capacity.
-    fn reset(&mut self, n: usize) {
-        for lane in [
-            &mut self.warp_cycles,
-            &mut self.compute_time,
-            &mut self.latency_time,
-            &mut self.time,
-        ] {
-            lane.clear();
-            lane.resize(n, 0.0);
-        }
-        for lane in [&mut self.blocks_per_sm, &mut self.warps_per_sm] {
-            lane.clear();
-            lane.resize(n, 0);
-        }
-    }
 }
 
 /// Everything a lane needs that is constant across the whole search.
@@ -215,9 +170,6 @@ struct StagingAgg {
     mem_insts: f64,
     dram_bytes: f64,
     memory_time: f64,
-    /// `memory_time + launch_overhead`: the exact memory-roofline prune
-    /// bound the scalar path uses.
-    lower_bound: f64,
 }
 
 impl StagingAgg {
@@ -234,128 +186,17 @@ impl StagingAgg {
             mem_insts: synth.global_mem_insts(),
             dram_bytes,
             memory_time,
-            lower_bound: memory_time + spec.launch_overhead,
         }
     }
 }
 
-/// Evaluates one block of candidates into `lanes` and returns the
-/// block's index-ordered strict-minimum `(global index, Eval)`. `base`
-/// is the global index of `cands[0]`; `threshold`, when present, prunes
-/// lanes whose class lower bound provably loses the (time, index)
-/// tie-break.
-fn eval_block(
-    spec: &GpuSpec,
-    consts: &KernelConsts,
-    aggs: &[Option<StagingAgg>; 2],
-    cands: &[Transformation],
-    base: usize,
-    lanes: &mut Lanes,
-    threshold: Option<&Threshold>,
-) -> Option<(usize, Eval)> {
-    let n = cands.len();
-    lanes.reset(n);
-
-    // Pass 1: per-lane resources and occupancy (integer rules), plus the
-    // per-warp issue cycles that depend on the unroll factor.
-    for (i, &c) in cands.iter().enumerate() {
-        let agg = aggs[c.use_shared as usize].as_ref().expect("class present");
-        if let Some(t) = threshold {
-            if agg.lower_bound > t.time || (agg.lower_bound == t.time && base + i > t.idx) {
-                continue; // provably loses the (time, index) tie-break
-            }
-        }
-        let mut slots = consts.base_slots;
-        if c.unroll > 1 {
-            slots *= 1.0 - 0.04 * (c.unroll as f64).log2();
-        }
-        let regs = BASE_REGS + 2 * (c.unroll as f64).log2() as u32 + agg.reg_bonus;
-        let shared_per_block = if agg.staged_groups > 0 {
-            (c.block_threads as f64 * agg.tile_bytes.max(4) as f64 * 1.3 * agg.staged_groups as f64)
-                as u32
-        } else {
-            0
-        };
-        if let Some(occ) = ModelOccupancy::compute_parts(
-            spec,
-            c.block_threads,
-            regs,
-            shared_per_block,
-            consts.threads,
-        ) {
-            lanes.blocks_per_sm[i] = occ.blocks_per_sm;
-            lanes.warps_per_sm[i] = occ.warps_per_sm;
-            lanes.warp_cycles[i] = (slots + agg.shared_accesses) * consts.cpi * consts.divergence
-                + agg.syncs_f * BARRIER_CYCLES;
-        }
-    }
-
-    // Pass 2: the pure-f64 roofline lanes — tight, branch-free except
-    // for the per-class aggregate pick, and safe on skipped lanes (their
-    // garbage times are masked out by `warps_per_sm == 0` below).
-    for i in 0..n {
-        let agg = aggs[cands[i].use_shared as usize]
-            .as_ref()
-            .expect("class present");
-        let warp_cycles = lanes.warp_cycles[i];
-        let compute_time = consts.total_warps * warp_cycles / consts.sm_clock;
-        let critical_path = agg.mem_insts * consts.mem_latency_cycles + warp_cycles;
-        let latency_time = consts.total_warps * critical_path
-            / (lanes.warps_per_sm[i] as f64 * consts.sms_f * consts.clock_hz);
-        let exec = compute_time.max(agg.memory_time).max(latency_time);
-        lanes.compute_time[i] = compute_time;
-        lanes.latency_time[i] = latency_time;
-        lanes.time[i] = exec + consts.launch_overhead;
-    }
-
-    // Pass 3: masked index-ordered strict minimum, then materialize the
-    // winner's full evaluation (bound from the same comparisons the
-    // scalar path makes).
-    let mut best: Option<usize> = None;
-    for i in 0..n {
-        if lanes.warps_per_sm[i] == 0 {
-            continue;
-        }
-        if best.is_none_or(|b| lanes.time[i] < lanes.time[b]) {
-            best = Some(i);
-        }
-    }
-    let i = best?;
-    let agg = aggs[cands[i].use_shared as usize]
-        .as_ref()
-        .expect("class present");
-    let compute_time = lanes.compute_time[i];
-    let latency_time = lanes.latency_time[i];
-    let exec = compute_time.max(agg.memory_time).max(latency_time);
-    let bound = if exec == compute_time && compute_time >= agg.memory_time {
-        ProjectionBound::Compute
-    } else if exec == agg.memory_time {
-        ProjectionBound::Memory
-    } else {
-        ProjectionBound::Latency
-    };
-    Some((
-        base + i,
-        Eval {
-            time: lanes.time[i],
-            bound,
-            occupancy: ModelOccupancy {
-                blocks_per_sm: lanes.blocks_per_sm[i],
-                warps_per_sm: lanes.warps_per_sm[i],
-            },
-            dram_bytes: agg.dram_bytes,
-        },
-    ))
-}
-
-/// One synthesis per staging class present in the space (the same probe
-/// the scalar prune uses, so memo entries are shared), folded into the
-/// per-class aggregates.
+/// One synthesis per staging class present in the space, folded into
+/// the per-class aggregates.
 fn build_aggs(
     chars: &KernelCharacteristics,
     spec: &GpuSpec,
     candidates: &[Transformation],
-    memo_key: Option<CharsKey>,
+    chars_key: CharsKey,
 ) -> [Option<StagingAgg>; 2] {
     let mut aggs: [Option<StagingAgg>; 2] = [None, None];
     for use_shared in [false, true] {
@@ -366,7 +207,7 @@ fn build_aggs(
                 thread_axis: None,
                 ..candidates[0]
             };
-            let synth = synthesize_for(chars, probe, memo_key);
+            let synth = synthesize_cached_keyed(chars_key, chars, probe);
             aggs[use_shared as usize] = Some(StagingAgg::of(&synth, spec));
         }
     }
@@ -374,28 +215,23 @@ fn build_aggs(
 }
 
 /// Builds the full cached setup for `(chars, spec)`: candidate space,
-/// per-class aggregates, and the static lanes. The per-lane resource and
-/// occupancy code is the same as `eval_block`'s pass 1 — kept textually
-/// identical so a cached lane is bit-for-bit a freshly computed one —
-/// except that nothing is pruned: the cache outlives any one search's
-/// threshold.
+/// per-class aggregates, and the static lanes — the per-lane resource and
+/// occupancy rules `synthesize_transformed` + `ModelOccupancy::compute`
+/// apply, derived from the class aggregates without re-synthesizing.
 fn build_entry(
     chars: &KernelCharacteristics,
     spec: &GpuSpec,
-    memo_key: Option<CharsKey>,
     chars_key: CharsKey,
     spec_key: u64,
     consts: &KernelConsts,
 ) -> SetupEntry {
-    let mut candidates = Vec::new();
-    candidate_space_into(chars, spec, &mut candidates);
-    let aggs = build_aggs(chars, spec, &candidates, memo_key);
+    let candidates = candidate_space(chars, spec);
+    let aggs = build_aggs(chars, spec, &candidates, chars_key);
     let n = candidates.len();
     let mut warp_cycles = vec![0.0; n];
     let mut blocks_per_sm = vec![0u32; n];
     let mut warps_per_sm = vec![0u32; n];
-    for i in 0..n {
-        let c = candidates[i];
+    for (i, &c) in candidates.iter().enumerate() {
         let agg = aggs[c.use_shared as usize].as_ref().expect("class present");
         let mut slots = consts.base_slots;
         if c.unroll > 1 {
@@ -432,39 +268,10 @@ fn build_entry(
     }
 }
 
-/// Evaluates a range of a cached entry's static lanes: the pure-`f64`
-/// roofline per lane (the same expressions as `eval_block`'s pass 2) and
-/// the masked index-ordered strict minimum. No pruning — every runnable
-/// lane is already materialized, so evaluating all of them is both
-/// cheaper than threshold bookkeeping and trivially order-independent.
-fn eval_entry(
-    entry: &SetupEntry,
-    consts: &KernelConsts,
-    r: std::ops::Range<usize>,
-) -> Option<(usize, Eval)> {
-    let mut best: Option<(usize, f64)> = None;
-    for i in r {
-        let warps = entry.warps_per_sm[i];
-        if warps == 0 {
-            continue;
-        }
-        let agg = entry.aggs[entry.candidates[i].use_shared as usize]
-            .as_ref()
-            .expect("class present");
-        let warp_cycles = entry.warp_cycles[i];
-        let compute_time = consts.total_warps * warp_cycles / consts.sm_clock;
-        let critical_path = agg.mem_insts * consts.mem_latency_cycles + warp_cycles;
-        let latency_time =
-            consts.total_warps * critical_path / (warps as f64 * consts.sms_f * consts.clock_hz);
-        let exec = compute_time.max(agg.memory_time).max(latency_time);
-        let time = exec + consts.launch_overhead;
-        if best.is_none_or(|(_, bt)| time < bt) {
-            best = Some((i, time));
-        }
-    }
-    let (i, time) = best?;
-    // Winner materialization: recompute the bound pieces with the same
-    // comparisons the scalar path makes.
+/// The roofline of runnable lane `i`: projected time and the dominating
+/// bound, from the same expressions and comparisons as the scalar
+/// `project_inner`.
+fn roofline(entry: &SetupEntry, consts: &KernelConsts, i: usize) -> (f64, ProjectionBound) {
     let agg = entry.aggs[entry.candidates[i].use_shared as usize]
         .as_ref()
         .expect("class present");
@@ -481,9 +288,80 @@ fn eval_entry(
     } else {
         ProjectionBound::Latency
     };
-    Some((
-        i,
-        Eval {
+    (exec + consts.launch_overhead, bound)
+}
+
+/// A search winner: `(lane, time, bound)`.
+type Best = Option<(usize, f64, ProjectionBound)>;
+
+/// The index-ordered strict minimum over a range of runnable lanes.
+fn eval_entry(entry: &SetupEntry, consts: &KernelConsts, r: std::ops::Range<usize>) -> Best {
+    let mut best: Best = None;
+    for i in r {
+        if entry.warps_per_sm[i] == 0 {
+            continue;
+        }
+        let (time, bound) = roofline(entry, consts, i);
+        if best.is_none_or(|(_, bt, _)| time < bt) {
+            best = Some((i, time, bound));
+        }
+    }
+    best
+}
+
+/// The SoA search. The setup cache supplies the static lanes (built on a
+/// miss) and only the roofline arithmetic runs; parallel evaluation
+/// work-steals over candidate blocks whose bests are reduced in index
+/// order, so the result is the same at any thread count.
+pub(crate) fn project_best_soa(
+    name: &str,
+    chars: &KernelCharacteristics,
+    spec: &GpuSpec,
+) -> KernelProjection {
+    with_arena(|arena| {
+        let chars_key = CharsKey::of(chars);
+        let spec_key = spec_fingerprint(spec);
+        let consts = KernelConsts::of(chars, spec);
+        let slot = arena
+            .cache
+            .iter()
+            .position(|e| e.chars_key == chars_key && e.spec_key == spec_key)
+            .unwrap_or_else(|| {
+                let entry = build_entry(chars, spec, chars_key, spec_key, &consts);
+                if arena.cache.len() < SETUP_CACHE_CAP {
+                    arena.cache.push(entry);
+                    arena.cache.len() - 1
+                } else {
+                    let slot = arena.next_evict % SETUP_CACHE_CAP;
+                    arena.next_evict = arena.next_evict.wrapping_add(1);
+                    arena.cache[slot] = entry;
+                    slot
+                }
+            });
+        let entry = &arena.cache[slot];
+        let n = entry.candidates.len();
+        let best = if n > BLOCK && gpp_par::configured_threads() > 1 {
+            let block_bests = gpp_par::par_map_blocks(n, BLOCK, |r| eval_entry(entry, &consts, r));
+            let mut best: Best = None;
+            for cand in block_bests.into_iter().flatten() {
+                if best.is_none_or(|(_, bt, _)| cand.1 < bt) {
+                    best = Some(cand);
+                }
+            }
+            best
+        } else {
+            eval_entry(entry, &consts, 0..n)
+        };
+        let (i, time, bound) = best.unwrap_or_else(|| {
+            panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
+        });
+        let config = entry.candidates[i];
+        let agg = entry.aggs[config.use_shared as usize]
+            .as_ref()
+            .expect("class present");
+        KernelProjection {
+            name: name.to_string(),
+            config,
             time,
             bound,
             occupancy: ModelOccupancy {
@@ -491,177 +369,67 @@ fn eval_entry(
                 warps_per_sm: entry.warps_per_sm[i],
             },
             dram_bytes: agg.dram_bytes,
-        },
-    ))
-}
-
-/// The SoA search: [`crate::project::project_best_with`] routes here
-/// when `opts.soa` is set. With the memo on, the setup cache supplies
-/// precomputed static lanes and only the roofline arithmetic runs; with
-/// the memo off, everything is rebuilt in arena scratch and evaluated
-/// block-by-block with the (time, index) prune. Parallel evaluation
-/// work-steals over candidate blocks; block bests are reduced in index
-/// order, so the result is bit-identical to the scalar search at any
-/// thread count.
-pub(crate) fn project_best_soa(
-    name: &str,
-    chars: &KernelCharacteristics,
-    spec: &GpuSpec,
-    opts: SearchOpts,
-) -> KernelProjection {
-    with_arena(|arena| {
-        let memo_key = opts.memo.then(|| CharsKey::of(chars));
-        let consts = KernelConsts::of(chars, spec);
-
-        if let Some(chars_key) = memo_key {
-            let spec_key = spec_fingerprint(spec);
-            let slot = arena
-                .cache
-                .iter()
-                .position(|e| e.chars_key == chars_key && e.spec_key == spec_key)
-                .unwrap_or_else(|| {
-                    let entry = build_entry(chars, spec, memo_key, chars_key, spec_key, &consts);
-                    if arena.cache.len() < SETUP_CACHE_CAP {
-                        arena.cache.push(entry);
-                        arena.cache.len() - 1
-                    } else {
-                        let slot = arena.next_evict % SETUP_CACHE_CAP;
-                        arena.next_evict = arena.next_evict.wrapping_add(1);
-                        arena.cache[slot] = entry;
-                        slot
-                    }
-                });
-            let entry = &arena.cache[slot];
-            let n = entry.candidates.len();
-            let best = if n > BLOCK && gpp_par::configured_threads() > 1 {
-                let block_bests =
-                    gpp_par::par_map_blocks(n, BLOCK, |r| eval_entry(entry, &consts, r));
-                let mut best: Option<(usize, Eval)> = None;
-                for cand in block_bests.into_iter().flatten() {
-                    if best.is_none_or(|(_, b)| cand.1.time < b.time) {
-                        best = Some(cand);
-                    }
-                }
-                best
-            } else {
-                eval_entry(entry, &consts, 0..n)
-            };
-            return finish(name, &entry.candidates, best);
         }
-
-        // Memo off: rebuild everything in arena scratch and evaluate with
-        // the (time, index) prune — the reference SoA path the proptests
-        // hold to the scalar answer.
-        candidate_space_into(chars, spec, &mut arena.candidates);
-        let fresh_aggs = build_aggs(chars, spec, &arena.candidates, None);
-        let SearchArena {
-            candidates: scratch,
-            lanes,
-            ..
-        } = &mut *arena;
-        let cands: &[Transformation] = scratch;
-        let aggs = &fresh_aggs;
-
-        let n = cands.len();
-        let nblocks = n.div_ceil(BLOCK);
-
-        let best: Option<(usize, Eval)> = if nblocks > 1 && gpp_par::configured_threads() > 1 {
-            let candidates = cands;
-            let threshold = Mutex::new(Threshold {
-                time: f64::INFINITY,
-                idx: usize::MAX,
-            });
-            let block_bests = gpp_par::par_map_blocks(n, BLOCK, |r| {
-                // One threshold snapshot per block: coarser than the
-                // scalar per-candidate lock, equally safe (a stale
-                // threshold only prunes less, never differently).
-                let snap = if opts.prune {
-                    let t = threshold.lock().unwrap();
-                    Some(Threshold {
-                        time: t.time,
-                        idx: t.idx,
-                    })
-                } else {
-                    None
-                };
-                let res = with_arena(|worker| {
-                    eval_block(
-                        spec,
-                        &consts,
-                        aggs,
-                        &candidates[r.clone()],
-                        r.start,
-                        &mut worker.lanes,
-                        snap.as_ref(),
-                    )
-                });
-                if opts.prune {
-                    if let Some((idx, ev)) = res {
-                        let mut t = threshold.lock().unwrap();
-                        if ev.time < t.time || (ev.time == t.time && idx < t.idx) {
-                            *t = Threshold { time: ev.time, idx };
-                        }
-                    }
-                }
-                res
-            });
-            let mut best: Option<(usize, Eval)> = None;
-            for cand in block_bests.into_iter().flatten() {
-                if best.is_none_or(|(_, b)| cand.1.time < b.time) {
-                    best = Some(cand);
-                }
-            }
-            best
-        } else {
-            let candidates = cands;
-            let mut threshold = Threshold {
-                time: f64::INFINITY,
-                idx: usize::MAX,
-            };
-            let mut best: Option<(usize, Eval)> = None;
-            for b in 0..nblocks {
-                let lo = b * BLOCK;
-                let hi = (lo + BLOCK).min(n);
-                let res = eval_block(
-                    spec,
-                    &consts,
-                    aggs,
-                    &candidates[lo..hi],
-                    lo,
-                    lanes,
-                    opts.prune.then_some(&threshold),
-                );
-                if let Some((idx, ev)) = res {
-                    if opts.prune
-                        && (ev.time < threshold.time
-                            || (ev.time == threshold.time && idx < threshold.idx))
-                    {
-                        threshold = Threshold { time: ev.time, idx };
-                    }
-                    if best.is_none_or(|(_, b)| ev.time < b.time) {
-                        best = Some((idx, ev));
-                    }
-                }
-            }
-            best
-        };
-
-        finish(name, cands, best)
     })
 }
 
-/// Materializes the winning projection — the only allocation of a
-/// steady-state search is the winner's name `String` here.
-fn finish(name: &str, cands: &[Transformation], best: Option<(usize, Eval)>) -> KernelProjection {
-    let (idx, ev) = best.unwrap_or_else(|| {
-        panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
-    });
-    KernelProjection {
-        name: name.to_string(),
-        config: cands[idx],
-        time: ev.time,
-        bound: ev.bound,
-        occupancy: ev.occupancy,
-        dram_bytes: ev.dram_bytes,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::project::{project_all, project_best};
+    use gpp_skeleton::builder::{idx, ProgramBuilder};
+    use gpp_skeleton::{ElemType, Flops};
+
+    fn vadd_chars(n: u64) -> KernelCharacteristics {
+        let mut p = ProgramBuilder::new("vadd");
+        let a = p.array("a", ElemType::F32, &[n as usize]);
+        let c = p.array("c", ElemType::F32, &[n as usize]);
+        let mut k = p.kernel("add");
+        let i = k.parallel_loop("i", n);
+        k.statement()
+            .read(a, &[idx(i)])
+            .write(c, &[idx(i)])
+            .flops(Flops {
+                adds: 1,
+                ..Flops::default()
+            })
+            .finish();
+        k.finish();
+        let prog = p.build().unwrap();
+        prog.kernels[0].characteristics(&prog)
+    }
+
+    fn assert_matches_oracle(chars: &KernelCharacteristics, spec: &GpuSpec) {
+        assert_eq!(
+            format!("{:?}", project_best("add", chars, spec)),
+            format!("{:?}", project_all("add", chars, spec).0),
+            "spec {spec:?}"
+        );
+    }
+
+    /// Two specs that differ in one field must not share a cache entry,
+    /// in either lookup order, and cycling more distinct kernels than the
+    /// cache holds must evict and rebuild without changing any answer.
+    #[test]
+    fn setup_cache_keys_on_the_whole_spec_and_evicts_round_robin() {
+        let chars = vadd_chars(1 << 20);
+        let base = GpuSpec::quadro_fx_5600();
+        let derated = GpuSpec {
+            bw_derate: base.bw_derate * 0.5,
+            ..base.clone()
+        };
+        for spec in [&base, &derated, &derated, &base] {
+            assert_matches_oracle(&chars, spec);
+        }
+
+        let kernels: Vec<_> = (0..SETUP_CACHE_CAP as u64 + 3)
+            .map(|k| vadd_chars((1 << 12) + 1000 * k))
+            .collect();
+        for _ in 0..2 {
+            for chars in &kernels {
+                assert_matches_oracle(chars, &base);
+            }
+        }
+        ARENA.with(|cell| assert_eq!(cell.borrow().cache.len(), SETUP_CACHE_CAP));
     }
 }

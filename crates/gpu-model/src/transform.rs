@@ -70,7 +70,13 @@ impl std::fmt::Display for Transformation {
 }
 
 /// Baseline per-thread register estimate for a skeleton-derived kernel.
-pub(crate) const BASE_REGS: u32 = 10;
+pub const BASE_REGS: u32 = 10;
+
+/// The smallest block size the search tries. On a spec that allows
+/// blocks this large, every kernel's candidate space contains a
+/// `MIN_BLOCK_THREADS` × [`BASE_REGS`] launch without shared memory, so a
+/// spec that can run that launch can project any kernel.
+pub const MIN_BLOCK_THREADS: u32 = 64;
 
 /// Enumerates the candidate transformations for a kernel.
 ///
@@ -78,19 +84,6 @@ pub(crate) const BASE_REGS: u32 = 10;
 /// reusable loads; unrolling only when there is a serial loop to unroll.
 pub fn candidate_space(chars: &KernelCharacteristics, spec: &GpuSpec) -> Vec<Transformation> {
     let mut out = Vec::new();
-    candidate_space_into(chars, spec, &mut out);
-    out
-}
-
-/// [`candidate_space`] into a caller-owned buffer — the arena'd search
-/// reuses one `Vec` across searches so the steady state allocates
-/// nothing. The buffer is cleared first; capacity is retained.
-pub fn candidate_space_into(
-    chars: &KernelCharacteristics,
-    spec: &GpuSpec,
-    out: &mut Vec<Transformation>,
-) {
-    out.clear();
     let shared_options: &[bool] = if chars.sharable_load_fraction > 0.0 {
         &[false, true]
     } else {
@@ -101,12 +94,13 @@ pub fn candidate_space_into(
     } else {
         &[1]
     };
-    for &block_threads in &[64u32, 128, 192, 256, 384, 512] {
+    for &block_threads in &[MIN_BLOCK_THREADS, 128, 192, 256, 384, 512] {
         if block_threads > spec.max_threads_per_block {
             continue;
         }
-        // Don't launch blocks larger than the whole grid.
-        if (block_threads as u64) > chars.threads.max(1) * 2 {
+        // Don't launch blocks larger than the whole grid — except the
+        // smallest size, so even a grid of a few threads can launch.
+        if block_threads > MIN_BLOCK_THREADS && (block_threads as u64) > chars.threads.max(1) * 2 {
             continue;
         }
         for &use_shared in shared_options {
@@ -120,6 +114,7 @@ pub fn candidate_space_into(
             }
         }
     }
+    out
 }
 
 /// The characteristics of a kernel *after* a transformation is applied —
@@ -350,17 +345,8 @@ pub fn program_fingerprint(program: &gpp_skeleton::Program) -> u128 {
 /// (characteristics fingerprint, config). Synthesis is a pure function
 /// of that key, so a hit returns exactly the value a miss would compute
 /// — repeated projections of the same kernels (iteration sweeps, served
-/// what-if streams) skip the synthesis work entirely.
-pub fn synthesize_cached(
-    chars: &KernelCharacteristics,
-    config: Transformation,
-) -> Arc<SynthesizedKernel> {
-    synthesize_cached_keyed(CharsKey::of(chars), chars, config)
-}
-
-/// [`synthesize_cached`] with the characteristics fingerprint already
-/// computed (the hot path: one fingerprint per search, not per
-/// candidate).
+/// what-if streams) skip the synthesis work entirely. The caller computes
+/// `key` once per search, not per candidate.
 pub fn synthesize_cached_keyed(
     key: CharsKey,
     chars: &KernelCharacteristics,
