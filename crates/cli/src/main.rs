@@ -976,7 +976,6 @@ fn cmd_serve(opt: &Options) -> ExitCode {
 fn cmd_gateway(opt: &Options) -> ExitCode {
     use gpp_gateway::{Gateway, GatewayConfig};
     use gpp_serve::{server::signals, ServeConfig, Server};
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use std::time::Duration;
     let Some(faults) = faults_for(opt, "gpp-gateway") else {
@@ -1051,15 +1050,6 @@ fn cmd_gateway(opt: &Options) -> ExitCode {
         }
         Err(e) => eprintln!("gpp-gateway listening ({e})"),
     }
-    // Gateway::run polls only its own flag; relay SIGINT/SIGTERM to it.
-    let flag = gateway.shutdown_flag();
-    std::thread::spawn(move || loop {
-        if signals::requested() {
-            flag.store(true, Ordering::SeqCst);
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
     if let Err(e) = gateway.run() {
         eprintln!("gpp-gateway failed: {e}");
         return ExitCode::FAILURE;

@@ -433,6 +433,61 @@ fn gateway_spawns_shards_and_prints_machine_parsable_addrs() {
     assert!(stdout.contains("\"fingerprint\":\""), "{stdout}");
 }
 
+/// Serves one ping, sends SIGTERM, and expects a drained exit 0 within
+/// 3 s. The daemon sits in a blocking `accept` when the signal lands, and
+/// the signal handler is installed with `SA_RESTART`, so it exits only if
+/// its shutdown watcher wakes the acceptor.
+fn assert_sigterm_drains(args: &[&str], prefixes: &[&str]) {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let (mut daemon, values) = spawn_daemon(args, prefixes);
+    let addr = values.last().unwrap();
+    let out = gpp()
+        .args(["request", "--addr", addr, "--command", "ping"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+
+    let pid = daemon.0.id().to_string();
+    let kill = Command::new("kill").args(["-TERM", &pid]).status().unwrap();
+    assert!(kill.success(), "kill -TERM {pid}");
+    let signalled = Instant::now();
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            signalled.elapsed() < Duration::from_secs(3),
+            "gpp {args:?} still running 3 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "gpp {args:?} exited {status}: {stderr}");
+    assert!(stderr.contains("drained and stopped"), "{stderr}");
+}
+
+#[test]
+fn serve_drains_and_exits_on_sigterm() {
+    assert_sigterm_drains(&["serve", "--addr", "127.0.0.1:0"], &["GPP_ADDR"]);
+}
+
+#[test]
+fn gateway_drains_and_exits_on_sigterm() {
+    assert_sigterm_drains(
+        &["gateway", "--shards", "1", "--addr", "127.0.0.1:0"],
+        &["GPP_SHARD_ADDR", "GPP_ADDR"],
+    );
+}
+
 #[test]
 fn request_retries_back_off_before_giving_up() {
     // Nothing listens on port 1; with 2 retries at 100 ms base backoff

@@ -45,6 +45,7 @@ pub mod flight;
 pub mod pool;
 pub mod ring;
 
+use crossbeam::channel::TrySendError;
 use flight::{Joined, SingleFlight};
 use gpp_fault::FaultInjector;
 use gpp_serve::cache::fnv1a;
@@ -52,6 +53,7 @@ use gpp_serve::client::RetryBudget;
 use gpp_serve::protocol::{
     batch_response, read_frame_limited, write_frame, Command, FrameError, ProtocolError, Request,
 };
+use gpp_serve::server::{accept_until_shutdown, reply_reject};
 use gpp_serve::service::{busy_response, deadline_exceeded, error_json};
 use gpp_serve::DeadlineRead;
 use grophecy::report::Json;
@@ -607,7 +609,8 @@ fn structural_fingerprint(req: &Request, payload: &str) -> u128 {
     u128::from(fnv1a(payload.as_bytes()))
 }
 
-/// How often idle loops re-check the shutdown flag.
+/// How often the prober looks for due shards and re-checks the shutdown
+/// flag.
 const POLL: Duration = Duration::from_millis(10);
 
 /// A bound, ready-to-run gateway.
@@ -643,16 +646,15 @@ impl Gateway {
         self.state.clone()
     }
 
-    /// Runs until the shutdown flag is set (blocking). Accepted
-    /// connections drain before return; the prober thread stops with the
-    /// accept loop.
+    /// Runs until the shutdown flag is set or SIGINT/SIGTERM arrives
+    /// (blocking), on `gpp-serve`'s acceptor. Accepted connections drain
+    /// before return; the prober thread stops with the acceptor.
     pub fn run(self) -> io::Result<()> {
         let Gateway {
             state,
             listener,
             shutdown,
         } = self;
-        listener.set_nonblocking(true)?;
         let workers = state.config.workers.max(1);
         let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(state.config.queue_depth.max(1));
 
@@ -684,32 +686,16 @@ impl Gateway {
                     }
                 });
             }
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
+            let accepted = accept_until_shutdown(&listener, &shutdown, "gpp-gateway", |stream| {
+                if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
+                    state.note_busy();
+                    reply_reject(stream, busy_response());
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if let Err(crossbeam::channel::TrySendError::Full(stream)) =
-                            tx.try_send(stream)
-                        {
-                            state.note_busy();
-                            let mut stream = stream;
-                            let _ = write_frame(&mut stream, &busy_response());
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        eprintln!("gpp-gateway: accept failed: {e}");
-                        std::thread::sleep(POLL);
-                    }
-                }
-            }
+            });
             drop(tx);
+            accepted
         })
-        .expect("gpp-gateway worker panicked");
-        Ok(())
+        .expect("gpp-gateway worker panicked")
     }
 
     /// Runs the gateway on a background thread; returns a handle with the

@@ -8,7 +8,7 @@ use gpp_gateway::{Gateway, GatewayConfig, GatewayState};
 use gpp_serve::{Client, Command, Request, ServeConfig, Server, ServerHandle};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const VEC_ADD: &str = include_str!("../../../skeletons/vector_add.gsk");
 const HOTSPOT: &str = include_str!("../../../skeletons/hotspot_1024.gsk");
@@ -248,4 +248,62 @@ fn distinct_programs_spread_across_shards() {
         owners.insert(ring.route(key).unwrap());
     }
     assert_eq!(owners.len(), 3, "32 keys must reach all 3 shards");
+}
+
+/// Neither the gateway's acceptor nor a shard's waits for a poll tick: 50
+/// memo-hit projections, each on a fresh client connection and forwarded
+/// on a fresh shard connection, finish far inside the ~500 ms that one
+/// 10 ms accept poll per forward would cost.
+#[test]
+fn fresh_connections_are_accepted_on_arrival_end_to_end() {
+    let shards = spawn_shards(2);
+    let gateway = Gateway::bind(GatewayConfig::default(), addrs(&shards))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let payload = project(23, VEC_ADD);
+    let warm = Client::connect(gateway.addr(), TIMEOUT)
+        .unwrap()
+        .call_raw(&payload)
+        .unwrap();
+    assert!(warm.contains("\"cached\":false"), "{warm}");
+
+    let started = Instant::now();
+    for i in 0..50 {
+        let mut client = Client::connect(gateway.addr(), TIMEOUT).unwrap();
+        let reply = client.call_raw(&payload).unwrap();
+        assert!(reply.starts_with("{\"ok\":true"), "request {i}: {reply}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 memo-hit projections through the gateway took {elapsed:?}"
+    );
+
+    gateway.shutdown_and_join().unwrap();
+    for s in shards {
+        s.shutdown_and_join().unwrap();
+    }
+}
+
+/// Shutting down an idle gateway wakes its blocked acceptor and stops
+/// the prober promptly.
+#[test]
+fn idle_gateway_shuts_down_promptly() {
+    let shards = spawn_shards(2);
+    let gateway = Gateway::bind(GatewayConfig::default(), addrs(&shards))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    // Let the acceptor reach its blocking `accept` first.
+    std::thread::sleep(Duration::from_millis(50));
+    let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || joined_tx.send(gateway.shutdown_and_join()));
+    joined_rx
+        .recv_timeout(Duration::from_millis(500))
+        .expect("idle gateway shutdown took over 500 ms")
+        .unwrap();
+    for s in shards {
+        s.shutdown_and_join().unwrap();
+    }
 }

@@ -4,11 +4,14 @@
 //! no-hedge gateway loses, no `ok` reply ever lands after its deadline,
 //! hedging stays within its token budget, and with a generous deadline
 //! (or none) the replies stay bit-identical to a single-shard no-fault
-//! run.
+//! run. A full accept queue turns connections away with an intact `busy`
+//! frame.
 
 use gpp_gateway::ring::{routing_key, HashRing};
-use gpp_gateway::{GatewayConfig, GatewayState};
+use gpp_gateway::{Gateway, GatewayConfig, GatewayState};
+use gpp_serve::service::busy_response;
 use gpp_serve::{Client, ServeConfig, Server, ServerHandle};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -255,4 +258,53 @@ fn expired_deadline_is_answered_locally_without_a_forward() {
     for s in shards {
         s.shutdown_and_join().unwrap();
     }
+}
+
+/// A connection turned away by the full accept queue reads the `busy`
+/// frame byte for byte. The rejection is half-closed and drained before
+/// the socket drops, so the client's unread request cannot make the close
+/// a reset that destroys the reply.
+#[test]
+fn busy_rejection_reaches_the_client_intact() {
+    let shard = spawn_shard();
+    let config = GatewayConfig {
+        workers: 1,
+        queue_depth: 1,
+        request_timeout: Duration::from_secs(10),
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::bind(config, vec![shard.addr().to_string()])
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let addr = gateway.addr();
+
+    // Two idle connections: one parks the single worker, the next fills
+    // the depth-1 queue. The stagger lets the worker dequeue the first
+    // before the second lands.
+    let holder_a = TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let holder_b = TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+
+    let busy = busy_response();
+    for attempt in 0..20 {
+        let mut client = Client::connect(addr, TIMEOUT).unwrap();
+        match client.call_raw("gpp/1 ping") {
+            Ok(reply) => assert_eq!(reply, busy, "attempt {attempt}"),
+            Err(e) => panic!("attempt {attempt}: no busy reply: {e}"),
+        }
+    }
+    assert_eq!(
+        gateway
+            .state()
+            .metrics
+            .rejected_busy
+            .load(Ordering::Relaxed),
+        20
+    );
+
+    drop((holder_a, holder_b));
+    gateway.shutdown_and_join().unwrap();
+    shard.shutdown_and_join().unwrap();
 }

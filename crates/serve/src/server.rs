@@ -1,9 +1,9 @@
-//! The TCP front-end: accept loop, bounded queue, worker pool, shutdown.
+//! The TCP front-end: acceptor, bounded queue, worker pool, shutdown.
 //!
 //! Architecture (no async runtime — sanctioned crates only):
 //!
 //! ```text
-//!              accept loop (non-blocking + poll)
+//!     acceptor (blocking accept) ◄── self-connect ── shutdown watcher
 //!                   │ try_send
 //!                   ▼
 //!        crossbeam bounded channel  ──full──► immediate `busy` reply
@@ -15,9 +15,12 @@
 //! ```
 //!
 //! Shutdown: a shared `AtomicBool` (set programmatically or by the
-//! SIGINT/SIGTERM handler) stops the accept loop; dropping the sender
+//! SIGINT/SIGTERM handler) stops the acceptor. The acceptor blocks in
+//! `accept`, so a watcher thread notices the request and wakes it with
+//! one connection to the listener's own address. Dropping the sender then
 //! lets each worker drain the queue and finish in-flight requests before
 //! the pool joins — no request that was accepted is abandoned.
+//! `gpp-gateway` runs the same acceptor ([`accept_until_shutdown`]).
 
 use crate::metrics::Metrics;
 use crate::protocol::{read_frame_limited, write_frame, FrameError, ProtocolError};
@@ -26,13 +29,15 @@ use crate::service::{
 };
 use crossbeam::channel::{bounded, Receiver, TrySendError};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop re-checks the shutdown flag while idle.
+/// How often the shutdown watcher re-checks the shutdown flag and the
+/// termination signal; also the back-off after a failed `accept`.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// A bound, ready-to-run server.
@@ -76,7 +81,6 @@ impl Server {
             listener,
             shutdown,
         } = self;
-        listener.set_nonblocking(true)?;
         let workers = state.config.workers.max(1);
         // Each queue entry carries its enqueue instant so the worker can
         // attribute the accept-queue wait separately from compute time.
@@ -103,56 +107,36 @@ impl Server {
                     }
                 });
             }
-            // Accept loop — owns `tx`; dropping it on exit disconnects the
-            // workers once the queue drains.
-            loop {
-                if shutdown.load(Ordering::SeqCst) || signals::requested() {
-                    break;
+            // `rx` lives until the scope ends, so `try_send` never sees a
+            // disconnected channel.
+            let accepted = accept_until_shutdown(&listener, &shutdown, "gpp-serve", |stream| {
+                let Err(TrySendError::Full(pair)) = tx.try_send((stream, Instant::now())) else {
+                    return;
+                };
+                // Shed-oldest-first (adaptive LIFO): the longest-queued
+                // connection is the one most likely past its caller's
+                // patience, so it is displaced with a structured `shed`
+                // reply and the fresh arrival takes its slot. Only if no
+                // queued entry can be reclaimed (workers drained the queue
+                // in the race window and it refilled — impossible with one
+                // acceptor, but cheap to guard) does the newcomer get the
+                // legacy `busy`.
+                let hint = state.retry_after_hint_ms(rx.len());
+                if let Some((oldest, _enqueued)) = rx.try_recv() {
+                    state.note_shed_queue();
+                    reply_reject(oldest, shed_queue_response(hint));
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => match tx.try_send((stream, Instant::now())) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(pair)) => {
-                            // Shed-oldest-first (adaptive LIFO): the
-                            // longest-queued connection is the one most
-                            // likely past its caller's patience, so it is
-                            // displaced with a structured `shed` reply and
-                            // the fresh arrival takes its slot. Only if no
-                            // queued entry can be reclaimed (workers
-                            // drained the queue in the race window and it
-                            // refilled — impossible with one acceptor, but
-                            // cheap to guard) does the newcomer get the
-                            // legacy `busy`.
-                            let hint = state.retry_after_hint_ms(rx.len());
-                            if let Some((oldest, _enqueued)) = rx.try_recv() {
-                                state.note_shed_queue();
-                                reply_reject(oldest, shed_queue_response(hint));
-                            }
-                            match tx.try_send(pair) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full((stream, _))) => {
-                                    state.note_busy();
-                                    reply_reject(stream, busy_response_with_hint(hint));
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    },
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        eprintln!("gpp-serve: accept failed: {e}");
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
+                if let Err(TrySendError::Full((stream, _))) = tx.try_send(pair) {
+                    state.note_busy();
+                    reply_reject(stream, busy_response_with_hint(hint));
                 }
-            }
+            });
+            // Dropping the sender disconnects the workers once the queue
+            // drains.
             drop(tx);
+            accepted
         })
-        .expect("gpp-serve worker panicked");
-        Ok(())
+        .expect("gpp-serve worker panicked")
     }
 
     /// Runs the server on a background thread; returns a handle with the
@@ -199,6 +183,76 @@ impl ServerHandle {
             Err(_) => Err(io::Error::other("gpp-serve server thread panicked")),
         }
     }
+}
+
+/// The accept loop shared by `gpp-serve` and `gpp-gateway`. The listener
+/// stays blocking, so `accept` returns the moment a client arrives, and
+/// each accepted stream goes to `on_accept` (enqueue, or a busy/shed
+/// reply). After every `accept` the loop checks `shutdown` and
+/// [`signals::requested`]; once either is set it drops the stream it just
+/// accepted and returns. `shutdown` is set on every return, so the
+/// caller's other threads see a signal too. `who` prefixes the log line
+/// of a failed `accept`.
+///
+/// A scoped watcher thread makes that check every [`ACCEPT_POLL`] while
+/// `accept` blocks, and on a request connects once to the listener's own
+/// address to wake it: glibc's `signal()` installs handlers with
+/// `SA_RESTART`, so SIGTERM alone never interrupts a blocking `accept`.
+pub fn accept_until_shutdown(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    who: &str,
+    mut on_accept: impl FnMut(TcpStream),
+) -> io::Result<()> {
+    let wake = match listener.local_addr() {
+        Ok(bound) => wake_addr(bound),
+        Err(e) => {
+            shutdown.store(true, Ordering::SeqCst);
+            return Err(e);
+        }
+    };
+    let stop_requested = || shutdown.load(Ordering::SeqCst) || signals::requested();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        // Exits once it has woken the acceptor, or when the accept loop
+        // ends on its own and drops `done_tx`.
+        scope.spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(ACCEPT_POLL) {
+                if stop_requested() && TcpStream::connect_timeout(&wake, ACCEPT_POLL).is_ok() {
+                    return;
+                }
+            }
+        });
+        loop {
+            let accepted = listener.accept();
+            if stop_requested() {
+                break;
+            }
+            match accepted {
+                Ok((stream, _peer)) => on_accept(stream),
+                Err(e) => {
+                    // EMFILE and the like: back off instead of spinning.
+                    eprintln!("{who}: accept failed: {e}");
+                    std::thread::sleep(ACCEPT_POLL);
+                }
+            }
+        }
+        shutdown.store(true, Ordering::SeqCst);
+        drop(done_tx);
+    });
+    Ok(())
+}
+
+/// Where the shutdown watcher connects to wake the acceptor: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
 }
 
 fn worker_loop(
@@ -374,14 +428,14 @@ impl Read for DeadlineRead<'_> {
     }
 }
 
-/// Fast-path rejection when the queue is full: reply `busy`/`shed` (with
-/// its `retry_after_ms` hint) and hang up without processing the request,
-/// on a short-lived thread so the accept loop keeps accepting. After the
+/// Fast-path rejection when the queue is full: reply `busy`/`shed` and
+/// hang up without processing the request, on a short-lived thread so the
+/// acceptor keeps accepting. `gpp-gateway` rejects through it too. After the
 /// reply we send FIN and drain whatever the client already wrote —
 /// closing with unread data in the receive buffer makes the kernel RST
 /// the connection, which can destroy the reply before the client reads
 /// it.
-fn reply_reject(mut stream: TcpStream, response: String) {
+pub fn reply_reject(mut stream: TcpStream, response: String) {
     std::thread::spawn(move || {
         stream
             .set_read_timeout(Some(Duration::from_millis(500)))
@@ -414,7 +468,8 @@ pub mod signals {
         use std::sync::atomic::Ordering;
 
         // Setting an atomic flag is async-signal-safe; everything else
-        // happens on the accept loop's next poll tick.
+        // happens on the shutdown watcher's next tick, which wakes the
+        // blocked acceptor (see `accept_until_shutdown`).
         extern "C" fn on_signal(_signum: i32) {
             SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
         }

@@ -7,7 +7,7 @@ use grophecy::machine::{BusSpec, ReplayTrace};
 use grophecy::{MachineConfig, MachineRegistry};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const VECTOR_ADD: &str = include_str!("../../../skeletons/vector_add.gsk");
 const HOTSPOT: &str = include_str!("../../../skeletons/hotspot_1024.gsk");
@@ -312,4 +312,47 @@ fn shutdown_drains_in_flight_requests() {
     handle.shutdown_and_join().unwrap();
     let response = worker.join().unwrap();
     assert_eq!(response, single_shot(&project_request(HOTSPOT, 4242)));
+}
+
+/// The acceptor blocks in `accept`, so a fresh connection is taken the
+/// moment it arrives. Waiting out a 10 ms accept poll per connection would
+/// cost about 500 ms for these 50 pings.
+#[test]
+fn fresh_connections_are_accepted_on_arrival() {
+    let handle = Server::bind(ephemeral_config()).unwrap().spawn().unwrap();
+    let addr = handle.addr();
+    let started = Instant::now();
+    for i in 0..50 {
+        let mut client = Client::connect(addr, CLIENT_TIMEOUT).unwrap();
+        let reply = client.call(&Request::new(Command::Ping)).unwrap();
+        assert!(reply.starts_with("{\"ok\":true"), "ping {i}: {reply}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 pings on fresh connections took {elapsed:?}"
+    );
+    handle.shutdown_and_join().unwrap();
+}
+
+/// Shutting down an idle server wakes the acceptor out of its blocking
+/// `accept`; the server does not wait for a client to arrive. A listener
+/// on the unspecified address is woken through loopback.
+#[test]
+fn idle_server_shuts_down_promptly() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let config = ServeConfig {
+            addr: addr.to_string(),
+            ..ServeConfig::default()
+        };
+        let handle = Server::bind(config).unwrap().spawn().unwrap();
+        // Let the acceptor reach its blocking `accept` first.
+        std::thread::sleep(Duration::from_millis(50));
+        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || joined_tx.send(handle.shutdown_and_join()));
+        joined_rx
+            .recv_timeout(Duration::from_millis(500))
+            .unwrap_or_else(|_| panic!("idle shutdown on {addr} took over 500 ms"))
+            .unwrap();
+    }
 }
