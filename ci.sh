@@ -99,16 +99,20 @@ GPP_FAULT_PLAN='seed=7;serve.compute.slow:always,factor=40' \
 GPP_FAULT_PLAN='seed=7;gateway.shard.slow@shard1:after=2,factor=300' \
     cargo test $CARGO_FLAGS -q -p gpp-gateway --test overload
 
-echo "== end-to-end smoke (perfbench gateway workload through real gpp processes)"
-# Two seconds of the benchmark's gateway workload: real `gpp gateway` and
-# `gpp serve` processes on loopback. Reusing target/ avoids a second
-# release build. The last line of the run is its JSON result; every reply
-# must be correct and no request may fail.
-SMOKE=$(CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py \
-    --workload gateway --seed 1 --seconds 2 --trace 0 | tail -n 1)
-python3 -c 'import json, sys
+echo "== end-to-end smoke (perfbench workloads through real gpp processes)"
+# Two seconds of each benchmark workload on real `gpp serve` (and, for
+# `gateway`, `gpp gateway`) processes on loopback: `hot` and `miss` send
+# `batch` frames straight to `gpp serve`, `gateway` single frames through
+# the gateway. Reusing target/ avoids a second release build. The last
+# line of a run is its JSON result; every reply must be correct and no
+# request may fail.
+for workload in hot miss gateway; do
+    SMOKE=$(CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$SMOKE" \
-    || { echo "end-to-end smoke failed: $SMOKE"; exit 1; }
+        || { echo "end-to-end smoke failed ($workload): $SMOKE"; exit 1; }
+done
 
 echo "CI OK"
