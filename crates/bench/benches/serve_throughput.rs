@@ -7,9 +7,8 @@
 //!   * `hot`       — primed service, repeated query: both caches hit,
 //!     the steady state of a serve deployment;
 //!   * `hot_batch` — primed service, `batch` frames of many sub-requests
-//!     each: the wire path that fans out through `gpp_par` into the SoA
-//!     projector. Its `req_per_s` counts sub-requests; its latency
-//!     percentiles are per *frame*.
+//!     each, served one after another in frame order. Its `req_per_s`
+//!     counts sub-requests; its latency percentiles are per *frame*.
 //!
 //! Methodology (see README § Performance): every tier runs `ROUNDS`
 //! rounds and reports the **best round** — min-of-N defeats warmup and
@@ -122,8 +121,7 @@ fn main() {
     }));
 
     // Hot batch: frames of BATCH_WIDTH distinct-seed sub-requests (cache
-    // misses on first round, hits after — min-of-N keeps the hit rounds)
-    // through the parallel fan-out and the SoA projector.
+    // misses on first round, hits after — min-of-N keeps the hit rounds).
     let frames: Vec<String> = (0..BATCH_FRAMES)
         .map(|f| {
             Request::new_batch(

@@ -10,6 +10,7 @@
 use crate::measurement::AppMeasurement;
 use crate::projector::AppProjection;
 use crate::speedup::SpeedupReport;
+use std::fmt::Write;
 
 /// A JSON value under construction.
 #[derive(Debug, Clone)]
@@ -25,22 +26,18 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(&'static str, Json)>),
     /// Pre-rendered JSON spliced in verbatim. The caller guarantees the
     /// string is valid JSON — used when a reply embeds other replies
-    /// byte-for-byte (the `batch` frame).
+    /// byte-for-byte (the `batch` frame) or objects rendered once and
+    /// kept (the serve memo's `pcie` and `projection`).
     Raw(String),
 }
 
 impl Json {
     /// Object constructor.
     pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(fields.into_iter().collect())
     }
 
     /// Renders to a compact JSON string.
@@ -55,32 +52,21 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => {
+                // Writing into `out` formats each number in place, with
+                // no temporary `String`; `fmt::Write` for `String` cannot
+                // fail.
                 if x.is_finite() {
                     // Integers print without a trailing ".0".
                     if *x == x.trunc() && x.abs() < 1e15 {
-                        out.push_str(&format!("{}", *x as i64));
+                        let _ = write!(out, "{}", *x as i64);
                     } else {
-                        out.push_str(&format!("{x}"));
+                        let _ = write!(out, "{x}");
                     }
                 } else {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -97,7 +83,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -106,6 +92,25 @@ impl Json {
             Json::Raw(json) => out.push_str(json),
         }
     }
+}
+
+/// Writes `s` as a JSON string literal, escaped per RFC 8259.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Serializes a projection. The `timeline` and `multi_gpu` keys appear

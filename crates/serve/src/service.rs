@@ -5,7 +5,9 @@
 //! pure functions of (state, request) so they can be driven by the TCP
 //! worker pool, by benchmarks, or by tests without any networking.
 
-use crate::cache::{fnv1a, CalibKey, CalibrationCache, ProjectionCache, ProjectionKey};
+use crate::cache::{
+    fnv1a, CalibKey, CalibrationCache, ProjectionCache, ProjectionKey, RenderedProjection,
+};
 use crate::client::RetryBudget;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::protocol::{Command, LintDiagnostic, ProtocolError, Request};
@@ -17,11 +19,10 @@ use gpp_skeleton::text;
 use gpp_skeleton::{Program, SourceMap};
 use grophecy::machine::MachineConfig;
 use grophecy::measurement::measure;
-use grophecy::projector::{AppProjection, Grophecy};
+use grophecy::projector::Grophecy;
 use grophecy::registry::MachineRegistry;
 use grophecy::report::{measurement_json, projection_json, speedup_json, Json};
 use grophecy::speedup::SpeedupReport;
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,7 +91,7 @@ const CALIB_BUDGET_DEPOSIT_MILLI: u64 = 250;
 pub struct ServiceState {
     pub config: ServeConfig,
     pub calibrations: CalibrationCache,
-    pub projections: ProjectionCache,
+    pub projections: ProjectionCache<Arc<RenderedProjection>>,
     pub metrics: Metrics,
     /// Token bucket metering calibration retries across all workers.
     calib_budget: RetryBudget,
@@ -236,30 +237,19 @@ impl ServiceState {
         ])
     }
 
-    /// Executes each embedded sub-request through the ordinary
-    /// [`ServiceState::handle`] path, so every sub-reply (and every
-    /// counter bump) is bit-identical to what the same request would have
-    /// produced single-shot. Sub-requests run on the `gpp-par` pool
-    /// (`ServiceState` is `Sync`; replies are placed by index), so one
-    /// big batch frame saturates the machine and still hits the SoA
-    /// projection path per sub-request. Two identical cold sub-requests
-    /// running at once would both miss the projection memo and both reply
-    /// `"cached":false`, so the first occurrence of each distinct payload
-    /// runs in one wave and the repeats in a second, where they hit the
-    /// memo as they would single-shot.
+    /// Executes the embedded sub-requests one after another, in frame
+    /// order, through the ordinary [`ServiceState::handle`] path. A batch
+    /// reply is therefore the concatenation of the replies the same
+    /// requests would get single-shot, counters and memo state included:
+    /// a repeat hits the memo entry an earlier sub-request made, a
+    /// `stats` sub-request counts what precedes it, and eviction follows
+    /// frame order.
     fn cmd_batch(&self, req: &Request, queue_depth: usize) -> Result<Json, ProtocolError> {
-        let subs = &req.batch;
-        let mut seen = HashSet::new();
-        let (first, repeats): (Vec<usize>, Vec<usize>) =
-            (0..subs.len()).partition(|&i| seen.insert(subs[i].as_str()));
-        let mut replies = vec![String::new(); subs.len()];
-        for wave in [first, repeats] {
-            let wave_replies =
-                gpp_par::par_map(wave.len(), |k| self.handle(&subs[wave[k]], queue_depth));
-            for (i, reply) in wave.into_iter().zip(wave_replies) {
-                replies[i] = reply;
-            }
-        }
+        let replies: Vec<String> = req
+            .batch
+            .iter()
+            .map(|sub| self.handle(sub, queue_depth))
+            .collect();
         Ok(Json::Raw(crate::protocol::batch_response(&replies)))
     }
 
@@ -483,7 +473,8 @@ impl ServiceState {
     }
 
     /// Projects via the LRU memo. The key hashes the *normalized* program
-    /// text, so formatting-only differences still hit.
+    /// text, so formatting-only differences still hit. A miss renders the
+    /// projection once, as it enters the memo; every hit reuses the bytes.
     fn project_cached(
         &self,
         req: &Request,
@@ -491,7 +482,7 @@ impl ServiceState {
         program: &Program,
         hints: &Hints,
         fingerprint: u128,
-    ) -> (Arc<AppProjection>, bool) {
+    ) -> (Arc<RenderedProjection>, bool) {
         let key = ProjectionKey {
             machine: req.machine.clone(),
             seed: req.seed,
@@ -508,7 +499,7 @@ impl ServiceState {
         Metrics::bump(&self.metrics.proj_misses);
         self.metrics
             .bump_machine(&req.machine, |c| c.proj_misses += 1);
-        let proj = Arc::new(gro.project(program, hints));
+        let proj = Arc::new(RenderedProjection::new(gro, gro.project(program, hints)));
         self.projections.insert(key, proj.clone());
         (proj, false)
     }
@@ -529,8 +520,9 @@ impl ServiceState {
         // Degraded results bypass the projection memo: they were computed
         // from another key's calibration and must not be replayed as
         // fresh once calibration recovers.
-        let (proj, cached) = if stale {
-            (Arc::new(gro.project(&program, &hints)), false)
+        let (rendered, cached) = if stale {
+            let proj = gro.project(&program, &hints);
+            (Arc::new(RenderedProjection::new(&gro, proj)), false)
         } else {
             self.project_cached(req, &gro, &program, &hints, fingerprint)
         };
@@ -562,15 +554,10 @@ impl ServiceState {
                 }
             }
         }
+        let proj = &rendered.proj;
         fields.extend([
-            (
-                "pcie",
-                Json::obj([
-                    ("h2d", Json::Str(gro.pcie_model().h2d.to_string())),
-                    ("d2h", Json::Str(gro.pcie_model().d2h.to_string())),
-                ]),
-            ),
-            ("projection", projection_json(&proj)),
+            ("pcie", Json::Raw(rendered.pcie.clone())),
+            ("projection", Json::Raw(rendered.projection.clone())),
             ("total_seconds", Json::Num(proj.total_time(req.iters))),
         ]);
         // Stream-annotated programs also quote the overlapped-schedule

@@ -58,6 +58,75 @@ fn batch_subs_share_server_caches() {
     assert_eq!((snap.proj_misses, snap.proj_hits), (1, 1));
 }
 
+/// The `cached` flags of a reply's `project` replies, in reply order.
+fn cached_flags(reply: &str) -> Vec<bool> {
+    reply
+        .match_indices("\"cached\":")
+        .map(|(at, key)| reply[at + key.len()..].starts_with("true"))
+        .collect()
+}
+
+/// Replies from a fresh server answering each request single-shot.
+fn single_shots(subs: &[String]) -> Vec<String> {
+    let s = ServiceState::new(ServeConfig::default());
+    subs.iter().map(|p| s.handle(p, 0)).collect()
+}
+
+#[test]
+fn formatting_only_duplicate_misses_then_hits() {
+    let spaced = VEC_ADD.replace('\n', "\n\n");
+    let subs = vec![payload("project", VEC_ADD), payload("project", &spaced)];
+    let s = ServiceState::new(ServeConfig::default());
+    let reply = s.handle(&Request::new_batch(subs.clone()).encode(), 0);
+    assert_eq!(cached_flags(&reply), [false, true], "{reply}");
+    assert_batch_equals_singles(&reply, &single_shots(&subs));
+}
+
+#[test]
+fn stats_sub_request_counts_the_repeats_before_it() {
+    let subs = vec![
+        payload("project", VEC_ADD),
+        payload("project", VEC_ADD),
+        payload("project", VEC_ADD),
+        "gpp/1 stats".to_string(),
+        payload("project", VEC_ADD),
+    ];
+    let s = ServiceState::new(ServeConfig::default());
+    let reply = s.handle(&Request::new_batch(subs).encode(), 0);
+    let stats = &reply[reply.find("\"command\":\"stats\"").expect("stats reply")..];
+    assert!(
+        stats.contains("\"served_ok\":3,\"served_err\":0"),
+        "{stats}"
+    );
+    assert!(
+        stats.contains("\"projection_hits\":2,\"projection_misses\":1"),
+        "{stats}"
+    );
+    assert_eq!(cached_flags(&reply), [false, true, true, true], "{reply}");
+}
+
+#[test]
+fn batch_past_memo_capacity_evicts_in_frame_order() {
+    let capacity = ServeConfig::default().projection_cache;
+    let program = |i: usize| {
+        payload(
+            "project",
+            &VEC_ADD.replace("16777216", &(1024 * (i + 1)).to_string()),
+        )
+    };
+    // Fill the memo, then refresh the oldest entry before a new program
+    // arrives: in frame order the new program evicts program 1, not 0.
+    let mut subs: Vec<String> = (0..capacity).map(program).collect();
+    subs.extend([program(0), program(capacity), program(1), program(0)]);
+    let s = ServiceState::new(ServeConfig::default());
+    let reply = s.handle(&Request::new_batch(subs.clone()).encode(), 0);
+    let mut expected = vec![false; capacity];
+    expected.extend([true, false, false, true]);
+    assert_eq!(cached_flags(&reply), expected);
+    assert_batch_equals_singles(&reply, &single_shots(&subs));
+    assert_eq!(s.projections.len(), capacity);
+}
+
 #[test]
 fn successful_project_replies_carry_the_fingerprint() {
     let s = ServiceState::new(ServeConfig::default());
