@@ -16,7 +16,9 @@ echo "== benches compile"
 cargo bench $CARGO_FLAGS --no-run
 
 echo "== end-to-end benchmark harness compiles against the current API"
-cargo check $CARGO_FLAGS --manifest-path perfbench/Cargo.toml
+# --locked: a changed dependency edge in any crate perfbench builds fails
+# here instead of silently rewriting perfbench/Cargo.lock.
+cargo check $CARGO_FLAGS --locked --manifest-path perfbench/Cargo.toml
 
 echo "== workspace builds warning-free"
 RUSTFLAGS="-D warnings" cargo build $CARGO_FLAGS --workspace

@@ -40,6 +40,10 @@
 //! (calibration and projection are deterministic in (machine, seed)),
 //! fail-over is invisible: the chaos suite kills shards mid-load and
 //! asserts the full reply set equals a single-shard no-fault run.
+//!
+//! The client side (acceptor, queue, workers with panic isolation, frame
+//! loop) is `gpp-serve`'s [`FrameServer`]; [`GatewayState`] is its
+//! [`Handler`], and its prober runs beside the workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,23 +52,20 @@ pub mod flight;
 pub mod pool;
 pub mod ring;
 
-use crossbeam::channel::TrySendError;
 use flight::{Joined, SingleFlight};
 use gpp_fault::FaultInjector;
 use gpp_serve::cache::fnv1a;
 use gpp_serve::client::RetryBudget;
-use gpp_serve::protocol::{
-    batch_response, read_frame_limited, write_frame, Command, FrameError, ProtocolError, Request,
-};
-use gpp_serve::server::{accept_until_shutdown, reply_reject};
+use gpp_serve::metrics::Metrics;
+use gpp_serve::protocol::{batch_response, Command, ProtocolError, Request};
+use gpp_serve::server::{FrameHandle, FrameServer, Handler, Limits, Reject};
 use gpp_serve::service::{busy_response, deadline_exceeded, error_json};
-use gpp_serve::DeadlineRead;
 use grophecy::report::Json;
 use pool::{Shard, ShardPool};
 use ring::routing_key;
 use std::borrow::Cow;
-use std::io::{self};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -151,12 +152,6 @@ pub struct GatewayMetrics {
     pub shed_deadline: AtomicU64,
 }
 
-impl GatewayMetrics {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Shared state behind every gateway worker. Handlers are pure functions
 /// of (state, payload) — tests drive them without sockets.
 pub struct GatewayState {
@@ -197,7 +192,34 @@ impl GatewayState {
     /// clock `deadline_ms=` budgets are decremented against. The server
     /// loop stamps arrival when the frame finishes reading.
     pub fn handle_at(&self, payload: &str, arrival: Instant) -> String {
-        let reply = match Request::decode(payload) {
+        let reply = self.answer(payload, arrival);
+        if reply.starts_with("{\"ok\":false") {
+            Metrics::bump(&self.metrics.served_err);
+        } else {
+            Metrics::bump(&self.metrics.served_ok);
+        }
+        reply
+    }
+
+    /// Unpacks a batch, routes every sub-request independently (each to
+    /// its own ring position), and reassembles the sub-replies verbatim.
+    fn handle_batch(&self, req: &Request, arrival: Instant) -> String {
+        Metrics::bump(&self.metrics.batch_frames);
+        let replies: Vec<String> = req
+            .batch
+            .iter()
+            .map(|sub| {
+                Metrics::bump(&self.metrics.batch_subs);
+                self.answer(sub, arrival)
+            })
+            .collect();
+        batch_response(&replies)
+    }
+
+    /// Answers one request or batch sub-request: locally for parse errors
+    /// and `ping`/`health`/`stats`, routed upstream for everything else.
+    fn answer(&self, payload: &str, arrival: Instant) -> String {
+        match Request::decode(payload) {
             // Same mapping as the shard's own handler, so a malformed
             // frame gets byte-identical bytes from gateway and shard.
             Err(e) => error_json(&ProtocolError::new("parse", e.to_string())).render(),
@@ -207,49 +229,16 @@ impl GatewayState {
                     ("command", Json::Str("ping".into())),
                 ])
                 .render(),
+                // Stats/health describe the process that answers them
+                // (load-dependent by nature), so the gateway answers with
+                // its own view, in a batch too.
                 Command::Health => self.health_json().render(),
                 Command::Stats => self.stats_json().render(),
+                // Only at the top level: the decoder rejects nested batches.
                 Command::Batch => self.handle_batch(&req, arrival),
                 _ => self.route_one(payload, &req, arrival),
             },
-        };
-        if reply.starts_with("{\"ok\":false") {
-            GatewayMetrics::bump(&self.metrics.served_err);
-        } else {
-            GatewayMetrics::bump(&self.metrics.served_ok);
         }
-        reply
-    }
-
-    /// Unpacks a batch, routes every sub-request independently (each to
-    /// its own ring position), and reassembles the sub-replies verbatim.
-    fn handle_batch(&self, req: &Request, arrival: Instant) -> String {
-        GatewayMetrics::bump(&self.metrics.batch_frames);
-        let replies: Vec<String> = req
-            .batch
-            .iter()
-            .map(|sub| {
-                GatewayMetrics::bump(&self.metrics.batch_subs);
-                match Request::decode(sub) {
-                    Err(e) => error_json(&ProtocolError::new("parse", e.to_string())).render(),
-                    Ok(sub_req) => match sub_req.command {
-                        Command::Ping => Json::obj([
-                            ("ok", Json::Bool(true)),
-                            ("command", Json::Str("ping".into())),
-                        ])
-                        .render(),
-                        // Embedded stats/health describe the process that
-                        // answers them (load-dependent by nature), so the
-                        // gateway answers with its own view.
-                        Command::Health => self.health_json().render(),
-                        Command::Stats => self.stats_json().render(),
-                        Command::Batch => unreachable!("decoder rejects nested batches"),
-                        _ => self.route_one(sub, &sub_req, arrival),
-                    },
-                }
-            })
-            .collect();
-        batch_response(&replies)
     }
 
     /// Routes one skeleton-bearing (or calibrate) request: decrements the
@@ -269,7 +258,7 @@ impl GatewayState {
                 let spent = u64::try_from(arrival.elapsed().as_millis()).unwrap_or(u64::MAX);
                 match total.checked_sub(spent).filter(|rem| *rem > 0) {
                     None => {
-                        GatewayMetrics::bump(&self.metrics.shed_deadline);
+                        Metrics::bump(&self.metrics.shed_deadline);
                         return error_json(&deadline_exceeded(total)).render();
                     }
                     Some(rem) => {
@@ -310,7 +299,7 @@ impl GatewayState {
                     {
                         self.forward(fwd_payload, key, remaining, true)
                     } else {
-                        GatewayMetrics::bump(&self.metrics.coalesced);
+                        Metrics::bump(&self.metrics.coalesced);
                         reply
                     }
                 }
@@ -331,7 +320,7 @@ impl GatewayState {
         if let Some(total) = req.deadline_ms {
             if reply.starts_with("{\"ok\":true") && arrival.elapsed() > Duration::from_millis(total)
             {
-                GatewayMetrics::bump(&self.metrics.shed_deadline);
+                Metrics::bump(&self.metrics.shed_deadline);
                 return error_json(&deadline_exceeded(total)).render();
             }
         }
@@ -362,7 +351,7 @@ impl GatewayState {
         remaining: Option<Duration>,
         hedged: bool,
     ) -> String {
-        GatewayMetrics::bump(&self.metrics.routed_total);
+        Metrics::bump(&self.metrics.routed_total);
         let timeout = self.forward_timeout(remaining);
         if hedged {
             if let Some(reply) = self.hedged_attempt(payload, key, remaining, timeout) {
@@ -380,7 +369,7 @@ impl GatewayState {
         for shard in healthy_first {
             tried += 1;
             if tried > 1 {
-                GatewayMetrics::bump(&self.metrics.failovers);
+                Metrics::bump(&self.metrics.failovers);
             }
             let started = Instant::now();
             let result = shard.forward(payload, timeout, &self.config.faults);
@@ -388,7 +377,7 @@ impl GatewayState {
                 return reply;
             }
         }
-        GatewayMetrics::bump(&self.metrics.unavailable);
+        Metrics::bump(&self.metrics.unavailable);
         error_json(&ProtocolError::new(
             "unavailable",
             format!(
@@ -458,7 +447,7 @@ impl GatewayState {
             // Primary is past its p99. Hedge if the budget allows; either
             // way, keep waiting out the full forward timeout.
             if self.hedge_budget.try_withdraw() {
-                GatewayMetrics::bump(&self.metrics.hedges_fired);
+                Metrics::bump(&self.metrics.hedges_fired);
                 let (payload, faults) = (payload.to_string(), self.config.faults.clone());
                 self.spawn_attempt(&healthy[1], true, tx.clone(), move |shard| {
                     (Instant::now(), shard.forward(&payload, timeout, &faults))
@@ -473,7 +462,7 @@ impl GatewayState {
             match outcome {
                 Ok((is_hedge, Ok(reply))) => {
                     if is_hedge {
-                        GatewayMetrics::bump(&self.metrics.hedges_won);
+                        Metrics::bump(&self.metrics.hedges_won);
                     }
                     return Some(reply);
                 }
@@ -604,11 +593,6 @@ impl GatewayState {
             ),
         ])
     }
-
-    /// Marks one busy rejection (called by the acceptor).
-    pub fn note_busy(&self) {
-        GatewayMetrics::bump(&self.metrics.rejected_busy);
-    }
 }
 
 /// The routing fingerprint for a request: the program's structural
@@ -628,169 +612,81 @@ fn structural_fingerprint(req: &Request, payload: &str) -> u128 {
 /// flag.
 const POLL: Duration = Duration::from_millis(10);
 
-/// A bound, ready-to-run gateway.
-pub struct Gateway {
-    state: Arc<GatewayState>,
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
+/// The gateway as a `gpp-serve` [`FrameServer`] handler.
+impl Handler for GatewayState {
+    const NAME: &'static str = "gpp-gateway";
+    // A full queue answers the newcomer a hint-less `busy`.
+    const SHED_OLDEST: bool = false;
+
+    fn limits(&self) -> Limits {
+        Limits {
+            workers: self.config.workers,
+            queue_depth: self.config.queue_depth,
+            request_timeout: self.config.request_timeout,
+            max_frame_bytes: self.config.max_frame_bytes,
+        }
+    }
+
+    fn reply(&self, payload: &str, _queued: Duration, _queue_len: usize) -> String {
+        // The deadline clock starts once the frame is fully read: the
+        // budget covers gateway forwarding, not a trickling client's own
+        // send time.
+        self.handle(payload)
+    }
+
+    fn reject(&self, _why: Reject, _queue_len: usize) -> String {
+        Metrics::bump(&self.metrics.rejected_busy);
+        busy_response()
+    }
+
+    /// The prober: evicts dead shards and re-admits recovered ones.
+    fn beside(&self, shutdown: &AtomicBool) {
+        while !shutdown.load(Ordering::SeqCst) {
+            self.pool.probe_due(
+                self.config.probe_interval,
+                self.config.probe_backoff,
+                self.config.request_timeout.min(Duration::from_secs(2)),
+                &self.config.faults,
+            );
+            std::thread::sleep(POLL);
+        }
+    }
 }
+
+/// A bound, ready-to-run gateway: a [`FrameServer`] serving a
+/// [`GatewayState`].
+pub struct Gateway(FrameServer<GatewayState>);
+
+/// Handle to a gateway running on a background thread.
+pub type GatewayHandle = FrameHandle<GatewayState>;
 
 impl Gateway {
     /// Binds the configured address (port 0 gives an ephemeral port).
     pub fn bind(config: GatewayConfig, shard_addrs: Vec<String>) -> io::Result<Gateway> {
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(Gateway {
-            state: Arc::new(GatewayState::new(config, shard_addrs)),
-            listener,
-            shutdown: Arc::new(AtomicBool::new(false)),
-        })
+        FrameServer::listen(config.addr.clone(), GatewayState::new(config, shard_addrs))
+            .map(Gateway)
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The flag that stops the gateway when set.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
+        self.0.local_addr()
     }
 
     /// Shared state (stats, pool) — for embedding and tests.
     pub fn state(&self) -> Arc<GatewayState> {
-        self.state.clone()
+        self.0.state()
     }
 
     /// Runs until the shutdown flag is set or SIGINT/SIGTERM arrives
-    /// (blocking), on `gpp-serve`'s acceptor. Accepted connections drain
-    /// before return; the prober thread stops with the acceptor.
+    /// (blocking). Accepted connections drain before return; the prober
+    /// stops with the acceptor.
     pub fn run(self) -> io::Result<()> {
-        let Gateway {
-            state,
-            listener,
-            shutdown,
-        } = self;
-        let workers = state.config.workers.max(1);
-        let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(state.config.queue_depth.max(1));
-
-        crossbeam::thread::scope(|scope| {
-            // Background prober: evicts dead shards, re-admits recovered
-            // ones. Exits with the shutdown flag.
-            {
-                let state = state.clone();
-                let shutdown = shutdown.clone();
-                scope.spawn(move |_| {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        state.pool.probe_due(
-                            state.config.probe_interval,
-                            state.config.probe_backoff,
-                            state.config.request_timeout.min(Duration::from_secs(2)),
-                            &state.config.faults,
-                        );
-                        std::thread::sleep(POLL);
-                    }
-                });
-            }
-            for _ in 0..workers {
-                let rx = rx.clone();
-                let state = state.clone();
-                let shutdown = shutdown.clone();
-                scope.spawn(move |_| {
-                    while let Ok(stream) = rx.recv() {
-                        let _ = serve_connection(stream, &state, &shutdown);
-                    }
-                });
-            }
-            let accepted = accept_until_shutdown(&listener, &shutdown, "gpp-gateway", |stream| {
-                if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
-                    state.note_busy();
-                    reply_reject(stream, busy_response());
-                }
-            });
-            drop(tx);
-            accepted
-        })
-        .expect("gpp-gateway worker panicked")
+        self.0.run()
     }
 
     /// Runs the gateway on a background thread; returns a handle with the
     /// bound address and a clean shutdown path.
     pub fn spawn(self) -> io::Result<GatewayHandle> {
-        let addr = self.local_addr()?;
-        let shutdown = self.shutdown_flag();
-        let state = self.state();
-        let thread = std::thread::Builder::new()
-            .name("gpp-gateway-acceptor".to_string())
-            .spawn(move || self.run())?;
-        Ok(GatewayHandle {
-            addr,
-            shutdown,
-            state,
-            thread,
-        })
-    }
-}
-
-/// Handle to a gateway running on a background thread.
-pub struct GatewayHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<GatewayState>,
-    thread: std::thread::JoinHandle<io::Result<()>>,
-}
-
-impl GatewayHandle {
-    /// The gateway's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Shared state (stats, pool).
-    pub fn state(&self) -> Arc<GatewayState> {
-        self.state.clone()
-    }
-
-    /// Requests shutdown and waits for the drain to complete.
-    pub fn shutdown_and_join(self) -> io::Result<()> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        match self.thread.join() {
-            Ok(r) => r,
-            Err(_) => Err(io::Error::other("gpp-gateway thread panicked")),
-        }
-    }
-}
-
-/// Serves one client connection: any number of frames until EOF. Reads
-/// go through [`DeadlineRead`] so an idle or trickling connection can
-/// neither pin a worker past the request timeout nor delay shutdown.
-fn serve_connection(
-    mut stream: TcpStream,
-    state: &GatewayState,
-    shutdown: &AtomicBool,
-) -> io::Result<()> {
-    let budget = state.config.request_timeout;
-    stream.set_write_timeout(Some(budget))?;
-    stream.set_nodelay(true).ok();
-    loop {
-        let mut reader = DeadlineRead::new(&stream, Instant::now() + budget, shutdown);
-        let payload = match read_frame_limited(&mut reader, state.config.max_frame_bytes) {
-            Ok(Some(p)) => p,
-            Ok(None) => return Ok(()),
-            Err(FrameError::TooLarge { declared, max }) => {
-                let reply = error_json(&ProtocolError::new(
-                    "too_large",
-                    format!("request frame of {declared} B exceeds the {max} B limit"),
-                ))
-                .render();
-                write_frame(&mut stream, &reply)?;
-                return Ok(());
-            }
-            Err(FrameError::Io(e)) => return Err(e),
-        };
-        // The deadline clock starts once the frame is fully read: the
-        // budget covers gateway queueing + forwarding, not a trickling
-        // client's own send time.
-        let response = state.handle_at(&payload, Instant::now());
-        write_frame(&mut stream, &response)?;
+        self.0.spawn()
     }
 }

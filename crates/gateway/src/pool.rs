@@ -28,6 +28,7 @@ use gpp_fault::FaultInjector;
 use gpp_serve::client::{backoff_delay, jitter_seed, Client};
 use parking_lot::Mutex;
 use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,8 +79,11 @@ pub struct Shard {
     /// Stable ring label (`shard0`, `shard1`, ...); also the scope chaos
     /// plans use (`gateway.shard.down@shard1`).
     pub label: String,
-    /// The shard's TCP address.
+    /// The shard's TCP address, as given.
     pub addr: String,
+    /// `addr` resolved when the pool is built and before each probe, never
+    /// on the forward path; the last address that resolved, if any.
+    resolved: Mutex<Option<SocketAddr>>,
     breaker: AtomicU8,
     consecutive_failures: AtomicU32,
     next_probe: Mutex<Instant>,
@@ -101,6 +105,7 @@ impl Shard {
     fn new(label: String, addr: String) -> Shard {
         Shard {
             label,
+            resolved: Mutex::new(resolve(&addr)),
             addr,
             breaker: AtomicU8::new(Breaker::Closed as u8),
             consecutive_failures: AtomicU32::new(0),
@@ -235,10 +240,16 @@ impl Shard {
         }
         Attempt {
             stall_until: (!stall.is_zero()).then(|| Instant::now() + stall),
-            stage: match failure {
-                Some(e) => Stage::Failed(e),
-                None => Stage::Unsent {
-                    addr: self.addr.clone(),
+            stage: match (failure, *self.resolved.lock()) {
+                (Some(e), _) => Stage::Failed(e),
+                // An address that does not resolve fails like a refused
+                // connect, tripping the breaker until a probe resolves it.
+                (None, None) => Stage::Failed(io::Error::new(
+                    io::ErrorKind::ConnectionRefused,
+                    format!("shard address `{}` does not resolve", self.addr),
+                )),
+                (None, Some(addr)) => Stage::Unsent {
+                    addr,
                     payload: payload.to_string(),
                     timeout,
                 },
@@ -271,9 +282,13 @@ impl Shard {
         result
     }
 
-    /// One health probe round-trip. The same injection point applies, so
-    /// an injected-down shard stays evicted until its rule stops firing.
+    /// One health probe round-trip to the re-resolved address. The same
+    /// injection point applies, so an injected-down shard stays evicted
+    /// until its rule stops firing.
     fn probe(&self, timeout: Duration, faults: &FaultInjector) -> bool {
+        if let Some(addr) = resolve(&self.addr) {
+            *self.resolved.lock() = Some(addr);
+        }
         self.forward("gpp/1 health", timeout, faults)
             .map(|reply| reply.contains("\"ok\":true"))
             .unwrap_or(false)
@@ -292,7 +307,7 @@ pub(crate) struct Attempt {
 enum Stage {
     /// Connect and send once the stall is served.
     Unsent {
-        addr: String,
+        addr: SocketAddr,
         payload: String,
         timeout: Duration,
     },
@@ -371,7 +386,7 @@ impl Attempt {
         if bounded && within.is_zero() {
             return false;
         }
-        self.stage = match Client::connect_within(addr.as_str(), within, *timeout) {
+        self.stage = match Client::connect_within(*addr, within, *timeout) {
             Err(e) if bounded && e.kind() == io::ErrorKind::TimedOut => return false,
             Err(e) => Stage::Failed(e),
             Ok(mut client) => match client.send_raw(payload) {
@@ -381,6 +396,11 @@ impl Attempt {
         };
         true
     }
+}
+
+/// The first socket address `addr` resolves to, if any.
+fn resolve(addr: &str) -> Option<SocketAddr> {
+    addr.to_socket_addrs().ok()?.next()
 }
 
 /// The shard set plus its consistent-hash ring.

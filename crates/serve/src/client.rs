@@ -1,7 +1,8 @@
 //! A small blocking client for the `gpp-serve` wire protocol.
 
+use crate::cache::fnv1a;
 use crate::protocol::{read_frame, write_frame, ProtocolError, Request};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -10,7 +11,10 @@ use std::time::{Duration, Instant};
 /// A connected client. One client = one TCP connection; requests can be
 /// issued back to back on it (the protocol is frame-per-request).
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through a buffer kept across frames, so a length
+    /// line and a small payload arrive in one `read`; requests are
+    /// written to the socket underneath.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -34,18 +38,14 @@ impl Client {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true).ok();
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends one request and returns the raw response JSON.
     pub fn call(&mut self, request: &Request) -> io::Result<String> {
-        write_frame(&mut self.stream, &request.encode())?;
-        read_frame(&mut self.stream)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed before replying",
-            )
-        })
+        self.call_raw(&request.encode())
     }
 
     /// Sends a raw payload (already-encoded header + body).
@@ -57,7 +57,7 @@ impl Client {
     /// The send half of [`Client::call_raw`]: writes one frame and
     /// returns without waiting for the reply.
     pub fn send_raw(&mut self, payload: &str) -> io::Result<()> {
-        write_frame(&mut self.stream, payload)
+        write_frame(self.stream.get_mut(), payload)
     }
 
     /// The receive half of [`Client::call_raw`]: reads one reply frame.
@@ -76,13 +76,17 @@ impl Client {
     /// means nothing arrived in time; the connection is untouched and
     /// keeps its own read timeout.
     pub fn wait_readable(&mut self, wait: Duration) -> io::Result<bool> {
+        if !self.stream.buffer().is_empty() {
+            return Ok(true);
+        }
         if wait.is_zero() {
             return Ok(false);
         }
-        let timeout = self.stream.read_timeout()?;
-        self.stream.set_read_timeout(Some(wait))?;
-        let peeked = self.stream.peek(&mut [0u8; 1]);
-        self.stream.set_read_timeout(timeout)?;
+        let stream = self.stream.get_ref();
+        let timeout = stream.read_timeout()?;
+        stream.set_read_timeout(Some(wait))?;
+        let peeked = stream.peek(&mut [0u8; 1]);
+        stream.set_read_timeout(timeout)?;
         match peeked {
             Ok(_) => Ok(true),
             Err(e)
@@ -115,16 +119,6 @@ fn splitmix64(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over the request payload, for deriving a per-call jitter seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Derives a stable jitter seed from an identity (a shard label, a machine

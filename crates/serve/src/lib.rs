@@ -10,8 +10,8 @@
 //!   (machine, seed), not once per request;
 //! * **projection memo** — an LRU keyed by (machine, seed, normalized
 //!   skeleton content hash, hints) makes repeated what-if queries O(hash);
-//! * **bounded queue + worker pool** — overload produces an immediate,
-//!   structured `busy` error instead of unbounded queueing;
+//! * **frame server** — a bounded queue and worker pool, shared with
+//!   `gpp-gateway`; overload gets an immediate `shed`/`busy` rejection;
 //! * **metrics** — a `stats` command reports counters, cache hit rates,
 //!   queue depth and p50/p99 latency;
 //! * **graceful shutdown** — SIGINT/SIGTERM (or a programmatic flag)
@@ -31,5 +31,5 @@ pub use client::{
     RetryBudget,
 };
 pub use protocol::{batch_response, Command, ProtocolError, Request};
-pub use server::{DeadlineRead, Server, ServerHandle};
+pub use server::{Server, ServerHandle};
 pub use service::{ServeConfig, ServiceState};

@@ -550,11 +550,14 @@ fn extract_json_string(json: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Writes one `<len>\n<payload>` frame.
+/// Writes one `<len>\n<payload>` frame in one `write_all`: on a
+/// `TCP_NODELAY` socket, a separate length line would cost a syscall and
+/// a segment of its own.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    w.write_all(format!("{}\n", bytes.len()).as_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(payload.len() + 21);
+    writeln!(frame, "{}", payload.len())?;
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -615,8 +618,9 @@ pub fn read_frame_limited(
     r: &mut impl Read,
     max_bytes: usize,
 ) -> Result<Option<String>, FrameError> {
-    // Read the decimal length terminated by '\n', byte by byte (frames are
-    // tiny relative to the skeleton body that follows).
+    // Read the decimal length terminated by '\n', byte by byte. Readers on
+    // a socket are buffered (the server's connection loop, `Client`), so a
+    // byte costs a copy, not a syscall.
     let mut len: usize = 0;
     let mut saw_digit = false;
     let mut byte = [0u8; 1];

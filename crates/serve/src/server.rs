@@ -1,4 +1,6 @@
-//! The TCP front-end: acceptor, bounded queue, worker pool, shutdown.
+//! The frame server behind `gpp-serve` and `gpp-gateway`: acceptor,
+//! bounded queue, worker pool, connection loop, shutdown. A [`Handler`]
+//! supplies the replies; the server owns the connection/worker policy.
 //!
 //! Architecture (no async runtime — sanctioned crates only):
 //!
@@ -6,12 +8,15 @@
 //!     acceptor (blocking accept) ◄── self-connect ── shutdown watcher
 //!                   │ try_send
 //!                   ▼
-//!        crossbeam bounded channel  ──full──► immediate `busy` reply
+//!        crossbeam bounded channel  ──full──► Handler::reject
 //!                   │ recv
 //!        ┌──────────┼──────────┐
 //!        ▼          ▼          ▼
-//!     worker 0   worker 1   worker N      (crossbeam scoped threads)
-//!        └── ServiceState::handle ──► length-prefixed JSON reply
+//!     worker 0   worker 1   worker N      (scoped threads, respawned)
+//!        └── serve_connection ──► Handler::reply ──► length-prefixed reply
+//!
+//!     Handler: ServiceState (gpp-serve; a full queue sheds its oldest)
+//!            | GatewayState (gpp-gateway; a full queue answers `busy`)
 //! ```
 //!
 //! Shutdown: a shared `AtomicBool` (set programmatically or by the
@@ -20,7 +25,6 @@
 //! one connection to the listener's own address. Dropping the sender then
 //! lets each worker drain the queue and finish in-flight requests before
 //! the pool joins — no request that was accepted is abandoned.
-//! `gpp-gateway` runs the same acceptor ([`accept_until_shutdown`]).
 
 use crate::metrics::Metrics;
 use crate::protocol::{read_frame_limited, write_frame, FrameError, ProtocolError};
@@ -28,10 +32,11 @@ use crate::service::{
     busy_response_with_hint, error_json, shed_queue_response, ServeConfig, ServiceState,
 };
 use crossbeam::channel::{bounded, Receiver, TrySendError};
-use std::io::{self, Read};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::borrow::Cow;
+use std::io::{self, BufReader, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,20 +45,74 @@ use std::time::{Duration, Instant};
 /// termination signal; also the back-off after a failed `accept`.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// A bound, ready-to-run server.
-pub struct Server {
-    state: Arc<ServiceState>,
+/// What a [`FrameServer`] serves: the replies, the policy for a full
+/// queue, and the counters. The server owns everything else.
+pub trait Handler: Send + Sync + 'static {
+    /// Prefix of log lines and thread names, e.g. `gpp-serve`.
+    const NAME: &'static str;
+    /// Whether a full queue sheds its oldest connection to admit a newcomer.
+    const SHED_OLDEST: bool;
+    /// Pool size, queue depth and per-frame limits.
+    fn limits(&self) -> Limits;
+    /// The reply to a payload that waited `queued`; `queue_len` wait now.
+    fn reply(&self, payload: &str, queued: Duration, queue_len: usize) -> String;
+    /// The reply to a connection rejected at a full queue; counts it too.
+    fn reject(&self, why: Reject, queue_len: usize) -> String;
+    /// Where caught panics, worker respawns and oversized frames count.
+    fn metrics(&self) -> Option<&Metrics> {
+        None
+    }
+    /// Runs beside the workers until `shutdown` is set (a prober).
+    fn beside(&self, _shutdown: &AtomicBool) {}
+}
+
+/// The pool and frame limits a [`Handler`] is served under.
+pub struct Limits {
+    /// Worker threads (at least one runs).
+    pub workers: usize,
+    /// Bounded accept-queue depth (at least one).
+    pub queue_depth: usize,
+    /// Budget for reading one whole frame; also the write timeout.
+    pub request_timeout: Duration,
+    /// Largest accepted request frame; a bigger declared length gets a
+    /// structured `too_large` reply before any allocation.
+    pub max_frame_bytes: usize,
+}
+
+/// Why a connection is rejected at a full queue.
+pub enum Reject {
+    /// It was the oldest queued and was displaced by a newcomer.
+    Shed,
+    /// It arrived and found no slot.
+    Busy,
+}
+
+/// A bound, ready-to-run frame server.
+pub struct FrameServer<H> {
+    handler: Arc<H>,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
 }
 
+/// `gpp-serve`'s server.
+pub type Server = FrameServer<ServiceState>;
+
+/// Handle to a `gpp-serve` server on a background thread.
+pub type ServerHandle = FrameHandle<ServiceState>;
+
 impl Server {
     /// Binds the configured address (port 0 gives an ephemeral port).
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(Server {
-            state: Arc::new(ServiceState::new(config)),
-            listener,
+        FrameServer::listen(config.addr.clone(), ServiceState::new(config))
+    }
+}
+
+impl<H: Handler> FrameServer<H> {
+    /// Binds `addr` (port 0 gives an ephemeral port) to serve `handler`.
+    pub fn listen(addr: impl ToSocketAddrs, handler: H) -> io::Result<FrameServer<H>> {
+        Ok(FrameServer {
+            handler: Arc::new(handler),
+            listener: TcpListener::bind(addr)?,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -63,72 +122,67 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The flag that stops the server when set.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
-    }
-
-    /// Shared service state (stats, caches) — for embedding and tests.
-    pub fn state(&self) -> Arc<ServiceState> {
-        self.state.clone()
+    /// The handler's shared state (stats, caches) — for embedding and
+    /// tests.
+    pub fn state(&self) -> Arc<H> {
+        self.handler.clone()
     }
 
     /// Runs until the shutdown flag is set (blocking). Returns once every
     /// queued and in-flight request has been answered.
     pub fn run(self) -> io::Result<()> {
-        let Server {
-            state,
+        let FrameServer {
+            handler,
             listener,
             shutdown,
         } = self;
-        let workers = state.config.workers.max(1);
+        let (handler, shutdown) = (&*handler, &*shutdown);
+        let limits = handler.limits();
         // Each queue entry carries its enqueue instant so the worker can
         // attribute the accept-queue wait separately from compute time.
-        let (tx, rx) = bounded::<(TcpStream, Instant)>(state.config.queue_depth.max(1));
+        let (tx, rx) = bounded::<(TcpStream, Instant)>(limits.queue_depth.max(1));
 
-        crossbeam::thread::scope(|scope| {
-            for w in 0..workers {
-                let rx: Receiver<(TcpStream, Instant)> = rx.clone();
-                let state = state.clone();
-                let shutdown = shutdown.clone();
+        std::thread::scope(|scope| {
+            scope.spawn(|| handler.beside(shutdown));
+            for w in 0..limits.workers.max(1) {
+                let rx = rx.clone();
                 // The respawn loop: per-request panics are already isolated
                 // inside serve_connection; should anything else unwind, the
                 // logical worker restarts on the same OS thread instead of
                 // shrinking the pool (and instead of poisoning the scope
                 // join, which would take the whole server down).
-                scope.spawn(move |_| loop {
-                    match catch_unwind(AssertUnwindSafe(|| worker_loop(w, &rx, &state, &shutdown)))
+                scope.spawn(move || loop {
+                    match catch_unwind(AssertUnwindSafe(|| worker_loop(w, &rx, handler, shutdown)))
                     {
                         Ok(()) => break, // channel disconnected: clean drain
                         Err(_) => {
-                            Metrics::bump(&state.metrics.worker_respawns);
-                            eprintln!("gpp-serve: worker {w} died; respawning");
+                            count(handler, |m| &m.worker_respawns);
+                            eprintln!("{}: worker {w} died; respawning", H::NAME);
                         }
                     }
                 });
             }
             // `rx` lives until the scope ends, so `try_send` never sees a
             // disconnected channel.
-            let accepted = accept_until_shutdown(&listener, &shutdown, "gpp-serve", |stream| {
+            let accepted = accept_until_shutdown(&listener, shutdown, H::NAME, |stream| {
                 let Err(TrySendError::Full(pair)) = tx.try_send((stream, Instant::now())) else {
                     return;
                 };
+                let queue_len = rx.len();
                 // Shed-oldest-first (adaptive LIFO): the longest-queued
                 // connection is the one most likely past its caller's
-                // patience, so it is displaced with a structured `shed`
-                // reply and the fresh arrival takes its slot. Only if no
-                // queued entry can be reclaimed (workers drained the queue
-                // in the race window and it refilled — impossible with one
-                // acceptor, but cheap to guard) does the newcomer get the
-                // legacy `busy`.
-                let hint = state.retry_after_hint_ms(rx.len());
-                if let Some((oldest, _enqueued)) = rx.try_recv() {
-                    state.note_shed_queue();
-                    reply_reject(oldest, shed_queue_response(hint));
+                // patience, so it is displaced and the fresh arrival takes
+                // its slot. Only if no queued entry can be reclaimed
+                // (workers drained the queue in the race window and it
+                // refilled — impossible with one acceptor, but cheap to
+                // guard) is the newcomer turned away.
+                if H::SHED_OLDEST {
+                    if let Some((oldest, _enqueued)) = rx.try_recv() {
+                        reply_reject(oldest, handler.reject(Reject::Shed, queue_len));
+                    }
                 }
                 if let Err(TrySendError::Full((stream, _))) = tx.try_send(pair) {
-                    state.note_busy();
-                    reply_reject(stream, busy_response_with_hint(hint));
+                    reply_reject(stream, handler.reject(Reject::Busy, queue_len));
                 }
             });
             // Dropping the sender disconnects the workers once the queue
@@ -136,42 +190,39 @@ impl Server {
             drop(tx);
             accepted
         })
-        .expect("gpp-serve worker panicked")
     }
 
     /// Runs the server on a background thread; returns a handle with the
     /// bound address and a clean shutdown path. Used by tests and by
     /// embedders that need the calling thread back.
-    pub fn spawn(self) -> io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        let shutdown = self.shutdown_flag();
-        let state = self.state();
-        let thread = std::thread::Builder::new()
-            .name("gpp-serve-acceptor".to_string())
-            .spawn(move || self.run())?;
-        Ok(ServerHandle {
-            addr,
-            shutdown,
-            state,
-            thread,
+    pub fn spawn(self) -> io::Result<FrameHandle<H>> {
+        Ok(FrameHandle {
+            addr: self.local_addr()?,
+            shutdown: self.shutdown.clone(),
+            state: self.state(),
+            thread: std::thread::Builder::new()
+                .name(format!("{}-acceptor", H::NAME))
+                .spawn(move || self.run())?,
         })
     }
 }
 
-/// Handle to a server running on a background thread.
-pub struct ServerHandle {
+/// Handle to a [`FrameServer`] running on a background thread.
+pub struct FrameHandle<H> {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    state: Arc<ServiceState>,
+    state: Arc<H>,
     thread: std::thread::JoinHandle<io::Result<()>>,
 }
 
-impl ServerHandle {
+impl<H: Handler> FrameHandle<H> {
+    /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    pub fn state(&self) -> Arc<ServiceState> {
+    /// The handler's shared state.
+    pub fn state(&self) -> Arc<H> {
         self.state.clone()
     }
 
@@ -180,15 +231,14 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::SeqCst);
         match self.thread.join() {
             Ok(r) => r,
-            Err(_) => Err(io::Error::other("gpp-serve server thread panicked")),
+            Err(_) => Err(io::Error::other("server thread panicked")),
         }
     }
 }
 
-/// The accept loop shared by `gpp-serve` and `gpp-gateway`. The listener
-/// stays blocking, so `accept` returns the moment a client arrives, and
-/// each accepted stream goes to `on_accept` (enqueue, or a busy/shed
-/// reply). After every `accept` the loop checks `shutdown` and
+/// The accept loop. The listener stays blocking, so `accept` returns the
+/// moment a client arrives, and each accepted stream goes to `on_accept`
+/// (enqueue, or a busy/shed reply). After every `accept` the loop checks `shutdown` and
 /// [`signals::requested`]; once either is set it drops the stream it just
 /// accepted and returns. `shutdown` is set on every return, so the
 /// caller's other threads see a signal too. `who` prefixes the log line
@@ -198,7 +248,7 @@ impl ServerHandle {
 /// `accept` blocks, and on a request connects once to the listener's own
 /// address to wake it: glibc's `signal()` installs handlers with
 /// `SA_RESTART`, so SIGTERM alone never interrupts a blocking `accept`.
-pub fn accept_until_shutdown(
+fn accept_until_shutdown(
     listener: &TcpListener,
     shutdown: &AtomicBool,
     who: &str,
@@ -255,21 +305,21 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
     bound
 }
 
-fn worker_loop(
+fn worker_loop<H: Handler>(
     worker: usize,
     rx: &Receiver<(TcpStream, Instant)>,
-    state: &ServiceState,
+    handler: &H,
     shutdown: &AtomicBool,
 ) {
     // recv() drains remaining queued connections after the acceptor drops
     // the sender, then reports Disconnected — exactly the shutdown drain
     // semantics we want.
     while let Ok((stream, enqueued)) = rx.recv() {
-        if let Err(e) = serve_connection(stream, enqueued.elapsed(), rx, state, shutdown) {
+        if let Err(e) = serve_connection(stream, enqueued.elapsed(), rx, handler, shutdown) {
             // Client went away mid-request or a socket error: not fatal to
             // the server; note it and move on.
             if e.kind() != io::ErrorKind::UnexpectedEof {
-                eprintln!("gpp-serve: worker {worker}: connection error: {e}");
+                eprintln!("{}: worker {worker}: connection error: {e}", H::NAME);
             }
         }
     }
@@ -279,65 +329,62 @@ fn worker_loop(
 /// connection's queue wait is attributed to its first request; follow-up
 /// frames on the same connection never waited, so they record zero.
 ///
+/// One buffered reader lives as long as the connection, so a length line
+/// and a small payload arrive in one `read`, and bytes read ahead of one
+/// frame (a pipelined next frame) stay buffered for the next. Each reply
+/// goes out in one write.
+///
 /// Robustness properties, in the order they apply per request:
 ///
 /// * **Total read deadline** — the whole frame must arrive within
-///   `request_timeout` ([`DeadlineRead`] re-arms the socket timeout to
-///   the remaining budget before every `read`), so a slow-loris client
-///   trickling bytes cannot pin a worker.
+///   `request_timeout` ([`DeadlineRead`], re-armed per frame, bounds every
+///   `read` by the remaining budget), so a slow-loris client trickling
+///   bytes cannot pin a worker.
 /// * **Bounded allocation** — a frame declaring more than
 ///   `max_frame_bytes` gets a structured `too_large` reply before any
 ///   payload allocation, then the connection closes (it cannot be
 ///   resynchronized past an unread body).
-/// * **Injected corruption** ([`gpp_fault::SERVE_FRAME_CORRUPT`]) mangles
-///   the payload before decoding; the handler answers it like any other
-///   malformed request.
-/// * **Panic isolation** — the handler (plus the injected
-///   [`gpp_fault::SERVE_WORKER_PANIC`]) runs under `catch_unwind`; a
-///   panic becomes a structured `internal` reply and the connection (and
-///   worker) live on.
-fn serve_connection(
-    mut stream: TcpStream,
+/// * **Panic isolation** — [`Handler::reply`] runs under `catch_unwind`;
+///   a panic becomes a structured `internal` reply and the connection
+///   (and worker) live on.
+fn serve_connection<H: Handler>(
+    stream: TcpStream,
     queued: Duration,
     rx: &Receiver<(TcpStream, Instant)>,
-    state: &ServiceState,
+    handler: &H,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    let io_budget = state.config.request_timeout;
-    stream.set_write_timeout(Some(io_budget))?;
+    let limits = handler.limits();
+    stream.set_write_timeout(Some(limits.request_timeout))?;
     stream.set_nodelay(true).ok();
-    let faults = &state.config.faults;
+    let mut reader = BufReader::new(DeadlineRead {
+        stream: &stream,
+        deadline: Instant::now(),
+        shutdown,
+        armed: None,
+    });
     let mut queued = queued;
     loop {
-        let mut reader = DeadlineRead::new(&stream, Instant::now() + io_budget, shutdown);
-        let payload = match read_frame_limited(&mut reader, state.config.max_frame_bytes) {
+        reader.get_mut().deadline = Instant::now() + limits.request_timeout;
+        let payload = match read_frame_limited(&mut reader, limits.max_frame_bytes) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()),
             Err(FrameError::TooLarge { declared, max }) => {
-                Metrics::bump(&state.metrics.too_large_rejected);
+                count(handler, |m| &m.too_large_rejected);
                 let reply = error_json(&ProtocolError::new(
                     "too_large",
                     format!("request frame of {declared} B exceeds the {max} B limit"),
                 ))
                 .render();
-                write_frame(&mut stream, &reply)?;
-                return Ok(());
+                return write_frame(&mut &stream, &reply);
             }
             Err(FrameError::Io(e)) => return Err(e),
         };
-        let mut payload = payload;
-        if faults.is_active() && faults.fires(gpp_fault::SERVE_FRAME_CORRUPT) {
-            Metrics::bump(&state.metrics.frames_corrupted);
-            payload = corrupt_payload(&payload);
-        }
         let response = catch_unwind(AssertUnwindSafe(|| {
-            if faults.is_active() && faults.fires(gpp_fault::SERVE_WORKER_PANIC) {
-                panic!("injected worker panic (serve.worker.panic)");
-            }
-            state.handle_timed(&payload, rx.len(), queued)
+            handler.reply(&payload, queued, rx.len())
         }))
         .unwrap_or_else(|cause| {
-            Metrics::bump(&state.metrics.panics_caught);
+            count(handler, |m| &m.panics_caught);
             let what = panic_message(&cause);
             error_json(&ProtocolError::new(
                 "internal",
@@ -346,15 +393,69 @@ fn serve_connection(
             .render()
         });
         queued = Duration::ZERO;
-        write_frame(&mut stream, &response)?;
+        write_frame(&mut &stream, &response)?;
     }
 }
 
-/// Deterministic frame corruption for [`gpp_fault::SERVE_FRAME_CORRUPT`]:
-/// the header magic is replaced, so decoding fails with `bad-magic` the
-/// way a bit-flipped frame would.
-fn corrupt_payload(payload: &str) -> String {
-    format!("xx!corrupt!{payload}")
+/// `gpp-serve`'s handler: projections from the shared service state.
+impl Handler for ServiceState {
+    const NAME: &'static str = "gpp-serve";
+    const SHED_OLDEST: bool = true;
+
+    fn limits(&self) -> Limits {
+        Limits {
+            workers: self.config.workers,
+            queue_depth: self.config.queue_depth,
+            request_timeout: self.config.request_timeout,
+            max_frame_bytes: self.config.max_frame_bytes,
+        }
+    }
+
+    /// [`ServiceState::handle_timed`] under two fault points: injected
+    /// corruption ([`gpp_fault::SERVE_FRAME_CORRUPT`]) mangles the payload
+    /// before decoding, so it is answered like any other malformed
+    /// request, and [`gpp_fault::SERVE_WORKER_PANIC`] panics the way a
+    /// handler bug would.
+    fn reply(&self, payload: &str, queued: Duration, queue_len: usize) -> String {
+        let faults = &self.config.faults;
+        let mut payload = Cow::Borrowed(payload);
+        if faults.is_active() && faults.fires(gpp_fault::SERVE_FRAME_CORRUPT) {
+            // The header magic is replaced, so decoding fails with
+            // `bad-magic` the way a bit-flipped frame would.
+            Metrics::bump(&self.metrics.frames_corrupted);
+            payload = Cow::Owned(format!("xx!corrupt!{payload}"));
+        }
+        if faults.is_active() && faults.fires(gpp_fault::SERVE_WORKER_PANIC) {
+            panic!("injected worker panic (serve.worker.panic)");
+        }
+        self.handle_timed(&payload, queue_len, queued)
+    }
+
+    /// `shed` or `busy`, each with a `retry_after_ms` hint.
+    fn reject(&self, why: Reject, queue_len: usize) -> String {
+        let hint = self.retry_after_hint_ms(queue_len);
+        match why {
+            Reject::Shed => {
+                Metrics::bump(&self.metrics.shed_queue);
+                shed_queue_response(hint)
+            }
+            Reject::Busy => {
+                Metrics::bump(&self.metrics.rejected_busy);
+                busy_response_with_hint(hint)
+            }
+        }
+    }
+
+    fn metrics(&self) -> Option<&Metrics> {
+        Some(&self.metrics)
+    }
+}
+
+/// Bumps one of the handler's counters, if it keeps them.
+fn count<H: Handler>(handler: &H, counter: impl FnOnce(&Metrics) -> &AtomicU64) {
+    if let Some(metrics) = handler.metrics() {
+        Metrics::bump(counter(metrics));
+    }
 }
 
 /// Best-effort text of a caught panic payload.
@@ -374,30 +475,22 @@ fn panic_message(cause: &Box<dyn std::any::Any + Send>) -> &str {
 const READ_POLL: Duration = Duration::from_millis(50);
 
 /// An [`io::Read`] over a borrowed [`TcpStream`] that enforces a total
-/// deadline: before every read the socket timeout is re-armed to the
-/// remainder of the budget (sliced into [`READ_POLL`] chunks), so N slow
-/// reads cannot stretch the wait to N × the per-read timeout — the
-/// slow-loris pattern a fixed `set_read_timeout` allows. Between slices
-/// the shutdown flag is checked; a shutdown surfaces as EOF, which the
-/// frame reader treats as a clean close when it arrives between frames
-/// (an *incomplete* frame at shutdown was never an accepted request, so
-/// dropping it keeps the drain guarantee intact).
-pub struct DeadlineRead<'a> {
+/// deadline: every read is bounded by the remainder of the budget (sliced
+/// into [`READ_POLL`] chunks), so N slow reads cannot stretch the wait to
+/// N × the per-read timeout — the slow-loris pattern a fixed
+/// `set_read_timeout` allows. The socket timeout is only set when the
+/// slice changes, which while more than one slice remains is never.
+/// Between slices the shutdown flag is checked; a shutdown surfaces as
+/// EOF, which the frame reader treats as a clean close when it arrives
+/// between frames (an *incomplete* frame at shutdown was never an
+/// accepted request, so dropping it keeps the drain guarantee intact).
+struct DeadlineRead<'a> {
     stream: &'a TcpStream,
+    /// When the frame being read must be complete; re-armed per frame.
     deadline: Instant,
     shutdown: &'a AtomicBool,
-}
-
-impl<'a> DeadlineRead<'a> {
-    /// A reader over `stream` that returns EOF once `shutdown` is set and
-    /// times out at `deadline`.
-    pub fn new(stream: &'a TcpStream, deadline: Instant, shutdown: &'a AtomicBool) -> Self {
-        DeadlineRead {
-            stream,
-            deadline,
-            shutdown,
-        }
-    }
+    /// The read timeout last set on the socket.
+    armed: Option<Duration>,
 }
 
 impl Read for DeadlineRead<'_> {
@@ -414,8 +507,11 @@ impl Read for DeadlineRead<'_> {
                 ));
             }
             // set_read_timeout(Some(0)) would mean "no timeout"; clamp up.
-            self.stream
-                .set_read_timeout(Some(remaining.min(READ_POLL).max(Duration::from_millis(1))))?;
+            let slice = Some(remaining.min(READ_POLL).max(Duration::from_millis(1)));
+            if self.armed != slice {
+                self.stream.set_read_timeout(slice)?;
+                self.armed = slice;
+            }
             match self.stream.read(buf) {
                 Ok(n) => return Ok(n),
                 Err(e)
@@ -430,12 +526,12 @@ impl Read for DeadlineRead<'_> {
 
 /// Fast-path rejection when the queue is full: reply `busy`/`shed` and
 /// hang up without processing the request, on a short-lived thread so the
-/// acceptor keeps accepting. `gpp-gateway` rejects through it too. After the
+/// acceptor keeps accepting. After the
 /// reply we send FIN and drain whatever the client already wrote —
 /// closing with unread data in the receive buffer makes the kernel RST
 /// the connection, which can destroy the reply before the client reads
 /// it.
-pub fn reply_reject(mut stream: TcpStream, response: String) {
+fn reply_reject(mut stream: TcpStream, response: String) {
     std::thread::spawn(move || {
         stream
             .set_read_timeout(Some(Duration::from_millis(500)))

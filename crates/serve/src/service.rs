@@ -23,7 +23,6 @@ use grophecy::projector::Grophecy;
 use grophecy::registry::MachineRegistry;
 use grophecy::report::{measurement_json, projection_json, speedup_json, Json};
 use grophecy::speedup::SpeedupReport;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -857,16 +856,6 @@ impl ServiceState {
             self.config.faults.total_fired(),
         )
     }
-
-    /// Marks one busy rejection (called by the acceptor).
-    pub fn note_busy(&self) {
-        self.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks one oldest-first queue shed (called by the acceptor).
-    pub fn note_shed_queue(&self) {
-        self.metrics.shed_queue.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Resolves a machine name against a registry. Unknown names become a
@@ -968,24 +957,20 @@ fn diagnostics_json(diags: &[Diagnostic]) -> Json {
 /// when shedding the oldest queued connection did not free a slot, and by
 /// the gateway when its own queue saturates).
 pub fn busy_response() -> String {
-    error_json(&ProtocolError::new(
-        "busy",
-        "server at capacity: accept queue is full, retry later",
-    ))
-    .render()
+    error_json(&busy_error()).render()
 }
 
 /// [`busy_response`] carrying a `retry_after_ms` hint — how long the
 /// server estimates the backlog needs to drain.
 pub fn busy_response_with_hint(retry_after_ms: u64) -> String {
-    error_json(
-        &ProtocolError::new(
-            "busy",
-            "server at capacity: accept queue is full, retry later",
-        )
-        .with_retry_after(retry_after_ms),
+    error_json(&busy_error().with_retry_after(retry_after_ms)).render()
+}
+
+fn busy_error() -> ProtocolError {
+    ProtocolError::new(
+        "busy",
+        "server at capacity: accept queue is full, retry later",
     )
-    .render()
 }
 
 /// The `shed` response for a connection displaced oldest-first from a
