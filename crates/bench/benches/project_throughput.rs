@@ -25,9 +25,12 @@
 //! temporary file and gates on >25% regression against the committed
 //! JSON (see `perfgate`).
 //!
-//! Not a criterion harness: the serial arm must pin `GPP_THREADS=1` via
-//! `gpp_par::set_threads`, which is process-global state a shared
-//! criterion runner would race on.
+//! Every arm runs at one thread. The engine and `Grophecy::project` never
+//! touch the `gpp-par` pool; the oracle maps its candidates over it, so
+//! the pool is pinned to one thread for the whole run, and `perfgate`
+//! fails a run whose `threads` differs from the baseline's. Not a
+//! criterion harness: `gpp_par::set_threads` is process-global state a
+//! shared criterion runner would race on.
 
 use gpp_skeleton::KernelCharacteristics;
 use gpp_workloads::cfd::Cfd;
@@ -37,15 +40,14 @@ use std::time::Instant;
 
 const ITERS: u32 = 20;
 
-/// One timed search arm: the `GPP_THREADS` it runs at (0 = unset:
-/// `GPP_THREADS` or available parallelism) and one pass over the tasks.
+/// One timed search arm: one pass over the tasks.
 struct Arm<'a> {
     name: &'static str,
-    threads: usize,
     run: &'a dyn Fn(),
 }
 
 fn main() {
+    gpp_par::set_threads(1);
     let spec = gpp_gpu_model::GpuSpec::quadro_fx_5600();
     let case = Cfd {
         nel: *Cfd::PAPER_SIZES.last().unwrap(),
@@ -85,19 +87,16 @@ fn main() {
     let arms = [
         Arm {
             name: "serial_exhaustive",
-            threads: 1,
             run: &oracle,
         },
         Arm {
             name: "soa",
-            threads: 0,
             run: &soa,
         },
     ];
 
     let mut results: Vec<(&'static str, f64, f64)> = Vec::new();
     for arm in &arms {
-        gpp_par::set_threads(arm.threads);
         // One untimed pass so every arm runs against warm caches — the
         // engine's steady state is the quantity of interest (a serve
         // deployment pays synthesis once per distinct kernel).
@@ -118,7 +117,6 @@ fn main() {
         );
         results.push((arm.name, min, mean));
     }
-    gpp_par::set_threads(0);
 
     // The overlap arm: whole-app projection of a stream-annotated
     // chunked schedule. Unlike the search arms, the timed region is
@@ -187,6 +185,10 @@ d2h d stream 2 chunks=8
         ("candidates_per_iter", Json::Num(candidates as f64)),
         ("iters", Json::Num(f64::from(ITERS))),
         ("threads", Json::Num(gpp_par::configured_threads() as f64)),
+        (
+            "host_parallelism",
+            Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
         (
             "arms",
             Json::Arr(

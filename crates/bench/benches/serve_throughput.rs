@@ -104,6 +104,9 @@ fn measure(
 }
 
 fn main() {
+    // `perfgate` compares runs at the baseline's thread count; serving
+    // never touches the pool, so this only fixes the recorded value.
+    gpp_par::set_threads(1);
     let mut tiers = Vec::new();
 
     // Cold: every request builds a fresh service, so nothing is cached.
@@ -138,6 +141,10 @@ fn main() {
         ("bench", Json::Str("serve_throughput".to_string())),
         ("rounds", Json::Num(ROUNDS as f64)),
         ("threads", Json::Num(gpp_par::configured_threads() as f64)),
+        (
+            "host_parallelism",
+            Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
         (
             "tiers",
             Json::Arr(

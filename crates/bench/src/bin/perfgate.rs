@@ -20,7 +20,9 @@
 //! An arm/tier present in the committed file but missing from the fresh
 //! run is fatal: silently dropping a measurement is how a regression
 //! hides. New arms in the fresh file are reported but not gated (they
-//! have no baseline yet).
+//! have no baseline yet). So is a fresh run whose top-level `threads`
+//! differs from the baseline's, or either file lacking it: numbers taken
+//! at different thread counts do not compare.
 //!
 //! The JSON reader below is deliberately minimal — just enough for the
 //! bench harnesses' own renderer output — so the gate stays dependency-
@@ -261,6 +263,18 @@ fn rows<'a>(doc: &'a Val, key: &str) -> Result<&'a [Val], String> {
 
 fn gate(committed: &Val, fresh: &Val, max_regress: f64) -> Result<(), String> {
     let schema = schema_of(committed)?;
+    let threads = |doc: &Val, which: &str| {
+        doc.num("threads")
+            .ok_or_else(|| format!("the {which} run does not record its `threads`"))
+    };
+    let (base_threads, fresh_threads) =
+        (threads(committed, "committed")?, threads(fresh, "fresh")?);
+    if base_threads != fresh_threads {
+        return Err(format!(
+            "the fresh run used {fresh_threads} thread(s), the baseline {base_threads}; \
+             runs at different thread counts do not compare"
+        ));
+    }
     let baseline = rows(committed, schema.rows_key)?;
     let measured = rows(fresh, schema.rows_key)?;
     let mut failures = Vec::new();
@@ -356,5 +370,33 @@ fn main() -> ExitCode {
             eprintln!("perfgate: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(threads: &str, min_s: f64) -> Val {
+        parse(&format!(
+            "{{{threads}\"arms\":[{{\"name\":\"soa\",\"min_s\":{min_s}}}]}}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_different_thread_count_fails_the_gate() {
+        let base = run("\"threads\":1,", 1.0);
+        assert!(gate(&base, &run("\"threads\":1,", 1.1), 0.25).is_ok());
+        let err = gate(&base, &run("\"threads\":2,", 1.0), 0.25).unwrap_err();
+        assert!(err.contains("thread"), "{err}");
+        assert!(gate(&base, &run("", 1.0), 0.25).is_err());
+        assert!(gate(&run("", 1.0), &run("", 1.0), 0.25).is_err());
+    }
+
+    #[test]
+    fn a_regression_past_the_bound_fails_the_gate() {
+        let base = run("\"threads\":1,", 1.0);
+        assert!(gate(&base, &run("\"threads\":1,", 1.3), 0.25).is_err());
     }
 }

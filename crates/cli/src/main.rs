@@ -73,8 +73,9 @@ options:
   --check                 (machines) parse each .gmach file and verify it
                           round-trips through the canonical writer
   --export NAME           (machines) print NAME's canonical .gmach datasheet
-  --threads N             projection search threads (default: GPP_THREADS
-                          env, else all cores; 1 = exact serial path)
+  --threads N             gpp-par pool threads (default: GPP_THREADS env,
+                          else all cores); only offline sweeps use the
+                          pool, projections always run serially
   --profile               (project) print simulated kernel profiles
   --stats                 (project) print search statistics after the
                           projection: synthesis-memo hits/misses and

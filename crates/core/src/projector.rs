@@ -225,10 +225,10 @@ impl Grophecy {
     /// determines every coalescing class.
     ///
     /// The kernel × axis × transformation search is flattened into one
-    /// task list and distributed over the `gpp-par` global pool; results
-    /// land in pre-sized index slots and every reduction below is serial
-    /// in program order, so the projection is bit-identical to the serial
-    /// path (`GPP_THREADS=1`) at any thread count.
+    /// task list and run serially on the calling thread: one search takes
+    /// about a microsecond, less than handing it to a pool thread costs,
+    /// and a server is already parallel across requests. Offline sweeps
+    /// parallelize across whole projections instead.
     pub fn project(&self, program: &Program, hints: &Hints) -> AppProjection {
         // One task per (kernel, axis-candidate) pair.
         let tasks: Vec<(usize, usize, gpp_skeleton::LoopId)> = program
@@ -242,17 +242,19 @@ impl Grophecy {
                     .map(move |(ai, axis)| (ki, ai, axis))
             })
             .collect();
-        let searched: Vec<KernelProjection> = gpp_par::par_map(tasks.len(), |t| {
-            let (ki, ai, axis) = tasks[t];
-            let k = &program.kernels[ki];
-            let chars = k.characteristics_with_axis(program, axis);
-            let mut proj = project_best(&k.name, &chars, &self.spec);
-            // Record non-default axis choices so the lowering (and
-            // reports) reproduce the same mapping. Index 0 is the
-            // innermost parallel loop — the default.
-            proj.config.thread_axis = (ai > 0).then_some(axis);
-            proj
-        });
+        let searched: Vec<KernelProjection> = tasks
+            .iter()
+            .map(|&(ki, ai, axis)| {
+                let k = &program.kernels[ki];
+                let chars = k.characteristics_with_axis(program, axis);
+                let mut proj = project_best(&k.name, &chars, &self.spec);
+                // Record non-default axis choices so the lowering (and
+                // reports) reproduce the same mapping. Index 0 is the
+                // innermost parallel loop — the default.
+                proj.config.thread_axis = (ai > 0).then_some(axis);
+                proj
+            })
+            .collect();
 
         // Serial reduction, kernel by kernel in axis-candidate order:
         // strict `<` keeps the earliest axis on ties, exactly like the

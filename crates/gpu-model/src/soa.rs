@@ -36,12 +36,6 @@ use crate::transform::{
 use gpp_skeleton::KernelCharacteristics;
 use std::cell::RefCell;
 
-/// Candidates evaluated per work-stealing granule
-/// (`gpp_par::par_map_blocks`). Small enough that typical spaces (≤ 36
-/// candidates) split across workers, large enough that the lanes
-/// amortize the block overhead.
-const BLOCK: usize = 16;
-
 thread_local! {
     static ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::default());
 }
@@ -294,10 +288,10 @@ fn roofline(entry: &SetupEntry, consts: &KernelConsts, i: usize) -> (f64, Projec
 /// A search winner: `(lane, time, bound)`.
 type Best = Option<(usize, f64, ProjectionBound)>;
 
-/// The index-ordered strict minimum over a range of runnable lanes.
-fn eval_entry(entry: &SetupEntry, consts: &KernelConsts, r: std::ops::Range<usize>) -> Best {
+/// The index-ordered strict minimum over the runnable lanes.
+fn eval_entry(entry: &SetupEntry, consts: &KernelConsts) -> Best {
     let mut best: Best = None;
-    for i in r {
+    for i in 0..entry.candidates.len() {
         if entry.warps_per_sm[i] == 0 {
             continue;
         }
@@ -310,9 +304,9 @@ fn eval_entry(entry: &SetupEntry, consts: &KernelConsts, r: std::ops::Range<usiz
 }
 
 /// The SoA search. The setup cache supplies the static lanes (built on a
-/// miss) and only the roofline arithmetic runs; parallel evaluation
-/// work-steals over candidate blocks whose bests are reduced in index
-/// order, so the result is the same at any thread count.
+/// miss) and only the roofline arithmetic runs, serially on the calling
+/// thread: one search takes about a microsecond, less than a hand-off to
+/// another thread costs.
 pub(crate) fn project_best_soa(
     name: &str,
     chars: &KernelCharacteristics,
@@ -339,19 +333,7 @@ pub(crate) fn project_best_soa(
                 }
             });
         let entry = &arena.cache[slot];
-        let n = entry.candidates.len();
-        let best = if n > BLOCK && gpp_par::configured_threads() > 1 {
-            let block_bests = gpp_par::par_map_blocks(n, BLOCK, |r| eval_entry(entry, &consts, r));
-            let mut best: Best = None;
-            for cand in block_bests.into_iter().flatten() {
-                if best.is_none_or(|(_, bt, _)| cand.1 < bt) {
-                    best = Some(cand);
-                }
-            }
-            best
-        } else {
-            eval_entry(entry, &consts, 0..n)
-        };
+        let best = eval_entry(entry, &consts);
         let (i, time, bound) = best.unwrap_or_else(|| {
             panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
         });

@@ -1,8 +1,11 @@
-//! Deterministic data parallelism for the projection engine.
+//! Deterministic data parallelism for offline fan-out.
 //!
-//! Everything CPU-bound in GROPHECY++ — the kernel × axis × transformation
-//! search, the evaluation sweeps, intra-request work in `gpp-serve` — runs
-//! through [`par_map`]: a work-stealing map over an index range built on
+//! The evaluation sweeps, the cross-fleet matrix and `repro` — work whose
+//! tasks each take milliseconds — run through [`par_map`]. A single
+//! projection does not: its searches take about a microsecond each, less
+//! than a hand-off to a helper costs, so `Grophecy::project` runs them on
+//! the calling thread and `gpp-serve` never touches this pool.
+//! [`par_map`] is a work-stealing map over an index range built on
 //! `std::thread::scope` workers pulling index-chunked tasks from an atomic
 //! cursor. No external crates, no unsafe, no persistent threads.
 //!
@@ -24,11 +27,11 @@
 //! code path everywhere). Every `par_map` region acquires as many tokens
 //! as it can use and returns them when the region ends:
 //!
-//! * a lone big region gets every token — one large request saturates the
+//! * a lone big region gets every token — one large sweep saturates the
 //!   machine;
-//! * concurrent regions (e.g. several `gpp-serve` requests, or a nested
-//!   `par_map` inside a task) share the fixed budget, so the process
-//!   never oversubscribes the machine no matter how work nests;
+//! * concurrent regions (e.g. a nested `par_map` inside a task) share the
+//!   fixed budget, so the process never oversubscribes the machine no
+//!   matter how work nests;
 //! * the calling thread always participates, so a region that gets zero
 //!   tokens degrades to the serial path instead of deadlocking.
 
@@ -221,28 +224,6 @@ where
         .collect()
 }
 
-/// Maps `f` over consecutive index *blocks* of `0..n` in parallel and
-/// returns one result per block, in block order. The batch-oriented
-/// sibling of [`par_map`]: work-stealing happens at block granularity,
-/// so a callee that evaluates a whole block in SoA lanes (the
-/// `gpu-model` batch projector) amortizes its per-task overhead over
-/// `block` items instead of one. Block `b` covers
-/// `b*block .. min((b+1)*block, n)`; every index is covered exactly
-/// once. Bit-identical to the serial blocked loop for pure `f`, at any
-/// thread count.
-pub fn par_map_blocks<T, F>(n: usize, block: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    let block = block.max(1);
-    let nblocks = n.div_ceil(block);
-    par_map(nblocks, |b| {
-        let lo = b * block;
-        f(lo..(lo + block).min(n))
-    })
-}
-
 /// The exact serial code path (`GPP_THREADS=1`): a plain in-order loop.
 fn serial_map<T, F: Fn(usize) -> T>(pool: &Pool, n: usize, f: &F) -> Vec<T> {
     pool.busy.fetch_add(1, Ordering::Relaxed);
@@ -291,40 +272,6 @@ mod tests {
         let expect: Vec<usize> = (0..16).map(|i| (0..16).map(|j| i * 16 + j).sum()).collect();
         assert_eq!(out, expect);
         set_threads(0);
-    }
-
-    #[test]
-    fn blocks_cover_the_range_in_order_at_any_thread_count() {
-        for threads in [1, 2, 8] {
-            set_threads(threads);
-            for (n, block) in [(0, 4), (1, 4), (16, 4), (17, 4), (36, 16), (5, 100)] {
-                let ranges = par_map_blocks(n, block, |r| r);
-                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} block={block}");
-                assert!(ranges.iter().all(|r| r.len() <= block && !r.is_empty()));
-            }
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn block_results_match_serial_blocked_loop() {
-        let f = |r: std::ops::Range<usize>| r.map(|i| (i as f64).sqrt()).sum::<f64>();
-        let serial: Vec<f64> = (0..10).map(|b| f(b * 7..((b + 1) * 7).min(70))).collect();
-        for threads in [2, 5] {
-            set_threads(threads);
-            let par = par_map_blocks(70, 7, f);
-            assert!(serial
-                .iter()
-                .zip(&par)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn zero_block_size_is_clamped() {
-        assert_eq!(par_map_blocks(3, 0, |r| r.len()), vec![1, 1, 1]);
     }
 
     #[test]

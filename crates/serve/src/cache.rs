@@ -1,6 +1,6 @@
 //! Shared server-side caches.
 //!
-//! Two layers make repeated requests cheap:
+//! Three lookups make repeated requests cheap:
 //!
 //! * [`CalibrationCache`] — one calibrated [`Grophecy`] per (machine,
 //!   seed). Calibration replays the two-point PCIe benchmark (20 timed
@@ -15,14 +15,27 @@
 //!   only the fields that vary per request. Each entry holds about 1 KB of
 //!   rendered JSON on top of the projection (0.6–1.2 KB for the committed
 //!   skeletons).
+//! * The memo's text index ([`ProjectionCache::get_text`]) — a second way
+//!   into the same entries, keyed by the request's exact text
+//!   ([`TextKey`]). The normalized key above can only be computed after
+//!   the skeleton is parsed; a text alias answers an exact repeat before
+//!   any parsing, lint or normalization. Each alias lives inside the
+//!   entry it points at, at most four per entry, and dies with it. It
+//!   stores the reply parts that depend on the exact text (the service
+//!   keeps the fingerprint, the rendered diagnostics and transfer
+//!   headroom), so it costs about the skeleton's length plus that rendered
+//!   head and ~350 bytes of bookkeeping: 0.6–1.0 KB for the committed
+//!   skeletons, more when findings are attached.
 //!
-//! Both are guarded by `parking_lot::RwLock` and shared across the worker
+//! All are guarded by `parking_lot::RwLock` and shared across the worker
 //! pool via `Arc`.
 
 use grophecy::projector::{AppProjection, Grophecy};
 use grophecy::report::{projection_json, Json};
 use parking_lot::RwLock;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// FNV-1a content hash used for skeleton texts and hint fingerprints.
@@ -151,32 +164,107 @@ impl RenderedProjection {
     }
 }
 
-/// A bounded least-recently-used memo of projections, or of whatever
-/// per-projection value `V` a caller keeps (the service keeps
-/// [`RenderedProjection`]s).
-///
-/// Implementation: a `HashMap` to (stamp, value) plus a monotonically
-/// increasing use-stamp; eviction scans for the smallest stamp. Eviction
-/// is O(capacity) but only runs when full, and capacities here are small
-/// (hundreds); the common path is one hash lookup under a read lock.
-pub struct ProjectionCache<V = Arc<AppProjection>> {
-    inner: RwLock<LruInner<V>>,
-    capacity: usize,
+/// The exact text of a `project` request, as far as its reply depends
+/// on it: everything but `iters`, which only scales the totals each reply
+/// computes, and `deadline_ms`, which admission and the deadline checks
+/// handle per request. Hints stay in request order and the skeleton
+/// verbatim, because diagnostic spans point into the exact text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TextKey<'a> {
+    pub machine: &'a str,
+    pub seed: u64,
+    pub lint: bool,
+    pub temporaries: &'a [String],
+    pub sparse: &'a [(String, u64)],
+    pub skeleton: &'a str,
 }
 
-struct LruInner<V> {
-    map: HashMap<ProjectionKey, (u64, V)>,
+/// An owned [`TextKey`], as an alias stores it.
+#[derive(Debug)]
+struct TextBuf {
+    machine: String,
+    seed: u64,
+    lint: bool,
+    temporaries: Vec<String>,
+    sparse: Vec<(String, u64)>,
+    skeleton: String,
+}
+
+impl TextBuf {
+    fn of(t: &TextKey) -> TextBuf {
+        TextBuf {
+            machine: t.machine.to_string(),
+            seed: t.seed,
+            lint: t.lint,
+            temporaries: t.temporaries.to_vec(),
+            sparse: t.sparse.to_vec(),
+            skeleton: t.skeleton.to_string(),
+        }
+    }
+
+    fn key(&self) -> TextKey<'_> {
+        TextKey {
+            machine: &self.machine,
+            seed: self.seed,
+            lint: self.lint,
+            temporaries: &self.temporaries,
+            sparse: &self.sparse,
+            skeleton: &self.skeleton,
+        }
+    }
+}
+
+/// Text aliases kept per memo entry. Formatting variants, hint orders and
+/// `lint=` settings of one program each take one; further ones take the
+/// parsing path every time.
+const ALIASES_PER_ENTRY: usize = 4;
+
+/// A bounded least-recently-used memo of projections, or of whatever
+/// per-projection value `V` a caller keeps (the service keeps
+/// [`RenderedProjection`]s), with an index by exact request text whose
+/// aliases carry a per-text value `A`.
+///
+/// Implementation: a `HashMap` to entries plus a monotonically increasing
+/// use-stamp; eviction scans for the smallest stamp. Eviction is
+/// O(capacity) but only runs when full, and capacities here are small
+/// (hundreds); the common path is one hash lookup under the lock. The text
+/// index maps a [`TextKey`]'s hash to the entry that holds the alias; a hit
+/// also compares the stored text in full, so a hash collision is a miss.
+pub struct ProjectionCache<V = Arc<AppProjection>, A = ()> {
+    inner: RwLock<LruInner<V, A>>,
+    capacity: usize,
+    hasher: RandomState,
+}
+
+struct LruInner<V, A> {
+    map: HashMap<ProjectionKey, Entry<V, A>>,
+    /// Text hash → the key of the entry holding that text's alias.
+    texts: HashMap<u64, ProjectionKey>,
     clock: u64,
 }
 
-impl<V: Clone> ProjectionCache<V> {
+struct Entry<V, A> {
+    stamp: u64,
+    value: V,
+    aliases: Vec<Alias<A>>,
+}
+
+struct Alias<A> {
+    hash: u64,
+    text: TextBuf,
+    parts: A,
+}
+
+impl<V: Clone, A: Clone> ProjectionCache<V, A> {
     pub fn new(capacity: usize) -> Self {
         ProjectionCache {
             inner: RwLock::new(LruInner {
                 map: HashMap::new(),
+                texts: HashMap::new(),
                 clock: 0,
             }),
             capacity: capacity.max(1),
+            hasher: RandomState::new(),
         }
     }
 
@@ -185,29 +273,83 @@ impl<V: Clone> ProjectionCache<V> {
         let mut inner = self.inner.write();
         inner.clock += 1;
         let clock = inner.clock;
-        inner.map.get_mut(key).map(|(stamp, v)| {
-            *stamp = clock;
-            v.clone()
+        inner.map.get_mut(key).map(|e| {
+            e.stamp = clock;
+            e.value.clone()
         })
     }
 
-    /// Inserts a projection, evicting the least-recently-used entry when
-    /// at capacity.
+    /// Looks up a projection by the exact request text an alias was made
+    /// for, refreshing the entry's recency on hit, and returns it with the
+    /// alias's parts.
+    pub fn get_text(&self, text: &TextKey) -> Option<(V, A)> {
+        let hash = self.hasher.hash_one(text);
+        let mut inner = self.inner.write();
+        inner.clock += 1;
+        let clock = inner.clock;
+        let LruInner { map, texts, .. } = &mut *inner;
+        let entry = map.get_mut(texts.get(&hash)?)?;
+        let alias = entry
+            .aliases
+            .iter()
+            .find(|a| a.hash == hash && a.text.key() == *text)?;
+        entry.stamp = clock;
+        Some((entry.value.clone(), alias.parts.clone()))
+    }
+
+    /// Inserts a projection, evicting the least-recently-used entry (with
+    /// its aliases) when at capacity. Re-inserting a key keeps its aliases.
     pub fn insert(&self, key: ProjectionKey, value: V) {
         let mut inner = self.inner.write();
         inner.clock += 1;
         let clock = inner.clock;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+        if let Some(e) = inner.map.get_mut(&key) {
+            e.stamp = clock;
+            e.value = value;
+            return;
+        }
+        if inner.map.len() >= self.capacity {
             if let Some(oldest) = inner
                 .map
                 .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
+                .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone())
             {
-                inner.map.remove(&oldest);
+                let evicted = inner.map.remove(&oldest).expect("oldest key is present");
+                for alias in &evicted.aliases {
+                    inner.texts.remove(&alias.hash);
+                }
             }
         }
-        inner.map.insert(key, (clock, value));
+        inner.map.insert(
+            key,
+            Entry {
+                stamp: clock,
+                value,
+                aliases: Vec::new(),
+            },
+        );
+    }
+
+    /// Records `text` as an alias of `key`'s entry, carrying `parts`. Does
+    /// nothing when the entry is gone, already holds
+    /// `ALIASES_PER_ENTRY` aliases, or the text's hash is taken.
+    pub fn alias(&self, key: &ProjectionKey, text: &TextKey, parts: A) {
+        let hash = self.hasher.hash_one(text);
+        let mut inner = self.inner.write();
+        let LruInner { map, texts, .. } = &mut *inner;
+        let Some(entry) = map.get_mut(key) else {
+            return;
+        };
+        if entry.aliases.len() >= ALIASES_PER_ENTRY || texts.contains_key(&hash) {
+            return;
+        }
+        texts.insert(hash, key.clone());
+        entry.aliases.push(Alias {
+            hash,
+            text: TextBuf::of(text),
+            parts,
+        });
     }
 
     /// Entries currently cached.
@@ -273,7 +415,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = ProjectionCache::new(2);
+        let cache: ProjectionCache = ProjectionCache::new(2);
         cache.insert(key(1), dummy_projection());
         cache.insert(key(2), dummy_projection());
         assert!(cache.get(&key(1)).is_some()); // refresh 1; 2 is now LRU
@@ -286,12 +428,68 @@ mod tests {
 
     #[test]
     fn reinsert_at_capacity_does_not_evict() {
-        let cache = ProjectionCache::new(2);
+        let cache: ProjectionCache = ProjectionCache::new(2);
         cache.insert(key(1), dummy_projection());
         cache.insert(key(2), dummy_projection());
         cache.insert(key(2), dummy_projection());
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(1)).is_some());
+    }
+
+    fn text(skeleton: &str) -> TextKey<'_> {
+        TextKey {
+            machine: "eureka",
+            seed: 1,
+            lint: true,
+            temporaries: &[],
+            sparse: &[],
+            skeleton,
+        }
+    }
+
+    #[test]
+    fn aliases_are_capped_per_entry_and_die_with_their_entry() {
+        let cache: ProjectionCache<u32, usize> = ProjectionCache::new(2);
+        cache.insert(key(1), 1);
+        let skeletons: Vec<String> = (0..ALIASES_PER_ENTRY + 2)
+            .map(|i| format!("program p{i}\n"))
+            .collect();
+        for (i, s) in skeletons.iter().enumerate() {
+            cache.alias(&key(1), &text(s), i);
+        }
+        // No entry, no alias.
+        cache.alias(&key(9), &text("program orphan\n"), 9);
+        let aliased = |cache: &ProjectionCache<u32, usize>| {
+            let inner = cache.inner.read();
+            let held: usize = inner.map.values().map(|e| e.aliases.len()).sum();
+            (inner.texts.len(), held)
+        };
+        assert_eq!(aliased(&cache), (ALIASES_PER_ENTRY, ALIASES_PER_ENTRY));
+        for (i, s) in skeletons.iter().enumerate() {
+            let hit = cache.get_text(&text(s));
+            assert_eq!(hit, (i < ALIASES_PER_ENTRY).then_some((1, i)), "alias {i}");
+        }
+        // Another seed is another text.
+        let other = TextKey {
+            seed: 2,
+            ..text(&skeletons[0])
+        };
+        assert_eq!(cache.get_text(&other), None);
+
+        // Re-inserting the key keeps its aliases.
+        cache.insert(key(1), 10);
+        assert_eq!(cache.get_text(&text(&skeletons[0])), Some((10, 0)));
+
+        // Key 1 is least recently used once key 2 is made; key 3 evicts it.
+        cache.insert(key(2), 2);
+        cache.alias(&key(2), &text("program two\n"), 2);
+        cache.insert(key(3), 3);
+        assert_eq!(cache.get(&key(1)), None);
+        assert_eq!(aliased(&cache), (1, 1));
+        for s in &skeletons {
+            assert_eq!(cache.get_text(&text(s)), None);
+        }
+        assert_eq!(cache.get_text(&text("program two\n")), Some((2, 2)));
     }
 
     #[test]

@@ -262,6 +262,9 @@ impl Metrics {
     /// Updates the named machine's counter row.
     pub fn bump_machine(&self, machine: &str, f: impl FnOnce(&mut MachineCounters)) {
         let mut map = self.per_machine.lock();
+        if let Some(c) = map.get_mut(machine) {
+            return f(c);
+        }
         f(map.entry(machine.to_string()).or_default());
     }
 }

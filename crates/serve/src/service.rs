@@ -6,7 +6,7 @@
 //! worker pool, by benchmarks, or by tests without any networking.
 
 use crate::cache::{
-    fnv1a, CalibKey, CalibrationCache, ProjectionCache, ProjectionKey, RenderedProjection,
+    fnv1a, CalibKey, CalibrationCache, ProjectionCache, ProjectionKey, RenderedProjection, TextKey,
 };
 use crate::client::RetryBudget;
 use crate::metrics::{Metrics, StatsSnapshot};
@@ -90,7 +90,7 @@ const CALIB_BUDGET_DEPOSIT_MILLI: u64 = 250;
 pub struct ServiceState {
     pub config: ServeConfig,
     pub calibrations: CalibrationCache,
-    pub projections: ProjectionCache<Arc<RenderedProjection>>,
+    pub projections: ProjectionCache<Arc<RenderedProjection>, Arc<TextParts>>,
     pub metrics: Metrics,
     /// Token bucket metering calibration retries across all workers.
     calib_budget: RetryBudget,
@@ -476,33 +476,31 @@ impl ServiceState {
     /// projection once, as it enters the memo; every hit reuses the bytes.
     fn project_cached(
         &self,
-        req: &Request,
+        key: &ProjectionKey,
         gro: &Grophecy,
         program: &Program,
         hints: &Hints,
-        fingerprint: u128,
     ) -> (Arc<RenderedProjection>, bool) {
-        let key = ProjectionKey {
-            machine: req.machine.clone(),
-            seed: req.seed,
-            skeleton_hash: fnv1a(text::to_text(program).as_bytes()),
-            hints_hash: fnv1a(hints_fingerprint(req).as_bytes()),
-            fingerprint,
-        };
-        if let Some(p) = self.projections.get(&key) {
+        if let Some(p) = self.projections.get(key) {
             Metrics::bump(&self.metrics.proj_hits);
             self.metrics
-                .bump_machine(&req.machine, |c| c.proj_hits += 1);
+                .bump_machine(&key.machine, |c| c.proj_hits += 1);
             return (p, true);
         }
         Metrics::bump(&self.metrics.proj_misses);
         self.metrics
-            .bump_machine(&req.machine, |c| c.proj_misses += 1);
+            .bump_machine(&key.machine, |c| c.proj_misses += 1);
         let proj = Arc::new(RenderedProjection::new(gro, gro.project(program, hints)));
-        self.projections.insert(key, proj.clone());
+        self.projections.insert(key.clone(), proj.clone());
         (proj, false)
     }
 
+    /// A `project` request. An exact repeat of an earlier request's text
+    /// (apart from `iters` and `deadline_ms`) is answered from the memo's
+    /// text index before any parsing, with the counters and deadline
+    /// checks the full path would have applied on its memo hit. Anything
+    /// else parses, lints, resolves the calibration and projects through
+    /// the memo, then records its text as an alias of the entry.
     fn cmd_project(
         &self,
         req: &Request,
@@ -510,64 +508,61 @@ impl ServiceState {
         remaining: Option<Duration>,
     ) -> Result<Json, ProtocolError> {
         self.injected_compute_stall(req);
+        let text = text_key(req);
+        if let Some((rendered, parts)) = self.projections.get_text(&text) {
+            // An alias exists only for a fresh (non-stale) reply, and
+            // calibrations are never evicted: the full path would hit the
+            // calibration cache and then the memo entry.
+            self.check_deadline(start, remaining)?;
+            Metrics::bump(&self.metrics.calib_hits);
+            self.metrics.bump_machine(&req.machine, |c| {
+                c.requests += 1;
+                c.calib_hits += 1;
+            });
+            self.check_deadline(start, remaining)?;
+            Metrics::bump(&self.metrics.proj_hits);
+            self.metrics
+                .bump_machine(&req.machine, |c| c.proj_hits += 1);
+            return Ok(project_reply(req, &parts, &rendered, true, false));
+        }
         let (program, map, hints) = self.program_and_hints(req)?;
         let diags = self.lint_gate(req, &program, &map, &hints)?;
         self.check_deadline(start, remaining)?;
         let (gro, stale) = self.projector(req)?;
         self.check_deadline(start, remaining)?;
         let fingerprint = gpp_gpu_model::program_fingerprint(&program);
-        // Degraded results bypass the projection memo: they were computed
-        // from another key's calibration and must not be replayed as
-        // fresh once calibration recovers.
-        let (rendered, cached) = if stale {
-            let proj = gro.project(&program, &hints);
-            (Arc::new(RenderedProjection::new(&gro, proj)), false)
-        } else {
-            self.project_cached(req, &gro, &program, &hints, fingerprint)
+        // Findings with machine-applicable fixes also price the skeleton
+        // as written against its fix-it-optimized schedule on every
+        // machine this instance serves.
+        let fixable = diags.iter().any(|d| d.fix.is_some());
+        let parts = TextParts {
+            fingerprint: format!("{fingerprint:032x}"),
+            diagnostics: (!diags.is_empty()).then(|| diagnostics_json(&diags).render()),
+            transfer_headroom: if fixable {
+                self.transfer_headroom_json(req, &program)
+                    .map(|rows| rows.render())
+            } else {
+                None
+            },
         };
-        let mut fields = vec![
-            ("ok", Json::Bool(true)),
-            ("command", Json::Str("project".into())),
-            ("machine", Json::Str(req.machine.clone())),
-            ("seed", Json::Num(req.seed as f64)),
-            ("iters", Json::Num(req.iters as f64)),
-            ("fingerprint", Json::Str(format!("{fingerprint:032x}"))),
-            ("cached", Json::Bool(cached)),
-        ];
-        // Only present when true, so fault-free replies stay byte-for-byte
-        // what they were before degraded mode existed.
+        // Degraded results bypass the projection memo and its text index:
+        // they were computed from another key's calibration and must not
+        // be replayed as fresh once calibration recovers.
         if stale {
-            fields.push(("stale", Json::Bool(true)));
+            let rendered = RenderedProjection::new(&gro, gro.project(&program, &hints));
+            return Ok(project_reply(req, &parts, &rendered, false, true));
         }
-        // Same convention: a clean skeleton's reply is byte-for-byte what
-        // it was before the analyzer existed.
-        if !diags.is_empty() {
-            fields.push(("diagnostics", diagnostics_json(&diags)));
-            // Findings with machine-applicable fixes also price the
-            // skeleton as written against its fix-it-optimized schedule
-            // on every machine this instance serves. Absent otherwise,
-            // so legacy replies keep their exact bytes.
-            if diags.iter().any(|d| d.fix.is_some()) {
-                if let Some(rows) = self.transfer_headroom_json(req, &program) {
-                    fields.push(("transfer_headroom", rows));
-                }
-            }
-        }
-        let proj = &rendered.proj;
-        fields.extend([
-            ("pcie", Json::Raw(rendered.pcie.clone())),
-            ("projection", Json::Raw(rendered.projection.clone())),
-            ("total_seconds", Json::Num(proj.total_time(req.iters))),
-        ]);
-        // Stream-annotated programs also quote the overlapped-schedule
-        // total; absent otherwise so legacy replies keep their bytes.
-        if proj.timeline.is_some() {
-            fields.push((
-                "overlapped_total_seconds",
-                Json::Num(proj.overlapped_total_time(req.iters)),
-            ));
-        }
-        Ok(Json::obj(fields))
+        let key = ProjectionKey {
+            machine: req.machine.clone(),
+            seed: req.seed,
+            skeleton_hash: fnv1a(text::to_text(&program).as_bytes()),
+            hints_hash: fnv1a(hints_fingerprint(req).as_bytes()),
+            fingerprint,
+        };
+        let (rendered, cached) = self.project_cached(&key, &gro, &program, &hints);
+        let parts = Arc::new(parts);
+        self.projections.alias(&key, &text, parts.clone());
+        Ok(project_reply(req, &parts, &rendered, cached, false))
     }
 
     /// Applies the linter's fix-its to the request's skeleton until a
@@ -856,6 +851,80 @@ impl ServiceState {
             self.config.faults.total_fired(),
         )
     }
+}
+
+/// The parts of a `project` reply fixed by the request's exact text
+/// ([`TextKey`]), kept with each text alias in the memo.
+pub struct TextParts {
+    /// The structural program fingerprint, as 32 hex digits.
+    fingerprint: String,
+    /// The analyzer's warnings and notes, rendered; `None` when clean.
+    diagnostics: Option<String>,
+    /// The as-written vs fix-it-optimized rows, rendered; `None` unless a
+    /// finding carries a fix that applies.
+    transfer_headroom: Option<String>,
+}
+
+/// The text-index key of a request.
+fn text_key(req: &Request) -> TextKey<'_> {
+    TextKey {
+        machine: &req.machine,
+        seed: req.seed,
+        lint: req.lint,
+        temporaries: &req.temporaries,
+        sparse: &req.sparse,
+        skeleton: &req.skeleton,
+    }
+}
+
+/// The `project` reply, for the text-index and the parsing path alike.
+/// Only `iters` and the totals it scales are formatted per request; the
+/// rest is spliced from the text's parts and the memoized projection.
+fn project_reply(
+    req: &Request,
+    parts: &TextParts,
+    rendered: &RenderedProjection,
+    cached: bool,
+    stale: bool,
+) -> Json {
+    let mut fields = vec![
+        ("ok", Json::Bool(true)),
+        ("command", Json::Str("project".into())),
+        ("machine", Json::Str(req.machine.clone())),
+        ("seed", Json::Num(req.seed as f64)),
+        ("iters", Json::Num(req.iters as f64)),
+        ("fingerprint", Json::Str(parts.fingerprint.clone())),
+        ("cached", Json::Bool(cached)),
+    ];
+    // Only present when true, so fault-free replies stay byte-for-byte
+    // what they were before degraded mode existed.
+    if stale {
+        fields.push(("stale", Json::Bool(true)));
+    }
+    // Same convention: a clean skeleton's reply is byte-for-byte what it
+    // was before the analyzer existed, and `transfer_headroom` is absent
+    // unless a fix applies.
+    if let Some(diags) = &parts.diagnostics {
+        fields.push(("diagnostics", Json::Raw(diags.clone())));
+    }
+    if let Some(rows) = &parts.transfer_headroom {
+        fields.push(("transfer_headroom", Json::Raw(rows.clone())));
+    }
+    let proj = &rendered.proj;
+    fields.extend([
+        ("pcie", Json::Raw(rendered.pcie.clone())),
+        ("projection", Json::Raw(rendered.projection.clone())),
+        ("total_seconds", Json::Num(proj.total_time(req.iters))),
+    ]);
+    // Stream-annotated programs also quote the overlapped-schedule
+    // total; absent otherwise so legacy replies keep their bytes.
+    if proj.timeline.is_some() {
+        fields.push((
+            "overlapped_total_seconds",
+            Json::Num(proj.overlapped_total_time(req.iters)),
+        ));
+    }
+    Json::obj(fields)
 }
 
 /// Resolves a machine name against a registry. Unknown names become a
