@@ -107,14 +107,56 @@ echo "== end-to-end smoke (perfbench workloads through real gpp processes)"
 # `batch` frames straight to `gpp serve`, `gateway` single frames through
 # the gateway. Reusing target/ avoids a second release build. The last
 # line of a run is its JSON result; every reply must be correct and no
-# request may fail.
+# request may fail, and nothing on the run's stderr may report a
+# connection error, a dead worker or a panic.
+LOG_ALARM='connection error|died|panicked'
+SMOKE_ERR="$PERF_TMP/smoke.err"
 for workload in hot miss gateway; do
     SMOKE=$(CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 2>"$SMOKE_ERR" | tail -n 1) \
+        || { cat "$SMOKE_ERR"; echo "end-to-end smoke did not run ($workload)"; exit 1; }
     python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$SMOKE" \
-        || { echo "end-to-end smoke failed ($workload): $SMOKE"; exit 1; }
+        || { cat "$SMOKE_ERR"; echo "end-to-end smoke failed ($workload): $SMOKE"; exit 1; }
+    if grep -E "$LOG_ALARM" "$SMOKE_ERR"; then
+        echo "end-to-end smoke logged an error ($workload)"
+        exit 1
+    fi
 done
+
+echo "== gateway server logs (keep-alive forwards, an idle client at its read deadline)"
+# perfbench discards its servers' stderr, so this run keeps it: one
+# `gpp gateway` with two embedded shards and a 1 s read deadline serves
+# forwards over its keep-alive shard connections, while a direct client
+# of a shard sits idle past the deadline after one request. No server may
+# log a connection error, a dead worker or a panic.
+GW_OUT="$PERF_TMP/gateway.out"
+GW_ERR="$PERF_TMP/gateway.err"
+target/release/gpp gateway --shards 2 --timeout 1 --addr 127.0.0.1:0 >"$GW_OUT" 2>"$GW_ERR" &
+GW_PID=$!
+for _ in $(seq 100); do
+    grep -q '^GPP_ADDR=' "$GW_OUT" && break
+    sleep 0.05
+done
+GW_ADDR=$(sed -n 's/^GPP_ADDR=//p' "$GW_OUT")
+SHARD_ADDR=$(sed -n 's/^GPP_SHARD_ADDR=//p' "$GW_OUT" | head -n 1)
+for seed in 1 2 3 4 1 2 3 4; do
+    target/release/gpp request skeletons/hotspot_1024.gsk --addr "$GW_ADDR" --seed "$seed" >/dev/null
+done
+python3 - "$SHARD_ADDR" <<'PY'
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+with socket.create_connection((host, int(port)), timeout=5) as s:
+    s.sendall(b"10\ngpp/1 ping")
+    assert b'"ok":true' in s.recv(4096)
+    time.sleep(1.5)
+PY
+kill -TERM "$GW_PID"
+wait "$GW_PID"
+if grep -E "$LOG_ALARM" "$GW_ERR"; then
+    echo "gpp gateway or its shards logged an error"
+    exit 1
+fi
 
 echo "CI OK"

@@ -7,7 +7,9 @@
 //! * **consistent-hash routing** ([`ring`]) — requests are routed on
 //!   (machine, program structural fingerprint), so identical programs for
 //!   a machine always land on the shard whose calibration and projection
-//!   caches are already warm for them;
+//!   caches are already warm for them. A bounded memo keyed by the exact
+//!   skeleton text answers the fingerprint of a repeated skeleton without
+//!   parsing it;
 //! * **single-flight coalescing** ([`flight`]) — concurrent identical
 //!   projections collapse into one upstream call; followers get a copy of
 //!   the leader's reply (projections are pure functions of the payload,
@@ -34,7 +36,18 @@
 //!   hedge fires at the ring successor on another; the first reply wins
 //!   and the loser is dropped. A prompt reply starts no thread at all.
 //!   Projections are pure functions of the payload, so a hedged reply is
-//!   byte-identical to the primary's.
+//!   byte-identical to the primary's;
+//! * **keep-alive shard connections** ([`pool`]) — a forward, hedge or
+//!   probe reuses the shard connection that went idle last, after a
+//!   non-blocking peek shows the shard has not closed it, and connects
+//!   only when none is idle. A `gpp-serve` worker serves one connection
+//!   until it closes, so an idle connection parks a worker: a connection
+//!   that returns while a new connect to its shard is still pending is
+//!   closed rather than pooled, and the prober closes connections idle
+//!   for a whole [`POLL`] tick, and all of a shard's when its breaker
+//!   opens. A reused connection that closes before its reply starts is
+//!   stale, not a shard failure: the frame goes out again on a new
+//!   connection, and only that one's outcome reaches the breaker.
 //!
 //! Because every shard computes bit-identical replies for a given payload
 //! (calibration and projection are deterministic in (machine, seed)),
@@ -61,9 +74,11 @@ use gpp_serve::protocol::{batch_response, Command, ProtocolError, Request};
 use gpp_serve::server::{FrameHandle, FrameServer, Handler, Limits, Reject};
 use gpp_serve::service::{busy_response, deadline_exceeded, error_json};
 use grophecy::report::Json;
+use parking_lot::Mutex;
 use pool::{Shard, ShardPool};
 use ring::routing_key;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -166,6 +181,7 @@ pub struct GatewayState {
     /// Token bucket metering hedge attempts (time-refilled: hedging is a
     /// latency optimization, so its timing never shapes reply bytes).
     pub hedge_budget: RetryBudget,
+    route_memo: RouteMemo,
 }
 
 impl GatewayState {
@@ -177,6 +193,7 @@ impl GatewayState {
             metrics: GatewayMetrics::default(),
             hedge_budget: RetryBudget::new(HEDGE_BUDGET_CAPACITY)
                 .with_refill_milli_per_sec(HEDGE_BUDGET_REFILL),
+            route_memo: RouteMemo::default(),
             config,
         }
     }
@@ -246,7 +263,7 @@ impl GatewayState {
     /// identical in-flight projections, and forwards — hedged for
     /// projections, along the ring's fail-over order otherwise.
     fn route_one(&self, payload: &str, req: &Request, arrival: Instant) -> String {
-        let fingerprint = structural_fingerprint(req, payload);
+        let fingerprint = self.route_memo.fingerprint(req, payload);
         let key = routing_key(&req.machine, fingerprint);
         // A deadline-bearing request forwards a rewritten payload whose
         // `deadline_ms` is what is left after gateway time; one without a
@@ -595,22 +612,57 @@ impl GatewayState {
     }
 }
 
-/// The routing fingerprint for a request: the program's structural
-/// fingerprint when the skeleton parses, else a content hash of the
-/// whole payload (malformed skeletons still route somewhere definite,
-/// and the shard reports the parse error).
-fn structural_fingerprint(req: &Request, payload: &str) -> u128 {
-    if req.command.needs_skeleton() {
-        if let Ok(program) = gpp_skeleton::text::parse(&req.skeleton) {
-            return gpp_gpu_model::program_fingerprint(&program);
+/// Most skeletons the route memo holds.
+const ROUTE_MEMO_ENTRIES: usize = 1024;
+
+/// Most skeleton bytes the route memo holds; a longer skeleton is parsed
+/// every time.
+const ROUTE_MEMO_BYTES: usize = 4 << 20;
+
+/// Structural fingerprints of skeletons that parsed, by exact skeleton
+/// text, so a repeated skeleton routes without a parse. A lookup compares
+/// the whole text, never just its hash. A skeleton that would take the
+/// memo past either bound empties it first.
+#[derive(Default)]
+struct RouteMemo(Mutex<(HashMap<Box<str>, u128>, usize)>);
+
+impl RouteMemo {
+    /// The routing fingerprint for a request: the program's structural
+    /// fingerprint when the skeleton parses, else a content hash of the
+    /// whole payload (malformed skeletons still route somewhere definite,
+    /// and the shard reports the parse error).
+    fn fingerprint(&self, req: &Request, payload: &str) -> u128 {
+        if req.command.needs_skeleton() {
+            let skeleton = req.skeleton.as_str();
+            if let Some(&fingerprint) = self.0.lock().0.get(skeleton) {
+                return fingerprint;
+            }
+            if let Ok(program) = gpp_skeleton::text::parse(skeleton) {
+                let fingerprint = gpp_gpu_model::program_fingerprint(&program);
+                if skeleton.len() <= ROUTE_MEMO_BYTES {
+                    let (map, bytes) = &mut *self.0.lock();
+                    if map.len() == ROUTE_MEMO_ENTRIES || *bytes + skeleton.len() > ROUTE_MEMO_BYTES
+                    {
+                        map.clear();
+                        *bytes = 0;
+                    }
+                    if map.insert(skeleton.into(), fingerprint).is_none() {
+                        *bytes += skeleton.len();
+                    }
+                }
+                return fingerprint;
+            }
         }
+        u128::from(fnv1a(payload.as_bytes()))
     }
-    u128::from(fnv1a(payload.as_bytes()))
 }
 
-/// How often the prober looks for due shards and re-checks the shutdown
-/// flag.
-const POLL: Duration = Duration::from_millis(10);
+/// How often the prober looks for due shards, closes shard connections
+/// idle for a whole tick, and re-checks the shutdown flag. An idle
+/// connection is closed at the first tick it has been idle through, so
+/// it outlives its last reply by less than two ticks plus one round of
+/// probes.
+pub const POLL: Duration = Duration::from_millis(10);
 
 /// The gateway as a `gpp-serve` [`FrameServer`] handler.
 impl Handler for GatewayState {
@@ -639,7 +691,8 @@ impl Handler for GatewayState {
         busy_response()
     }
 
-    /// The prober: evicts dead shards and re-admits recovered ones.
+    /// The prober: evicts dead shards, re-admits recovered ones, and
+    /// closes idle shard connections, all of them once the gateway stops.
     fn beside(&self, shutdown: &AtomicBool) {
         while !shutdown.load(Ordering::SeqCst) {
             self.pool.probe_due(
@@ -648,8 +701,10 @@ impl Handler for GatewayState {
                 self.config.request_timeout.min(Duration::from_secs(2)),
                 &self.config.faults,
             );
+            self.pool.expire_idle(POLL);
             std::thread::sleep(POLL);
         }
+        self.pool.expire_idle(Duration::ZERO);
     }
 }
 
@@ -688,5 +743,81 @@ impl Gateway {
     /// bound address and a clean shutdown path.
     pub fn spawn(self) -> io::Result<GatewayHandle> {
         self.0.spawn()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fingerprint(memo: &RouteMemo, payload: &str) -> u128 {
+        memo.fingerprint(&Request::decode(payload).unwrap(), payload)
+    }
+
+    fn program(n: usize, comment: &str) -> String {
+        format!(
+            "gpp/1 project\n# {comment}\nprogram p{n}\narray a f32 [{size}]\n\
+             kernel k\n  parallel i {size}\n  stmt adds=1\n    read a [i]\n",
+            size = 64 + n,
+        )
+    }
+
+    #[test]
+    fn the_route_memo_answers_repeats_with_the_parsed_fingerprint() {
+        let memo = RouteMemo::default();
+        let payload = program(0, "");
+        let parsed = gpp_gpu_model::program_fingerprint(
+            &gpp_skeleton::text::parse(payload.split_once('\n').unwrap().1).unwrap(),
+        );
+        assert_eq!(fingerprint(&memo, &payload), parsed);
+        assert_eq!(fingerprint(&memo, &payload), parsed);
+        // Another text of the same program: an entry of its own, the same
+        // fingerprint.
+        assert_eq!(fingerprint(&memo, &program(0, "reformatted")), parsed);
+        assert_eq!(memo.0.lock().0.len(), 2);
+    }
+
+    #[test]
+    fn the_route_memo_stays_within_its_bounds() {
+        let memo = RouteMemo::default();
+        for n in 0..ROUTE_MEMO_ENTRIES + 10 {
+            fingerprint(&memo, &program(n, ""));
+            assert!(memo.0.lock().0.len() <= ROUTE_MEMO_ENTRIES);
+        }
+        let padding = "x".repeat(ROUTE_MEMO_BYTES / 3);
+        for n in 0..4 {
+            fingerprint(&memo, &program(n, &padding));
+            let (map, bytes) = &*memo.0.lock();
+            assert_eq!(*bytes, map.keys().map(|k| k.len()).sum::<usize>());
+            assert!(*bytes <= ROUTE_MEMO_BYTES, "{bytes} bytes held");
+        }
+        // A skeleton over the byte bound is never held.
+        let huge = program(0, &"x".repeat(ROUTE_MEMO_BYTES));
+        fingerprint(&memo, &huge);
+        assert!(memo.0.lock().1 <= ROUTE_MEMO_BYTES);
+    }
+
+    #[test]
+    fn a_malformed_skeleton_is_not_memoized_and_its_reply_is_unchanged() {
+        let shard = gpp_serve::Server::bind(gpp_serve::ServeConfig::default())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let state = GatewayState::new(GatewayConfig::default(), vec![shard.addr().to_string()]);
+        let payload = "gpp/1 project seed=3\nprogram broken\narray a f32 [oops]\n";
+        let direct = gpp_serve::Client::connect(shard.addr(), Duration::from_secs(20))
+            .unwrap()
+            .call_raw(payload)
+            .unwrap();
+        assert!(direct.contains("\"ok\":false"), "{direct}");
+        for _ in 0..2 {
+            assert_eq!(state.handle(payload), direct);
+        }
+        assert!(state.route_memo.0.lock().0.is_empty());
+        assert_eq!(
+            fingerprint(&state.route_memo, payload),
+            u128::from(fnv1a(payload.as_bytes()))
+        );
+        shard.shutdown_and_join().unwrap();
     }
 }

@@ -17,6 +17,20 @@
 //! Each shard also keeps a rolling window of successful forward
 //! latencies; its p99 is the gateway's hedging trigger.
 //!
+//! Forwards, hedges and probes share each shard's **keep-alive
+//! connections**: an attempt reuses the most recently idle one, or
+//! connects. A `gpp-serve` worker serves one connection until it closes,
+//! so every idle connection parks a shard worker. Two rules keep that
+//! from starving anyone:
+//!
+//! * taking or connecting, and pooling or closing, are decided under the
+//!   shard's lock, and a connection that returns while a new connect to
+//!   the shard is still waiting for its reply is closed, not pooled — the
+//!   gateway never parks a worker its own new connection is queued for;
+//! * the prober closes connections idle for a whole tick, and all of a
+//!   shard's when its breaker opens, so a shard's direct clients wait at
+//!   most about one tick.
+//!
 //! Fault points [`gpp_fault::GATEWAY_SHARD_DOWN`] (scoped per shard
 //! label), [`gpp_fault::GATEWAY_SHARD_SLOW`], and
 //! [`gpp_fault::GATEWAY_SHARD_HANG`] inject dead, slow, and hung shards
@@ -25,7 +39,7 @@
 
 use crate::ring::HashRing;
 use gpp_fault::FaultInjector;
-use gpp_serve::client::{backoff_delay, jitter_seed, Client};
+use gpp_serve::client::{backoff_delay, jitter_seed, Client, Readiness};
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -84,6 +98,7 @@ pub struct Shard {
     /// `addr` resolved when the pool is built and before each probe, never
     /// on the forward path; the last address that resolved, if any.
     resolved: Mutex<Option<SocketAddr>>,
+    conns: Conns,
     breaker: AtomicU8,
     consecutive_failures: AtomicU32,
     next_probe: Mutex<Instant>,
@@ -106,6 +121,7 @@ impl Shard {
         Shard {
             label,
             resolved: Mutex::new(resolve(&addr)),
+            conns: Conns::default(),
             addr,
             breaker: AtomicU8::new(Breaker::Closed as u8),
             consecutive_failures: AtomicU32::new(0),
@@ -130,11 +146,12 @@ impl Shard {
         self.breaker() == Breaker::Closed
     }
 
-    /// Records a failed contact: the breaker trips open and the next
-    /// (half-open) trial backs off exponentially with the failure streak,
-    /// jittered on a per-shard seed so a pool of tripped shards does not
-    /// re-probe in lockstep.
+    /// Records a failed contact: the breaker trips open, the idle
+    /// connections close, and the next (half-open) trial backs off
+    /// exponentially with the failure streak, jittered on a per-shard seed
+    /// so a pool of tripped shards does not re-probe in lockstep.
     pub fn mark_failed(&self, probe_backoff: Duration) {
+        self.conns.expire(Duration::ZERO);
         let was = self.breaker.swap(Breaker::Open as u8, Ordering::SeqCst);
         if Breaker::from_u8(was) == Breaker::Closed {
             self.breaker_opens.fetch_add(1, Ordering::SeqCst);
@@ -238,22 +255,16 @@ impl Shard {
                 ));
             }
         }
+        // An address that does not resolve fails like a refused connect,
+        // tripping the breaker until a probe resolves it.
+        let addr = (*self.resolved.lock()).ok_or_else(|| self.addr.clone());
         Attempt {
             stall_until: (!stall.is_zero()).then(|| Instant::now() + stall),
-            stage: match (failure, *self.resolved.lock()) {
-                (Some(e), _) => Stage::Failed(e),
-                // An address that does not resolve fails like a refused
-                // connect, tripping the breaker until a probe resolves it.
-                (None, None) => Stage::Failed(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("shard address `{}` does not resolve", self.addr),
-                )),
-                (None, Some(addr)) => Stage::Unsent {
-                    addr,
-                    payload: payload.to_string(),
-                    timeout,
-                },
-            },
+            stage: failure.map_or(Stage::Unsent, Stage::Failed),
+            addr,
+            payload: payload.to_string(),
+            timeout,
+            conns: self.conns.clone(),
         }
     }
 
@@ -287,7 +298,11 @@ impl Shard {
     /// until its rule stops firing.
     fn probe(&self, timeout: Duration, faults: &FaultInjector) -> bool {
         if let Some(addr) = resolve(&self.addr) {
-            *self.resolved.lock() = Some(addr);
+            // Connections to an address the name no longer resolves to
+            // are not reused.
+            if self.resolved.lock().replace(addr) != Some(addr) {
+                self.conns.expire(Duration::ZERO);
+            }
         }
         self.forward("gpp/1 health", timeout, faults)
             .map(|reply| reply.contains("\"ok\":true"))
@@ -302,19 +317,31 @@ pub(crate) struct Attempt {
     /// out or the injected failure lands.
     stall_until: Option<Instant>,
     stage: Stage,
+    /// Where a new connection goes, or the shard's unresolved address.
+    addr: Result<SocketAddr, String>,
+    /// The frame, kept until a reply arrives: a reused connection that
+    /// turns out stale sends it again on another.
+    payload: String,
+    timeout: Duration,
+    conns: Conns,
 }
 
 enum Stage {
-    /// Connect and send once the stall is served.
-    Unsent {
-        addr: SocketAddr,
-        payload: String,
-        timeout: Duration,
-    },
+    /// The frame goes out once the stall is served.
+    Unsent,
     /// The frame is on the wire; the reply comes back on this connection.
-    Sent(Client),
-    /// The attempt failed: an injected down or hung shard, or a connect
-    /// or write error.
+    Sent {
+        client: Client,
+        /// A connection made for this attempt, counted pending until its
+        /// reply is in; `None` for a reused one.
+        fresh: Option<Pending>,
+        /// A reused connection with no reply byte seen yet: if it closes
+        /// or fails now it was stale, not a failing shard, and the frame
+        /// goes out again on another connection.
+        unproven: bool,
+    },
+    /// The attempt failed: an injected down or hung shard, or a connect,
+    /// write or read error.
     Failed(io::Error),
 }
 
@@ -333,30 +360,25 @@ impl Attempt {
             }
             self.serve_stall();
         }
-        if !self.send(Some(by)) {
-            return false;
-        }
-        let Stage::Sent(client) = &mut self.stage else {
-            return true;
-        };
-        match client.wait_readable(by.saturating_duration_since(Instant::now())) {
-            Ok(ready) => ready,
-            Err(e) => {
-                self.stage = Stage::Failed(e);
-                true
-            }
-        }
+        self.advance(Some(by))
     }
 
     /// Serves what is left of an injected stall, sends the frame if it
-    /// is not out yet, and reads the reply.
+    /// is not out yet, and reads the reply. A connection that delivered
+    /// its whole reply goes back to the shard's keep-alive stack.
     pub(crate) fn finish(mut self) -> io::Result<String> {
         self.serve_stall();
-        self.send(None);
+        self.advance(None);
         match self.stage {
-            Stage::Sent(mut client) => client.recv_raw(),
+            Stage::Sent {
+                mut client, fresh, ..
+            } => {
+                let reply = client.recv_raw()?;
+                self.conns.checkin(client, fresh);
+                Ok(reply)
+            }
             Stage::Failed(e) => Err(e),
-            Stage::Unsent { .. } => unreachable!("an unbounded send always leaves Unsent"),
+            Stage::Unsent => unreachable!("an unbounded send always leaves Unsent"),
         }
     }
 
@@ -367,34 +389,175 @@ impl Attempt {
         }
     }
 
-    /// Connects and writes an unsent frame, giving the connect up at
-    /// `by` (if any) rather than after the forward timeout. `false`
-    /// means the connect timed out at `by` and the attempt stays unsent.
-    fn send(&mut self, by: Option<Instant>) -> bool {
-        let Stage::Unsent {
-            addr,
-            payload,
-            timeout,
-        } = &self.stage
-        else {
-            return true;
-        };
-        let within = by.map_or(*timeout, |by| {
-            by.saturating_duration_since(Instant::now()).min(*timeout)
-        });
-        let bounded = within < *timeout;
-        if bounded && within.is_zero() {
-            return false;
+    /// Sends the frame and, until `by` (if any), waits for the first
+    /// reply byte; a reused connection is watched for that byte even
+    /// without `by`, under the forward timeout. A reused connection that
+    /// closes or fails first is dropped and the frame sent again, so the
+    /// fresh connection behind it — still given up at `by` — is what the
+    /// attempt's outcome reports. `false` means `by` passed first.
+    fn advance(&mut self, by: Option<Instant>) -> bool {
+        loop {
+            if !self.send(by) {
+                return false;
+            }
+            let Stage::Sent {
+                client, unproven, ..
+            } = &mut self.stage
+            else {
+                return true;
+            };
+            let stale_if_closed = *unproven;
+            if by.is_none() && !stale_if_closed {
+                return true;
+            }
+            let wait = by.map_or(self.timeout, |by| {
+                by.saturating_duration_since(Instant::now())
+            });
+            match client.wait_readable(wait) {
+                Ok(Readiness::Bytes) => {
+                    *unproven = false;
+                    return true;
+                }
+                Ok(Readiness::Waiting) if by.is_some() => return false,
+                Ok(Readiness::Waiting) => {
+                    self.stage = Stage::Failed(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "no reply within the forward timeout",
+                    ));
+                    return true;
+                }
+                Ok(Readiness::Closed) | Err(_) if stale_if_closed => self.stage = Stage::Unsent,
+                Ok(Readiness::Closed) => return true,
+                Err(e) => {
+                    self.stage = Stage::Failed(e);
+                    return true;
+                }
+            }
         }
-        self.stage = match Client::connect_within(*addr, within, *timeout) {
-            Err(e) if bounded && e.kind() == io::ErrorKind::TimedOut => return false,
-            Err(e) => Stage::Failed(e),
-            Ok(mut client) => match client.send_raw(payload) {
-                Ok(()) => Stage::Sent(client),
+    }
+
+    /// Writes an unsent frame on the shard's most recently idle
+    /// connection, or on a new one whose connect is given up at `by` (if
+    /// any) rather than after the forward timeout. `false` means the
+    /// connect timed out at `by` and the attempt stays unsent.
+    fn send(&mut self, by: Option<Instant>) -> bool {
+        while let Stage::Unsent = self.stage {
+            let (mut client, fresh) = match self.conns.checkout() {
+                Ok(client) => (client, None),
+                Err(pending) => {
+                    let addr = match &self.addr {
+                        Ok(addr) => *addr,
+                        Err(name) => {
+                            self.stage = Stage::Failed(io::Error::new(
+                                io::ErrorKind::ConnectionRefused,
+                                format!("shard address `{name}` does not resolve"),
+                            ));
+                            break;
+                        }
+                    };
+                    let within = by.map_or(self.timeout, |by| {
+                        by.saturating_duration_since(Instant::now())
+                            .min(self.timeout)
+                    });
+                    let bounded = within < self.timeout;
+                    if bounded && within.is_zero() {
+                        return false;
+                    }
+                    match Client::connect_within(addr, within, self.timeout) {
+                        Err(e) if bounded && e.kind() == io::ErrorKind::TimedOut => return false,
+                        Err(e) => {
+                            self.stage = Stage::Failed(e);
+                            break;
+                        }
+                        Ok(client) => (client, Some(pending)),
+                    }
+                }
+            };
+            let unproven = fresh.is_none();
+            self.stage = match client.send_raw(&self.payload) {
+                Ok(()) => Stage::Sent {
+                    client,
+                    fresh,
+                    unproven,
+                },
+                // A reused connection that cannot take the frame was stale.
+                Err(_) if unproven => Stage::Unsent,
                 Err(e) => Stage::Failed(e),
-            },
-        };
+            };
+        }
         true
+    }
+}
+
+/// A shard's keep-alive connections, shared by its forwards, hedges and
+/// probes.
+#[derive(Clone, Default)]
+struct Conns(Arc<Mutex<KeepAlive>>);
+
+#[derive(Default)]
+struct KeepAlive {
+    /// Idle connections and when each went idle; the most recently
+    /// returned is on top and is reused first.
+    idle: Vec<(Client, Instant)>,
+    /// New connections whose reply has not come back yet.
+    pending: usize,
+}
+
+impl Conns {
+    /// The most recently idle connection that is still open and holds no
+    /// stray bytes (a non-blocking peek; stale ones are dropped). With
+    /// none left, a new connect is counted pending and its token returned.
+    fn checkout(&self) -> Result<Client, Pending> {
+        loop {
+            let mut client = {
+                let mut keep = self.0.lock();
+                match keep.idle.pop() {
+                    Some((client, _)) => client,
+                    None => {
+                        keep.pending += 1;
+                        return Err(Pending(Some(self.clone())));
+                    }
+                }
+            };
+            if matches!(client.wait_readable(Duration::ZERO), Ok(Readiness::Waiting)) {
+                return Ok(client);
+            }
+        }
+    }
+
+    /// Takes back a connection that delivered a whole reply. It is pooled
+    /// unless a new connect to the shard is still pending: that one may be
+    /// queued for the very worker this connection parks, so this one
+    /// closes instead.
+    fn checkin(&self, client: Client, fresh: Option<Pending>) {
+        let mut keep = self.0.lock();
+        if let Some(mut pending) = fresh {
+            pending.0 = None;
+            keep.pending -= 1;
+        }
+        if keep.pending == 0 {
+            keep.idle.push((client, Instant::now()));
+        }
+    }
+
+    /// Closes the connections idle for `idle_for` or longer.
+    fn expire(&self, idle_for: Duration) {
+        self.0
+            .lock()
+            .idle
+            .retain(|(_, since)| since.elapsed() < idle_for);
+    }
+}
+
+/// A new connection's place in [`KeepAlive::pending`]; dropping the token
+/// gives the place up.
+struct Pending(Option<Conns>);
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if let Some(conns) = self.0.take() {
+            conns.0.lock().pending -= 1;
+        }
     }
 }
 
@@ -451,6 +614,15 @@ impl ShardPool {
             .successors(key)
             .map(|i| self.shards[i].clone())
             .collect()
+    }
+
+    /// Closes every shard's connections that have been idle for
+    /// `idle_for` or longer. The prober calls this on each tick with the
+    /// tick's length, so no connection stays idle much past one tick.
+    pub(crate) fn expire_idle(&self, idle_for: Duration) {
+        for shard in &self.shards {
+            shard.conns.expire(idle_for);
+        }
     }
 
     /// Probes every shard whose probe is due. Called repeatedly by the
@@ -675,6 +847,42 @@ mod tests {
         gpp_serve::protocol::read_frame(&mut stream).unwrap();
         gpp_serve::protocol::write_frame(&mut stream, "{\"ok\":true}").unwrap();
         assert_eq!(finishing.join().unwrap().unwrap(), "{\"ok\":true}");
+    }
+
+    #[test]
+    fn a_reused_connection_closed_unanswered_is_resent_on_a_new_one() {
+        // Each connection answers one frame, then reads the next and
+        // closes without a reply: the way a shard that went away between
+        // the gateway's peek and its write looks.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            for round in 0..3 {
+                let (mut stream, _) = listener.accept().unwrap();
+                gpp_serve::protocol::read_frame(&mut stream).unwrap();
+                gpp_serve::protocol::write_frame(&mut stream, "{\"ok\":true}").unwrap();
+                if round < 2 {
+                    gpp_serve::protocol::read_frame(&mut stream).unwrap();
+                }
+            }
+        });
+        let shard = Shard::new("shard0".into(), addr);
+        let off = FaultInjector::disabled();
+        let timeout = Duration::from_secs(5);
+        assert_eq!(
+            shard.forward("gpp/1 ping", timeout, &off).unwrap(),
+            "{\"ok\":true}"
+        );
+        // Inline, as a hedged primary...
+        let mut attempt = shard.attempt("gpp/1 ping", timeout, &off);
+        assert!(attempt.ready_by(Instant::now() + timeout));
+        assert_eq!(attempt.finish().unwrap(), "{\"ok\":true}");
+        // ...and on the fail-over walk.
+        assert_eq!(
+            shard.forward("gpp/1 ping", timeout, &off).unwrap(),
+            "{\"ok\":true}"
+        );
+        server.join().unwrap();
     }
 
     #[test]

@@ -106,15 +106,18 @@ fn parse_errors_are_byte_identical_to_a_shard() {
     }
 }
 
-/// Routing is sticky: every request for one program (any seed) lands on
-/// the same shard, so that shard's caches stay warm for it.
+/// Routing is sticky: every request for one program (any seed, any
+/// formatting of its text) lands on the same shard, so that shard's
+/// caches stay warm for it.
 #[test]
 fn identical_programs_route_to_one_shard() {
     let shards = spawn_shards(3);
     let state = GatewayState::new(GatewayConfig::default(), addrs(&shards));
 
+    let reformatted = format!("# reformatted\n\n{}\n\n", VEC_ADD.replace("  ", "    "));
     for seed in 21..25 {
-        let reply = state.handle(&project(seed, VEC_ADD));
+        let text = if seed % 2 == 0 { VEC_ADD } else { &reformatted };
+        let reply = state.handle(&project(seed, text));
         assert!(reply.starts_with("{\"ok\":true"), "{reply}");
     }
     let routed: Vec<u64> = state
@@ -250,10 +253,9 @@ fn distinct_programs_spread_across_shards() {
     assert_eq!(owners.len(), 3, "32 keys must reach all 3 shards");
 }
 
-/// Neither the gateway's acceptor nor a shard's waits for a poll tick: 50
-/// memo-hit projections, each on a fresh client connection and forwarded
-/// on a fresh shard connection, finish far inside the ~500 ms that one
-/// 10 ms accept poll per forward would cost.
+/// The gateway's acceptor does not wait for a poll tick: 50 memo-hit
+/// projections, each on a fresh client connection, finish far inside the
+/// ~500 ms that one 10 ms accept poll per request would cost.
 #[test]
 fn fresh_connections_are_accepted_on_arrival_end_to_end() {
     let shards = spawn_shards(2);

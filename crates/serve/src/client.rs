@@ -71,35 +71,50 @@ impl Client {
     }
 
     /// Waits up to `wait` for the first reply byte without consuming it
-    /// (`peek` under a temporary read timeout). `Ok(true)` means a read
-    /// will not block: bytes arrived or the server closed. `Ok(false)`
-    /// means nothing arrived in time; the connection is untouched and
-    /// keeps its own read timeout.
-    pub fn wait_readable(&mut self, wait: Duration) -> io::Result<bool> {
+    /// (`peek` under a temporary read timeout; a zero `wait` peeks without
+    /// blocking). The connection keeps its own read timeout.
+    pub fn wait_readable(&mut self, wait: Duration) -> io::Result<Readiness> {
         if !self.stream.buffer().is_empty() {
-            return Ok(true);
-        }
-        if wait.is_zero() {
-            return Ok(false);
+            return Ok(Readiness::Bytes);
         }
         let stream = self.stream.get_ref();
-        let timeout = stream.read_timeout()?;
-        stream.set_read_timeout(Some(wait))?;
-        let peeked = stream.peek(&mut [0u8; 1]);
-        stream.set_read_timeout(timeout)?;
+        let peeked = if wait.is_zero() {
+            stream.set_nonblocking(true)?;
+            let peeked = stream.peek(&mut [0u8; 1]);
+            stream.set_nonblocking(false)?;
+            peeked
+        } else {
+            let timeout = stream.read_timeout()?;
+            stream.set_read_timeout(Some(wait))?;
+            let peeked = stream.peek(&mut [0u8; 1]);
+            stream.set_read_timeout(timeout)?;
+            peeked
+        };
         match peeked {
-            Ok(_) => Ok(true),
+            Ok(0) => Ok(Readiness::Closed),
+            Ok(_) => Ok(Readiness::Bytes),
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                Ok(false)
+                Ok(Readiness::Waiting)
             }
             Err(e) => Err(e),
         }
     }
+}
+
+/// What [`Client::wait_readable`] found on the connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Readiness {
+    /// Nothing arrived in time; a read would block.
+    Waiting,
+    /// Bytes are ready to read.
+    Bytes,
+    /// The server closed the connection with nothing left to read.
+    Closed,
 }
 
 /// One-shot convenience: connect, send, return the response JSON.

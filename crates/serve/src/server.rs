@@ -339,7 +339,8 @@ fn worker_loop<H: Handler>(
 /// * **Total read deadline** — the whole frame must arrive within
 ///   `request_timeout` ([`DeadlineRead`], re-armed per frame, bounds every
 ///   `read` by the remaining budget), so a slow-loris client trickling
-///   bytes cannot pin a worker.
+///   bytes cannot pin a worker. A connection that sent no byte of a next
+///   frame by then is idle, not slow, and closes like EOF.
 /// * **Bounded allocation** — a frame declaring more than
 ///   `max_frame_bytes` gets a structured `too_large` reply before any
 ///   payload allocation, then the connection closes (it cannot be
@@ -360,12 +361,16 @@ fn serve_connection<H: Handler>(
     let mut reader = BufReader::new(DeadlineRead {
         stream: &stream,
         deadline: Instant::now(),
+        between_frames: true,
         shutdown,
         armed: None,
     });
     let mut queued = queued;
     loop {
-        reader.get_mut().deadline = Instant::now() + limits.request_timeout;
+        let between_frames = reader.buffer().is_empty();
+        let read = reader.get_mut();
+        read.deadline = Instant::now() + limits.request_timeout;
+        read.between_frames = between_frames;
         let payload = match read_frame_limited(&mut reader, limits.max_frame_bytes) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()),
@@ -484,10 +489,13 @@ const READ_POLL: Duration = Duration::from_millis(50);
 /// EOF, which the frame reader treats as a clean close when it arrives
 /// between frames (an *incomplete* frame at shutdown was never an
 /// accepted request, so dropping it keeps the drain guarantee intact).
+/// So does the deadline while no byte of the frame has arrived.
 struct DeadlineRead<'a> {
     stream: &'a TcpStream,
     /// When the frame being read must be complete; re-armed per frame.
     deadline: Instant,
+    /// No byte of the frame being read has arrived yet.
+    between_frames: bool,
     shutdown: &'a AtomicBool,
     /// The read timeout last set on the socket.
     armed: Option<Duration>,
@@ -501,6 +509,9 @@ impl Read for DeadlineRead<'_> {
             }
             let remaining = self.deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
+                if self.between_frames {
+                    return Ok(0);
+                }
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "read deadline exceeded (slow client)",
@@ -513,7 +524,12 @@ impl Read for DeadlineRead<'_> {
                 self.armed = slice;
             }
             match self.stream.read(buf) {
-                Ok(n) => return Ok(n),
+                Ok(n) => {
+                    if n > 0 {
+                        self.between_frames = false;
+                    }
+                    return Ok(n);
+                }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut
@@ -597,5 +613,61 @@ pub mod signals {
     /// prefer the handle's programmatic flag.
     pub fn install() {
         imp::install();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::read_frame;
+    use std::io::Write;
+
+    /// Serves the server side of one loopback connection on which the
+    /// client first writes `sent`, under a 100 ms read deadline. Returns
+    /// how the connection ended and what the client read back.
+    fn serve_after(sent: &[u8]) -> (io::Result<()>, Vec<u8>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        client.write_all(sent).unwrap();
+        let handler = ServiceState::new(ServeConfig {
+            request_timeout: Duration::from_millis(100),
+            ..ServeConfig::default()
+        });
+        let (_tx, rx) = bounded(1);
+        let served = serve_connection(
+            stream,
+            Duration::ZERO,
+            &rx,
+            &handler,
+            &AtomicBool::new(false),
+        );
+        let mut replies = Vec::new();
+        client.read_to_end(&mut replies).unwrap();
+        (served, replies)
+    }
+
+    #[test]
+    fn an_idle_connection_at_its_read_deadline_closes_like_eof() {
+        // A whole frame, then silence past the deadline: a clean close.
+        let (served, replies) = serve_after(b"10\ngpp/1 ping");
+        served.expect("an idle connection is not an error");
+        let pong = read_frame(&mut &replies[..]).unwrap().unwrap();
+        assert!(pong.starts_with("{\"ok\":true"), "{pong}");
+
+        // No byte at all: also a clean close, with nothing written.
+        let (served, replies) = serve_after(b"");
+        served.expect("a connection that never spoke is not an error");
+        assert!(replies.is_empty());
+
+        // A frame cut short still times out as a slow client.
+        let (served, replies) = serve_after(b"10\ngpp/1");
+        assert_eq!(served.unwrap_err().kind(), io::ErrorKind::TimedOut);
+        assert!(replies.is_empty());
+
+        // So does a next frame cut short after a whole one.
+        let (served, replies) = serve_after(b"10\ngpp/1 ping4\n");
+        assert_eq!(served.unwrap_err().kind(), io::ErrorKind::TimedOut);
+        assert!(!replies.is_empty());
     }
 }
