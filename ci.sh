@@ -144,6 +144,42 @@ SHARD_ADDR=$(sed -n 's/^GPP_SHARD_ADDR=//p' "$GW_OUT" | head -n 1)
 for seed in 1 2 3 4 1 2 3 4; do
     target/release/gpp request skeletons/hotspot_1024.gsk --addr "$GW_ADDR" --seed "$seed" >/dev/null
 done
+# The counters of those forwards: the gateway answered all eight, each
+# seed missed once and hit once on its shard, and every latency
+# percentile is a number. Each forward saw fewer than
+# MIN_LATENCY_SAMPLES samples, so none can have hedged.
+GW_STATS=$(target/release/gpp request --command stats --addr "$GW_ADDR")
+SHARD_STATS=$(sed -n 's/^GPP_SHARD_ADDR=//p' "$GW_OUT" | while read -r shard; do
+    target/release/gpp request --command stats --addr "$shard"
+done)
+python3 - "$GW_STATS" "$SHARD_STATS" <<'PY' || { kill -TERM "$GW_PID"; echo "gateway or shard stats are off"; exit 1; }
+import json, sys
+gateway = json.loads(sys.argv[1])["gateway"]
+shards = [json.loads(line)["stats"] for line in sys.argv[2].splitlines() if line]
+def percentiles(v):
+    if isinstance(v, dict):
+        for k, x in v.items():
+            if k.startswith(("p50_", "p99_")):
+                yield k, x
+            yield from percentiles(x)
+    elif isinstance(v, list):
+        for x in v:
+            yield from percentiles(x)
+found = list(percentiles(gateway)) + [p for s in shards for p in percentiles(s)]
+checks = {
+    "gateway served_ok == 8": gateway["served_ok"] == 8,
+    "gateway panics_caught == 0": gateway["panics_caught"] == 0,
+    "two shards": len(shards) == 2,
+    "shard projection_hits sum to 4": sum(s["projection_hits"] for s in shards) == 4,
+    "shard projection_misses sum to 4": sum(s["projection_misses"] for s in shards) == 4,
+    "every p50_/p99_ field is a number": bool(found) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for _, x in found),
+}
+for name, ok in checks.items():
+    if not ok:
+        print(f"stats check failed: {name}\n{gateway}\n{shards}")
+sys.exit(0 if all(checks.values()) else 1)
+PY
 python3 - "$SHARD_ADDR" <<'PY'
 import socket, sys, time
 host, port = sys.argv[1].rsplit(":", 1)

@@ -69,9 +69,9 @@ use flight::{Joined, SingleFlight};
 use gpp_fault::FaultInjector;
 use gpp_serve::cache::fnv1a;
 use gpp_serve::client::RetryBudget;
-use gpp_serve::metrics::Metrics;
+use gpp_serve::metrics::Counter;
 use gpp_serve::protocol::{batch_response, Command, ProtocolError, Request};
-use gpp_serve::server::{FrameHandle, FrameServer, Handler, Limits, Reject};
+use gpp_serve::server::{FrameHandle, FrameServer, Handler, Limits, Reject, Tally};
 use gpp_serve::service::{busy_response, deadline_exceeded, error_json};
 use grophecy::report::Json;
 use parking_lot::Mutex;
@@ -81,7 +81,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,33 +138,52 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Monotonic gateway counters (all relaxed; read by `stats`).
-#[derive(Default)]
-pub struct GatewayMetrics {
-    /// Requests answered (any outcome).
-    pub served_ok: AtomicU64,
-    /// Requests answered with `"ok":false`.
-    pub served_err: AtomicU64,
-    /// Requests forwarded upstream.
-    pub routed_total: AtomicU64,
-    /// Requests answered from another caller's in-flight reply.
-    pub coalesced: AtomicU64,
-    /// Forwards that had to move past the primary shard.
-    pub failovers: AtomicU64,
-    /// Requests no shard could answer.
-    pub unavailable: AtomicU64,
-    /// Batch frames unpacked.
-    pub batch_frames: AtomicU64,
-    /// Sub-requests carried by those frames.
-    pub batch_subs: AtomicU64,
-    /// Connections rejected `busy` at the accept queue.
-    pub rejected_busy: AtomicU64,
-    /// Hedge attempts fired (primary exceeded its rolling p99).
-    pub hedges_fired: AtomicU64,
-    /// Hedges whose reply beat the primary's.
-    pub hedges_won: AtomicU64,
-    /// Requests whose propagated deadline expired inside the gateway.
-    pub shed_deadline: AtomicU64,
+gpp_serve::counters! {
+    /// The gateway's counters. Each shard keeps a row of the same set for
+    /// its `shard` counters; a `gateway` total is the gateway's own value
+    /// plus its shards'.
+    pub struct GatewayCounters {
+        /// Requests answered `"ok":true`.
+        served_ok: "served_ok" in ["gateway"],
+        /// Requests answered with `"ok":false`.
+        served_err: "served_err" in ["gateway"],
+        /// Requests forwarded upstream.
+        routed_total: "routed_total" in ["gateway"],
+        /// Requests answered from another caller's in-flight reply.
+        coalesced: "coalesced" in ["gateway"],
+        /// Forwards that had to move past the primary shard.
+        failovers: "failovers" in ["gateway"],
+        /// Requests no shard could answer.
+        unavailable: "unavailable" in ["gateway"],
+        /// Batch frames unpacked.
+        batch_frames: "batch_frames" in ["gateway"],
+        /// Sub-requests carried by those frames.
+        batch_subs: "batch_subs" in ["gateway"],
+        /// Connections rejected `busy` at the accept queue.
+        rejected_busy: "rejected_busy" in ["gateway"],
+        /// Hedge attempts fired (primary exceeded its rolling p99).
+        hedges_fired: "hedges_fired" in ["gateway"],
+        /// Hedges whose reply beat the primary's.
+        hedges_won: "hedges_won" in ["gateway"],
+        /// Requests whose propagated deadline expired inside the gateway.
+        shed_deadline: "shed_deadline" in ["gateway"],
+        /// Request handlers that panicked, isolated by the frame server.
+        panics_caught: "panics_caught" in ["gateway"],
+        /// Workers that died outside per-request isolation and respawned.
+        worker_respawns: "worker_respawns" in ["gateway"],
+        /// Frames rejected with `too_large` before allocation.
+        too_large_rejected: "too_large_rejected" in ["gateway"],
+        /// Requests this shard answered through the gateway.
+        routed: "routed" in ["shard"],
+        /// Forward attempts that failed (tripping the breaker open).
+        forward_errors: "forward_errors" in ["shard"],
+        /// Health probes that failed.
+        probe_failures: "probe_failures" in ["shard"],
+        /// Times the breaker re-closed (probe recoveries).
+        readmissions: "readmissions" in ["shard"],
+        /// Times the breaker tripped closed → open.
+        breaker_opens: "breaker_opens" in ["shard", "gateway"],
+    }
 }
 
 /// Shared state behind every gateway worker. Handlers are pure functions
@@ -176,8 +195,8 @@ pub struct GatewayState {
     pub pool: ShardPool,
     /// The single-flight coalescing map.
     pub flights: SingleFlight,
-    /// Gateway counters.
-    pub metrics: GatewayMetrics,
+    /// Gateway counters; the `shard` ones live on each [`Shard`].
+    pub counters: GatewayCounters,
     /// Token bucket metering hedge attempts (time-refilled: hedging is a
     /// latency optimization, so its timing never shapes reply bytes).
     pub hedge_budget: RetryBudget,
@@ -190,7 +209,7 @@ impl GatewayState {
         GatewayState {
             flights: SingleFlight::new(config.request_timeout),
             pool: ShardPool::new(shard_addrs),
-            metrics: GatewayMetrics::default(),
+            counters: GatewayCounters::default(),
             hedge_budget: RetryBudget::new(HEDGE_BUDGET_CAPACITY)
                 .with_refill_milli_per_sec(HEDGE_BUDGET_REFILL),
             route_memo: RouteMemo::default(),
@@ -211,9 +230,9 @@ impl GatewayState {
     pub fn handle_at(&self, payload: &str, arrival: Instant) -> String {
         let reply = self.answer(payload, arrival);
         if reply.starts_with("{\"ok\":false") {
-            Metrics::bump(&self.metrics.served_err);
+            self.counters.served_err.bump();
         } else {
-            Metrics::bump(&self.metrics.served_ok);
+            self.counters.served_ok.bump();
         }
         reply
     }
@@ -221,12 +240,12 @@ impl GatewayState {
     /// Unpacks a batch, routes every sub-request independently (each to
     /// its own ring position), and reassembles the sub-replies verbatim.
     fn handle_batch(&self, req: &Request, arrival: Instant) -> String {
-        Metrics::bump(&self.metrics.batch_frames);
+        self.counters.batch_frames.bump();
         let replies: Vec<String> = req
             .batch
             .iter()
             .map(|sub| {
-                Metrics::bump(&self.metrics.batch_subs);
+                self.counters.batch_subs.bump();
                 self.answer(sub, arrival)
             })
             .collect();
@@ -275,7 +294,7 @@ impl GatewayState {
                 let spent = u64::try_from(arrival.elapsed().as_millis()).unwrap_or(u64::MAX);
                 match total.checked_sub(spent).filter(|rem| *rem > 0) {
                     None => {
-                        Metrics::bump(&self.metrics.shed_deadline);
+                        self.counters.shed_deadline.bump();
                         return error_json(&deadline_exceeded(total)).render();
                     }
                     Some(rem) => {
@@ -316,7 +335,7 @@ impl GatewayState {
                     {
                         self.forward(fwd_payload, key, remaining, true)
                     } else {
-                        Metrics::bump(&self.metrics.coalesced);
+                        self.counters.coalesced.bump();
                         reply
                     }
                 }
@@ -337,7 +356,7 @@ impl GatewayState {
         if let Some(total) = req.deadline_ms {
             if reply.starts_with("{\"ok\":true") && arrival.elapsed() > Duration::from_millis(total)
             {
-                Metrics::bump(&self.metrics.shed_deadline);
+                self.counters.shed_deadline.bump();
                 return error_json(&deadline_exceeded(total)).render();
             }
         }
@@ -368,7 +387,7 @@ impl GatewayState {
         remaining: Option<Duration>,
         hedged: bool,
     ) -> String {
-        Metrics::bump(&self.metrics.routed_total);
+        self.counters.routed_total.bump();
         let timeout = self.forward_timeout(remaining);
         if hedged {
             if let Some(reply) = self.hedged_attempt(payload, key, remaining, timeout) {
@@ -386,7 +405,7 @@ impl GatewayState {
         for shard in healthy_first {
             tried += 1;
             if tried > 1 {
-                Metrics::bump(&self.metrics.failovers);
+                self.counters.failovers.bump();
             }
             let started = Instant::now();
             let result = shard.forward(payload, timeout, &self.config.faults);
@@ -394,7 +413,7 @@ impl GatewayState {
                 return reply;
             }
         }
-        Metrics::bump(&self.metrics.unavailable);
+        self.counters.unavailable.bump();
         error_json(&ProtocolError::new(
             "unavailable",
             format!(
@@ -422,7 +441,7 @@ impl GatewayState {
     /// the p99 (refused connect, hang-up, an injected fault that lands
     /// early) settles inline like any failure. Returns `None` when
     /// hedging is not applicable (disabled, fewer than two healthy shards,
-    /// cold latency window) or when every attempt failed, so the caller
+    /// cold latency histogram) or when every attempt failed, so the caller
     /// falls back to the fail-over walk.
     fn hedged_attempt(
         &self,
@@ -464,7 +483,7 @@ impl GatewayState {
             // Primary is past its p99. Hedge if the budget allows; either
             // way, keep waiting out the full forward timeout.
             if self.hedge_budget.try_withdraw() {
-                Metrics::bump(&self.metrics.hedges_fired);
+                self.counters.hedges_fired.bump();
                 let (payload, faults) = (payload.to_string(), self.config.faults.clone());
                 self.spawn_attempt(&healthy[1], true, tx.clone(), move |shard| {
                     (Instant::now(), shard.forward(&payload, timeout, &faults))
@@ -479,7 +498,7 @@ impl GatewayState {
             match outcome {
                 Ok((is_hedge, Ok(reply))) => {
                     if is_hedge {
-                        Metrics::bump(&self.metrics.hedges_won);
+                        self.counters.hedges_won.bump();
                     }
                     return Some(reply);
                 }
@@ -546,68 +565,33 @@ impl GatewayState {
         ])
     }
 
-    /// The gateway's `stats` reply: per-shard health and routed counts
-    /// plus the coalescing and fail-over counters.
+    /// The gateway's `stats` reply: per-shard health and counters, then
+    /// the gateway's totals, hedge budget and flights in progress.
     fn stats_json(&self) -> Json {
-        let m = &self.metrics;
-        let load = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
+        let shards = self.pool.shards();
+        let totals = GatewayCounters::default().plus(&self.counters);
+        let totals = shards.iter().fold(totals, |t, s| t.plus(&s.counters));
+        let shards = shards.iter().map(|s| {
+            let health = [
+                ("label", Json::Str(s.label.clone())),
+                ("addr", Json::Str(s.addr.clone())),
+                ("healthy", Json::Bool(s.is_healthy())),
+                ("breaker", Json::Str(s.breaker().as_str().into())),
+            ];
+            Json::obj(health.into_iter().chain(s.counters.group("shard")))
+        });
+        let hedge_budget_exhausted = self.hedge_budget.exhausted_count() as f64;
+        let gateway = [("shards", Json::Arr(shards.collect()))]
+            .into_iter()
+            .chain(totals.group("gateway"))
+            .chain([
+                ("retry_budget_exhausted", Json::Num(hedge_budget_exhausted)),
+                ("in_flight", Json::Num(self.flights.in_flight() as f64)),
+            ]);
         Json::obj([
             ("ok", Json::Bool(true)),
             ("command", Json::Str("stats".into())),
-            (
-                "gateway",
-                Json::obj([
-                    (
-                        "shards",
-                        Json::Arr(
-                            self.pool
-                                .shards()
-                                .iter()
-                                .map(|s| {
-                                    Json::obj([
-                                        ("label", Json::Str(s.label.clone())),
-                                        ("addr", Json::Str(s.addr.clone())),
-                                        ("healthy", Json::Bool(s.is_healthy())),
-                                        ("breaker", Json::Str(s.breaker().as_str().into())),
-                                        ("routed", load(&s.routed)),
-                                        ("forward_errors", load(&s.forward_errors)),
-                                        ("probe_failures", load(&s.probe_failures)),
-                                        ("readmissions", load(&s.readmissions)),
-                                        ("breaker_opens", load(&s.breaker_opens)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("served_ok", load(&m.served_ok)),
-                    ("served_err", load(&m.served_err)),
-                    ("routed_total", load(&m.routed_total)),
-                    ("coalesced", load(&m.coalesced)),
-                    ("failovers", load(&m.failovers)),
-                    ("unavailable", load(&m.unavailable)),
-                    ("batch_frames", load(&m.batch_frames)),
-                    ("batch_subs", load(&m.batch_subs)),
-                    ("rejected_busy", load(&m.rejected_busy)),
-                    ("hedges_fired", load(&m.hedges_fired)),
-                    ("hedges_won", load(&m.hedges_won)),
-                    ("shed_deadline", load(&m.shed_deadline)),
-                    (
-                        "breaker_opens",
-                        Json::Num(
-                            self.pool
-                                .shards()
-                                .iter()
-                                .map(|s| s.breaker_opens.load(Ordering::Relaxed))
-                                .sum::<u64>() as f64,
-                        ),
-                    ),
-                    (
-                        "retry_budget_exhausted",
-                        Json::Num(self.hedge_budget.exhausted_count() as f64),
-                    ),
-                    ("in_flight", Json::Num(self.flights.in_flight() as f64)),
-                ]),
-            ),
+            ("gateway", Json::obj(gateway)),
         ])
     }
 }
@@ -687,8 +671,17 @@ impl Handler for GatewayState {
     }
 
     fn reject(&self, _why: Reject, _queue_len: usize) -> String {
-        Metrics::bump(&self.metrics.rejected_busy);
+        self.counters.rejected_busy.bump();
         busy_response()
+    }
+
+    fn counter(&self, tally: Tally) -> &Counter {
+        let c = &self.counters;
+        match tally {
+            Tally::PanicsCaught => &c.panics_caught,
+            Tally::WorkerRespawns => &c.worker_respawns,
+            Tally::TooLargeRejected => &c.too_large_rejected,
+        }
     }
 
     /// The prober: evicts dead shards, re-admits recovered ones, and

@@ -14,8 +14,9 @@
 //!   probe, and is either re-closed (re-admitted) on success or re-opened
 //!   with a longer cooldown on failure.
 //!
-//! Each shard also keeps a rolling window of successful forward
-//! latencies; its p99 is the gateway's hedging trigger.
+//! Each shard also keeps a [`Histogram`] of successful forward latencies
+//! that halves once per 256 records; its p99 is the gateway's hedging
+//! trigger.
 //!
 //! Forwards, hedges and probes share each shard's **keep-alive
 //! connections**: an attempt reuses the most recently idle one, or
@@ -38,12 +39,14 @@
 //! shards mid-load reproducibly.
 
 use crate::ring::HashRing;
+use crate::GatewayCounters;
 use gpp_fault::FaultInjector;
 use gpp_serve::client::{backoff_delay, jitter_seed, Client, Readiness};
+use gpp_serve::metrics::Histogram;
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,12 +54,12 @@ use std::time::{Duration, Instant};
 /// this stop lengthening the wait (base × 2⁷ ≈ two orders of magnitude).
 const MAX_BACKOFF_EXP: u32 = 8;
 
-/// Successful forward latencies each shard remembers for its rolling p99.
-const LATENCY_WINDOW: usize = 256;
+/// Successful forward latencies between two halvings of a shard's histogram.
+const LATENCY_WINDOW: u64 = 256;
 
-/// Fewest recorded latencies before the p99 is considered meaningful
+/// Fewest counted latencies before the p99 is considered meaningful
 /// (hedging stays off below this).
-pub const MIN_LATENCY_SAMPLES: usize = 8;
+pub const MIN_LATENCY_SAMPLES: u64 = 8;
 
 /// Circuit-breaker states, stored as a `u8` on the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,18 +105,9 @@ pub struct Shard {
     breaker: AtomicU8,
     consecutive_failures: AtomicU32,
     next_probe: Mutex<Instant>,
-    latencies_us: Mutex<Vec<u64>>,
-    latency_pos: AtomicU64,
-    /// Requests this shard answered through the gateway.
-    pub routed: AtomicU64,
-    /// Forward attempts that failed (tripping the breaker open).
-    pub forward_errors: AtomicU64,
-    /// Health probes that failed.
-    pub probe_failures: AtomicU64,
-    /// Times the breaker re-closed (probe recoveries).
-    pub readmissions: AtomicU64,
-    /// Times the breaker tripped closed → open.
-    pub breaker_opens: AtomicU64,
+    latency_us: Mutex<Histogram>,
+    /// This shard's row of the gateway's counters: its `shard` group.
+    pub counters: GatewayCounters,
 }
 
 impl Shard {
@@ -126,13 +120,8 @@ impl Shard {
             breaker: AtomicU8::new(Breaker::Closed as u8),
             consecutive_failures: AtomicU32::new(0),
             next_probe: Mutex::new(Instant::now()),
-            latencies_us: Mutex::new(Vec::with_capacity(LATENCY_WINDOW)),
-            latency_pos: AtomicU64::new(0),
-            routed: AtomicU64::new(0),
-            forward_errors: AtomicU64::new(0),
-            probe_failures: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-            breaker_opens: AtomicU64::new(0),
+            latency_us: Mutex::new(Histogram::new(LATENCY_WINDOW)),
+            counters: GatewayCounters::default(),
         }
     }
 
@@ -154,7 +143,7 @@ impl Shard {
         self.conns.expire(Duration::ZERO);
         let was = self.breaker.swap(Breaker::Open as u8, Ordering::SeqCst);
         if Breaker::from_u8(was) == Breaker::Closed {
-            self.breaker_opens.fetch_add(1, Ordering::SeqCst);
+            self.counters.breaker_opens.bump();
         }
         let failures = self
             .consecutive_failures
@@ -169,38 +158,24 @@ impl Shard {
     pub fn mark_healthy(&self, probe_interval: Duration) {
         let was = self.breaker.swap(Breaker::Closed as u8, Ordering::SeqCst);
         if Breaker::from_u8(was) != Breaker::Closed {
-            self.readmissions.fetch_add(1, Ordering::SeqCst);
+            self.counters.readmissions.bump();
         }
         self.consecutive_failures.store(0, Ordering::SeqCst);
         *self.next_probe.lock() = Instant::now() + probe_interval;
     }
 
-    /// Adds one successful forward's latency to the rolling window.
+    /// Adds one successful forward's latency to the histogram.
     pub fn record_latency(&self, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let pos = self.latency_pos.fetch_add(1, Ordering::Relaxed) as usize % LATENCY_WINDOW;
-        let mut window = self.latencies_us.lock();
-        if window.len() < LATENCY_WINDOW {
-            window.push(us);
-        } else {
-            window[pos] = us;
-        }
+        self.latency_us.lock().record(us);
     }
 
-    /// The rolling p99 forward latency, or `None` until the window holds
-    /// [`MIN_LATENCY_SAMPLES`] — the hedging trigger stays conservative
-    /// while the shard is cold.
+    /// The rolling p99 forward latency under the histogram's bucket rule,
+    /// or `None` until it counts [`MIN_LATENCY_SAMPLES`] — the hedging
+    /// trigger stays conservative while the shard is cold.
     pub fn p99_us(&self) -> Option<u64> {
-        let window = self.latencies_us.lock();
-        if window.len() < MIN_LATENCY_SAMPLES {
-            return None;
-        }
-        let mut sorted: Vec<u64> = window.clone();
-        drop(window);
-        sorted.sort_unstable();
-        // Nearest-rank p99, matching serve's metrics.
-        let rank = (sorted.len() * 99).div_ceil(100).max(1);
-        Some(sorted[rank - 1])
+        let latency = self.latency_us.lock();
+        (latency.count() >= MIN_LATENCY_SAMPLES).then(|| latency.quantile(99))
     }
 
     /// Sends one already-encoded payload to the shard and returns the raw
@@ -270,7 +245,7 @@ impl Shard {
 
     /// Settles one forward attempt's bookkeeping and passes its result
     /// through: a reply closes the breaker and adds `started.elapsed()`
-    /// to the latency window and the routed count; an error counts
+    /// to the latency histogram and the routed count; an error counts
     /// against the shard and trips its breaker open.
     pub(crate) fn settle(
         &self,
@@ -283,10 +258,10 @@ impl Shard {
             Ok(_) => {
                 self.mark_healthy(probe_interval);
                 self.record_latency(started.elapsed());
-                self.routed.fetch_add(1, Ordering::Relaxed);
+                self.counters.routed.bump();
             }
             Err(_) => {
-                self.forward_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.forward_errors.bump();
                 self.mark_failed(probe_backoff);
             }
         }
@@ -649,7 +624,7 @@ impl ShardPool {
             if shard.probe(timeout, faults) {
                 shard.mark_healthy(probe_interval);
             } else {
-                shard.probe_failures.fetch_add(1, Ordering::SeqCst);
+                shard.counters.probe_failures.bump();
                 shard.mark_failed(probe_backoff);
             }
         }
@@ -669,7 +644,7 @@ mod tests {
         assert!(!pool.shards()[0].is_healthy());
         pool.shards()[0].mark_healthy(Duration::from_secs(1));
         assert_eq!(pool.healthy_count(), 2);
-        assert_eq!(pool.shards()[0].readmissions.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.shards()[0].counters.readmissions.get(), 1);
     }
 
     #[test]
@@ -691,23 +666,23 @@ mod tests {
         assert_eq!(shard.breaker(), Breaker::Closed);
         shard.mark_failed(Duration::from_millis(1));
         assert_eq!(shard.breaker(), Breaker::Open);
-        assert_eq!(shard.breaker_opens.load(Ordering::SeqCst), 1);
+        assert_eq!(shard.counters.breaker_opens.get(), 1);
         // Re-failing an already-open breaker is not a new trip.
         shard.mark_failed(Duration::from_millis(1));
-        assert_eq!(shard.breaker_opens.load(Ordering::SeqCst), 1);
+        assert_eq!(shard.counters.breaker_opens.get(), 1);
         // The prober's half-open trial failing re-opens, succeeding closes.
         shard
             .breaker
             .store(Breaker::HalfOpen as u8, Ordering::SeqCst);
         shard.mark_failed(Duration::from_millis(1));
         assert_eq!(shard.breaker(), Breaker::Open);
-        assert_eq!(shard.breaker_opens.load(Ordering::SeqCst), 1);
+        assert_eq!(shard.counters.breaker_opens.get(), 1);
         shard
             .breaker
             .store(Breaker::HalfOpen as u8, Ordering::SeqCst);
         shard.mark_healthy(Duration::from_secs(1));
         assert_eq!(shard.breaker(), Breaker::Closed);
-        assert_eq!(shard.readmissions.load(Ordering::SeqCst), 1);
+        assert_eq!(shard.counters.readmissions.get(), 1);
         assert_eq!(Breaker::HalfOpen.as_str(), "half-open");
     }
 
@@ -715,17 +690,21 @@ mod tests {
     fn p99_needs_samples_then_tracks_the_tail() {
         let shard = Shard::new("shard0".into(), "127.0.0.1:1".into());
         for i in 0..MIN_LATENCY_SAMPLES - 1 {
-            shard.record_latency(Duration::from_micros(100 + i as u64));
+            shard.record_latency(Duration::from_micros(100 + i));
             assert_eq!(shard.p99_us(), None, "cold window must not hedge");
         }
         shard.record_latency(Duration::from_millis(50));
         let p99 = shard.p99_us().expect("window is warm");
-        assert_eq!(p99, 50_000, "p99 must sit at the tail outlier");
-        // The window rolls: old samples eventually fall out.
+        assert_eq!(
+            p99,
+            Histogram::bucket_floor(50_000),
+            "p99 must sit at the tail outlier"
+        );
+        // The histogram ages: the outlier falls out after one window.
         for _ in 0..LATENCY_WINDOW {
             shard.record_latency(Duration::from_micros(200));
         }
-        assert_eq!(shard.p99_us(), Some(200));
+        assert_eq!(shard.p99_us(), Some(Histogram::bucket_floor(200)));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use gpp_gateway::ring::{routing_key, HashRing};
 use gpp_gateway::{Gateway, GatewayConfig, GatewayState};
 use gpp_serve::{Client, ServeConfig, Server, ServerHandle};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -133,15 +132,12 @@ fn assert_injected_kill_is_bit_invisible(seed: u64) {
     );
 
     // The kill really happened and really re-routed.
-    let m = &state.metrics;
-    assert!(
-        m.failovers.load(Ordering::Relaxed) >= 1,
-        "seed {seed}: no fail-over recorded"
-    );
-    assert_eq!(m.unavailable.load(Ordering::Relaxed), 0);
+    let m = &state.counters;
+    assert!(m.failovers.get() >= 1, "seed {seed}: no fail-over recorded");
+    assert_eq!(m.unavailable.get(), 0);
     let dead = &state.pool.shards()[victim_idx];
     assert!(!dead.is_healthy(), "seed {seed}: victim still healthy");
-    assert!(dead.forward_errors.load(Ordering::Relaxed) >= 1);
+    assert!(dead.counters.forward_errors.get() >= 1);
 
     for s in shards {
         s.shutdown_and_join().unwrap();
@@ -269,7 +265,7 @@ fn recovered_shard_is_readmitted_and_reowns_its_keys() {
     assert_eq!(replies, reference, "fail-over window changed the bytes");
 
     let shard = &state.pool.shards()[victim_idx];
-    assert!(shard.forward_errors.load(Ordering::Relaxed) >= 1);
+    assert!(shard.counters.forward_errors.get() >= 1);
 
     // Drive the prober by hand until the exhausted rule lets a probe
     // through and the shard rejoins the healthy set.
@@ -284,7 +280,7 @@ fn recovered_shard_is_readmitted_and_reowns_its_keys() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(shard.readmissions.load(Ordering::SeqCst) >= 1);
+    assert!(shard.counters.readmissions.get() >= 1);
 
     // Its keyspace comes home: re-running a script request that the
     // victim owns routes to it again (and, being cached upstream now,
@@ -300,11 +296,11 @@ fn recovered_shard_is_readmitted_and_reowns_its_keys() {
             HashRing::new(&labels).route(key).unwrap() == victim_idx
         })
         .expect("victim owns at least one script key");
-    let before = shard.routed.load(Ordering::Relaxed);
+    let before = shard.counters.routed.get();
     let reply = state.handle(&script[owned]);
     assert!(reply.starts_with("{\"ok\":true"), "{reply}");
     assert_eq!(
-        shard.routed.load(Ordering::Relaxed),
+        shard.counters.routed.get(),
         before + 1,
         "re-admitted shard did not get its key back"
     );

@@ -5,8 +5,10 @@
 
 use gpp_gateway::ring::routing_key;
 use gpp_gateway::{Gateway, GatewayConfig, GatewayState};
+use gpp_serve::protocol::read_frame;
 use gpp_serve::{Client, Command, Request, ServeConfig, Server, ServerHandle};
-use std::sync::atomic::Ordering;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,7 +126,7 @@ fn identical_programs_route_to_one_shard() {
         .pool
         .shards()
         .iter()
-        .map(|s| s.routed.load(Ordering::Relaxed))
+        .map(|s| s.counters.routed.get())
         .collect();
     assert_eq!(routed.iter().sum::<u64>(), 4, "routed: {routed:?}");
     assert_eq!(
@@ -136,7 +138,7 @@ fn identical_programs_route_to_one_shard() {
     // The shard that served them memoized: seeds differ (projection
     // misses) but calibration work all landed in one cache.
     let primary = routed.iter().position(|&n| n > 0).unwrap();
-    assert_eq!(shards[primary].state().snapshot(0).served_ok, 4);
+    assert_eq!(shards[primary].state().metrics.totals().served_ok.get(), 4);
     for s in shards {
         s.shutdown_and_join().unwrap();
     }
@@ -181,18 +183,19 @@ fn concurrent_identical_requests_coalesce_to_one_upstream_projection() {
         assert_eq!(f.join().unwrap(), lead_reply, "followers share the bytes");
     }
 
-    let snap = shards[0].state().snapshot(0);
+    let snap = shards[0].state().metrics.totals();
     assert_eq!(
-        snap.proj_misses, 1,
+        snap.proj_misses.get(),
+        1,
         "exactly one projection went upstream (snapshot: {snap:?})"
     );
-    assert_eq!(snap.proj_hits, 0, "no follower re-asked: {snap:?}");
+    assert_eq!(snap.proj_hits.get(), 0, "no follower re-asked: {snap:?}");
     assert_eq!(
-        state.metrics.coalesced.load(Ordering::Relaxed),
+        state.counters.coalesced.get(),
         8,
         "all 8 followers coalesced"
     );
-    assert_eq!(state.metrics.routed_total.load(Ordering::Relaxed), 1);
+    assert_eq!(state.counters.routed_total.get(), 1);
     for s in shards {
         s.shutdown_and_join().unwrap();
     }
@@ -229,8 +232,8 @@ fn batch_through_the_gateway_matches_single_shot_replies() {
         singles.join(",")
     );
     assert_eq!(reply, expected);
-    assert_eq!(state.metrics.batch_frames.load(Ordering::Relaxed), 1);
-    assert_eq!(state.metrics.batch_subs.load(Ordering::Relaxed), 4);
+    assert_eq!(state.counters.batch_frames.get(), 1);
+    assert_eq!(state.counters.batch_subs.get(), 4);
 
     reference.shutdown_and_join().unwrap();
     for s in shards {
@@ -308,4 +311,31 @@ fn idle_gateway_shuts_down_promptly() {
     for s in shards {
         s.shutdown_and_join().unwrap();
     }
+}
+
+/// The frame server counts a gateway's oversized frames, like its caught
+/// panics and respawned workers, under `stats.gateway`.
+#[test]
+fn an_oversized_frame_is_counted_in_gateway_stats() {
+    let config = GatewayConfig {
+        max_frame_bytes: 64,
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::bind(config, vec!["127.0.0.1:1".into()])
+        .unwrap()
+        .spawn()
+        .unwrap();
+    // Only the length line: the reply comes before any body is read, and
+    // the close leaves no unread bytes behind to reset the connection.
+    let mut stream = TcpStream::connect(gateway.addr()).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream.write_all(b"1000\n").unwrap();
+    let reply = read_frame(&mut stream).unwrap().expect("a reply frame");
+    assert!(reply.contains("\"kind\":\"too_large\""), "{reply}");
+
+    let mut client = Client::connect(gateway.addr(), TIMEOUT).unwrap();
+    let stats = client.call(&Request::new(Command::Stats)).unwrap();
+    assert!(stats.contains("\"too_large_rejected\":1"), "{stats}");
+    assert!(stats.contains("\"panics_caught\":0"), "{stats}");
+    gateway.shutdown_and_join().unwrap();
 }

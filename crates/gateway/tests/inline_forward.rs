@@ -10,7 +10,6 @@ use gpp_gateway::{GatewayConfig, GatewayState};
 use gpp_serve::protocol::{read_frame, write_frame};
 use parking_lot::Mutex;
 use std::net::TcpListener;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,5 +76,5 @@ fn a_prompt_forward_starts_no_thread() {
         seen.iter().all(|&n| n == before),
         "threads while a shard held the frame: {seen:?}, before: {before}"
     );
-    assert_eq!(state.metrics.hedges_fired.load(Ordering::Relaxed), 0);
+    assert_eq!(state.counters.hedges_fired.get(), 0);
 }

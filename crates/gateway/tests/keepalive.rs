@@ -94,7 +94,7 @@ fn a_hundred_forwards_share_one_shard_connection() {
         assert_eq!(state.handle(&project(0)), REPLY, "forward {i}");
     }
     assert_eq!(accepted.load(Ordering::SeqCst), 1);
-    assert_eq!(state.metrics.hedges_fired.load(Ordering::Relaxed), 0);
+    assert_eq!(state.counters.hedges_fired.get(), 0);
 }
 
 const CLIENTS: usize = 4;
@@ -157,8 +157,8 @@ fn concurrent_forwards_never_starve_behind_pooled_connections() {
     );
     drive_memo_hits(|| |payload: &str| state.handle(payload));
     for shard in state.pool.shards() {
-        assert_eq!(shard.forward_errors.load(Ordering::Relaxed), 0);
-        assert_eq!(shard.breaker_opens.load(Ordering::Relaxed), 0);
+        assert_eq!(shard.counters.forward_errors.get(), 0);
+        assert_eq!(shard.counters.breaker_opens.get(), 0);
     }
     for s in shards {
         s.shutdown_and_join().unwrap();
@@ -186,8 +186,8 @@ fn concurrent_clients_and_probes_never_starve_behind_pooled_connections() {
     // have failed by now.
     std::thread::sleep(Duration::from_millis(2500));
     for shard in gateway.state().pool.shards() {
-        assert_eq!(shard.forward_errors.load(Ordering::Relaxed), 0);
-        assert_eq!(shard.breaker_opens.load(Ordering::Relaxed), 0);
+        assert_eq!(shard.counters.forward_errors.get(), 0);
+        assert_eq!(shard.counters.breaker_opens.get(), 0);
     }
     gateway.shutdown_and_join().unwrap();
     for s in shards {
@@ -226,7 +226,7 @@ fn a_direct_client_waits_at_most_about_one_tick_for_an_idle_pooled_connection() 
     let again = via.call_raw(&payload).unwrap();
     assert_eq!(again, reply.replace("\"cached\":false", "\"cached\":true"));
     let pool = &gateway.state().pool;
-    assert_eq!(pool.shards()[0].forward_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(pool.shards()[0].counters.forward_errors.get(), 0);
     drop(via);
     gateway.shutdown_and_join().unwrap();
     shard.shutdown_and_join().unwrap();
@@ -259,13 +259,13 @@ fn a_restarted_shard_is_reached_on_a_new_connection_without_a_failure() {
     let restarted = spawn_shard(&addrs[0], 2);
     assert_eq!(state.handle(&payload), reference);
 
-    let m = &state.metrics;
-    assert_eq!(m.failovers.load(Ordering::Relaxed), 0);
+    let m = &state.counters;
+    assert_eq!(m.failovers.get(), 0);
     for shard in state.pool.shards() {
-        assert_eq!(shard.forward_errors.load(Ordering::Relaxed), 0);
-        assert_eq!(shard.breaker_opens.load(Ordering::Relaxed), 0);
+        assert_eq!(shard.counters.forward_errors.get(), 0);
+        assert_eq!(shard.counters.breaker_opens.get(), 0);
     }
-    assert_eq!(state.pool.shards()[0].routed.load(Ordering::Relaxed), 2);
+    assert_eq!(state.pool.shards()[0].counters.routed.get(), 2);
     restarted.shutdown_and_join().unwrap();
     for s in shards {
         s.shutdown_and_join().unwrap();

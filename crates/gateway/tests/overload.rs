@@ -15,7 +15,6 @@ use gpp_serve::protocol::{read_frame, write_frame};
 use gpp_serve::service::busy_response;
 use gpp_serve::{Client, ServeConfig, Server, ServerHandle};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -161,12 +160,12 @@ fn hedging_beats_the_no_hedge_baseline_under_a_slow_shard() {
         "hedging goodput {ok_with}/12 must beat the no-hedge baseline {ok_without}/12"
     );
     assert_eq!(
-        baseline.metrics.hedges_fired.load(Ordering::Relaxed),
+        baseline.counters.hedges_fired.get(),
         0,
         "--no-hedge must keep hedging off"
     );
-    let fired = state.metrics.hedges_fired.load(Ordering::Relaxed);
-    let won = state.metrics.hedges_won.load(Ordering::Relaxed);
+    let fired = state.counters.hedges_fired.get();
+    let won = state.counters.hedges_won.get();
     assert!(fired >= 1, "the stalled primary never triggered a hedge");
     assert!(won >= 1, "no hedge ever won against a {SLOW_MS}ms stall");
     assert!(won <= fired);
@@ -222,7 +221,7 @@ fn fault_free_replies_stay_bit_identical_with_hedging_on_and_deadlines_met() {
         reference.iter().map(normalize).collect::<Vec<_>>(),
         "a met deadline changed the reply bytes"
     );
-    assert_eq!(state.metrics.shed_deadline.load(Ordering::Relaxed), 0);
+    assert_eq!(state.counters.shed_deadline.get(), 0);
     for s in shards {
         s.shutdown_and_join().unwrap();
     }
@@ -240,9 +239,9 @@ fn expired_deadline_is_answered_locally_without_a_forward() {
     // before routing even starts.
     let reply = state.handle_at(payload, Instant::now() - Duration::from_millis(200));
     assert!(reply.contains("\"kind\":\"deadline\""), "{reply}");
-    assert_eq!(state.metrics.shed_deadline.load(Ordering::Relaxed), 1);
+    assert_eq!(state.counters.shed_deadline.get(), 1);
     assert_eq!(
-        state.metrics.routed_total.load(Ordering::Relaxed),
+        state.counters.routed_total.get(),
         0,
         "an expired deadline must not reach a shard"
     );
@@ -298,14 +297,7 @@ fn busy_rejection_reaches_the_client_intact() {
             Err(e) => panic!("attempt {attempt}: no busy reply: {e}"),
         }
     }
-    assert_eq!(
-        gateway
-            .state()
-            .metrics
-            .rejected_busy
-            .load(Ordering::Relaxed),
-        20
-    );
+    assert_eq!(gateway.state().counters.rejected_busy.get(), 20);
 
     drop((holder_a, holder_b));
     gateway.shutdown_and_join().unwrap();
@@ -393,8 +385,8 @@ fn late_reply_on_the_wire_is_handed_off_and_the_hedge_wins() {
         elapsed < Duration::from_millis(SLOW_MS / 2),
         "late forward took {elapsed:?} against a {SLOW_MS}ms stall"
     );
-    assert_eq!(state.metrics.hedges_fired.load(Ordering::Relaxed), 1);
-    assert_eq!(state.metrics.hedges_won.load(Ordering::Relaxed), 1);
+    assert_eq!(state.counters.hedges_fired.get(), 1);
+    assert_eq!(state.counters.hedges_won.get(), 1);
     fake.join().unwrap();
     real.shutdown_and_join().unwrap();
 }
@@ -412,18 +404,18 @@ fn primary_closing_without_a_reply_fails_over_and_opens_its_breaker() {
     assert_eq!(state.handle(&payload), reference);
     fake.join().unwrap();
     let shards = state.pool.shards();
-    assert_eq!(shards[0].breaker_opens.load(Ordering::Relaxed), 1);
-    assert_eq!(shards[0].forward_errors.load(Ordering::Relaxed), 1);
+    assert_eq!(shards[0].counters.breaker_opens.get(), 1);
+    assert_eq!(shards[0].counters.forward_errors.get(), 1);
     assert!(
         !shards[0].is_healthy(),
         "the fake shard's breaker must be open"
     );
     assert_eq!(
-        shards[1].routed.load(Ordering::Relaxed),
+        shards[1].counters.routed.get(),
         1,
         "the real shard answered"
     );
-    assert_eq!(state.metrics.unavailable.load(Ordering::Relaxed), 0);
+    assert_eq!(state.counters.unavailable.get(), 0);
     real.shutdown_and_join().unwrap();
 }
 
@@ -473,8 +465,8 @@ fn primary_stuck_in_connect_still_hedges_at_its_p99() {
         elapsed < Duration::from_millis(P99_MS + 1000),
         "a connect-stuck primary held the request for {elapsed:?}"
     );
-    assert_eq!(state.metrics.hedges_fired.load(Ordering::Relaxed), 1);
-    assert_eq!(state.metrics.hedges_won.load(Ordering::Relaxed), 1);
+    assert_eq!(state.counters.hedges_fired.get(), 1);
+    assert_eq!(state.counters.hedges_won.get(), 1);
     real.shutdown_and_join().unwrap();
 }
 
@@ -512,7 +504,7 @@ fn prompt_memo_hits_never_hedge() {
             "forward {i}"
         );
     }
-    assert_eq!(state.metrics.hedges_fired.load(Ordering::Relaxed), 0);
+    assert_eq!(state.counters.hedges_fired.get(), 0);
     for s in shards {
         s.shutdown_and_join().unwrap();
     }

@@ -4,7 +4,6 @@
 
 use gpp_gateway::{GatewayConfig, GatewayState};
 use gpp_serve::{ServeConfig, Server};
-use std::sync::atomic::Ordering;
 
 const VEC_ADD: &str = include_str!("../../../skeletons/vector_add.gsk");
 
@@ -31,8 +30,8 @@ fn a_host_name_shard_forwards() {
 
     let reply = state.handle(&project());
     assert!(reply.starts_with("{\"ok\":true"), "{reply}");
-    assert_eq!(shard.state().snapshot(0).served_ok, 1);
-    assert_eq!(state.pool.shards()[0].routed.load(Ordering::Relaxed), 1);
+    assert_eq!(shard.state().metrics.totals().served_ok.get(), 1);
+    assert_eq!(state.pool.shards()[0].counters.routed.get(), 1);
     assert!(state.pool.shards()[0].is_healthy());
     let stats = state.handle("gpp/1 stats");
     assert!(stats.contains(&format!("\"addr\":\"{addr}\"")), "{stats}");
@@ -52,6 +51,6 @@ fn an_unresolvable_shard_is_marked_failed_and_answered_unavailable() {
     );
     let shard = &state.pool.shards()[0];
     assert!(!shard.is_healthy());
-    assert_eq!(shard.forward_errors.load(Ordering::Relaxed), 1);
-    assert_eq!(state.metrics.unavailable.load(Ordering::Relaxed), 1);
+    assert_eq!(shard.counters.forward_errors.get(), 1);
+    assert_eq!(state.counters.unavailable.get(), 1);
 }

@@ -26,7 +26,7 @@
 //! lets each worker drain the queue and finish in-flight requests before
 //! the pool joins — no request that was accepted is abandoned.
 
-use crate::metrics::Metrics;
+use crate::metrics::Counter;
 use crate::protocol::{read_frame_limited, write_frame, FrameError, ProtocolError};
 use crate::service::{
     busy_response_with_hint, error_json, shed_queue_response, ServeConfig, ServiceState,
@@ -36,7 +36,7 @@ use std::borrow::Cow;
 use std::io::{self, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,10 +58,8 @@ pub trait Handler: Send + Sync + 'static {
     fn reply(&self, payload: &str, queued: Duration, queue_len: usize) -> String;
     /// The reply to a connection rejected at a full queue; counts it too.
     fn reject(&self, why: Reject, queue_len: usize) -> String;
-    /// Where caught panics, worker respawns and oversized frames count.
-    fn metrics(&self) -> Option<&Metrics> {
-        None
-    }
+    /// Where the server counts one of its own events.
+    fn counter(&self, tally: Tally) -> &Counter;
     /// Runs beside the workers until `shutdown` is set (a prober).
     fn beside(&self, _shutdown: &AtomicBool) {}
 }
@@ -77,6 +75,16 @@ pub struct Limits {
     /// Largest accepted request frame; a bigger declared length gets a
     /// structured `too_large` reply before any allocation.
     pub max_frame_bytes: usize,
+}
+
+/// The events a [`FrameServer`] counts on its handler's counters.
+pub enum Tally {
+    /// A request handler panicked; the client got an `internal` reply.
+    PanicsCaught,
+    /// A worker died outside per-request isolation and was respawned.
+    WorkerRespawns,
+    /// A frame was rejected with `too_large` before allocation.
+    TooLargeRejected,
 }
 
 /// Why a connection is rejected at a full queue.
@@ -156,7 +164,7 @@ impl<H: Handler> FrameServer<H> {
                     {
                         Ok(()) => break, // channel disconnected: clean drain
                         Err(_) => {
-                            count(handler, |m| &m.worker_respawns);
+                            handler.counter(Tally::WorkerRespawns).bump();
                             eprintln!("{}: worker {w} died; respawning", H::NAME);
                         }
                     }
@@ -375,7 +383,7 @@ fn serve_connection<H: Handler>(
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()),
             Err(FrameError::TooLarge { declared, max }) => {
-                count(handler, |m| &m.too_large_rejected);
+                handler.counter(Tally::TooLargeRejected).bump();
                 let reply = error_json(&ProtocolError::new(
                     "too_large",
                     format!("request frame of {declared} B exceeds the {max} B limit"),
@@ -389,7 +397,7 @@ fn serve_connection<H: Handler>(
             handler.reply(&payload, queued, rx.len())
         }))
         .unwrap_or_else(|cause| {
-            count(handler, |m| &m.panics_caught);
+            handler.counter(Tally::PanicsCaught).bump();
             let what = panic_message(&cause);
             error_json(&ProtocolError::new(
                 "internal",
@@ -427,7 +435,7 @@ impl Handler for ServiceState {
         if faults.is_active() && faults.fires(gpp_fault::SERVE_FRAME_CORRUPT) {
             // The header magic is replaced, so decoding fails with
             // `bad-magic` the way a bit-flipped frame would.
-            Metrics::bump(&self.metrics.frames_corrupted);
+            self.metrics.counters.frames_corrupted.bump();
             payload = Cow::Owned(format!("xx!corrupt!{payload}"));
         }
         if faults.is_active() && faults.fires(gpp_fault::SERVE_WORKER_PANIC) {
@@ -441,25 +449,23 @@ impl Handler for ServiceState {
         let hint = self.retry_after_hint_ms(queue_len);
         match why {
             Reject::Shed => {
-                Metrics::bump(&self.metrics.shed_queue);
+                self.metrics.counters.shed_queue.bump();
                 shed_queue_response(hint)
             }
             Reject::Busy => {
-                Metrics::bump(&self.metrics.rejected_busy);
+                self.metrics.counters.rejected_busy.bump();
                 busy_response_with_hint(hint)
             }
         }
     }
 
-    fn metrics(&self) -> Option<&Metrics> {
-        Some(&self.metrics)
-    }
-}
-
-/// Bumps one of the handler's counters, if it keeps them.
-fn count<H: Handler>(handler: &H, counter: impl FnOnce(&Metrics) -> &AtomicU64) {
-    if let Some(metrics) = handler.metrics() {
-        Metrics::bump(counter(metrics));
+    fn counter(&self, tally: Tally) -> &Counter {
+        let c = &self.metrics.counters;
+        match tally {
+            Tally::PanicsCaught => &c.panics_caught,
+            Tally::WorkerRespawns => &c.worker_respawns,
+            Tally::TooLargeRejected => &c.too_large_rejected,
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use crate::cache::{
     fnv1a, CalibKey, CalibrationCache, ProjectionCache, ProjectionKey, RenderedProjection, TextKey,
 };
 use crate::client::RetryBudget;
-use crate::metrics::{Metrics, StatsSnapshot};
+use crate::metrics::Metrics;
 use crate::protocol::{Command, LintDiagnostic, ProtocolError, Request};
 use gpp_datausage::{analyze, Hints};
 use gpp_fault::FaultInjector;
@@ -101,7 +101,7 @@ impl ServiceState {
         ServiceState {
             projections: ProjectionCache::new(config.projection_cache),
             calibrations: CalibrationCache::new(),
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             calib_budget: RetryBudget::new(CALIB_BUDGET_CAPACITY)
                 .with_deposit_milli(CALIB_BUDGET_DEPOSIT_MILLI),
             config,
@@ -130,7 +130,7 @@ impl ServiceState {
                 // is converted to a structured deadline error instead.
                 if let Some(rem) = remaining {
                     if start.elapsed() > rem {
-                        Metrics::bump(&self.metrics.shed_deadline);
+                        self.metrics.counters.shed_deadline.bump();
                         return Err(deadline_exceeded(req.deadline_ms.unwrap_or(0)));
                     }
                 }
@@ -138,13 +138,13 @@ impl ServiceState {
             });
         let response = match result {
             Ok(json) => {
-                Metrics::bump(&self.metrics.served_ok);
+                self.metrics.counters.served_ok.bump();
                 json
             }
             Err(e) => {
-                Metrics::bump(&self.metrics.served_err);
+                self.metrics.counters.served_err.bump();
                 if e.kind == "timeout" {
-                    Metrics::bump(&self.metrics.timeouts);
+                    self.metrics.counters.timeouts.bump();
                 }
                 error_json(&e)
             }
@@ -173,7 +173,7 @@ impl ServiceState {
         let remaining = Duration::from_millis(ms).saturating_sub(queued);
         let p50 = Duration::from_micros(self.metrics.compute_p50_us());
         if remaining <= p50 {
-            Metrics::bump(&self.metrics.shed_deadline);
+            self.metrics.counters.shed_deadline.bump();
             return Err(ProtocolError::new(
                 "shed",
                 format!(
@@ -214,7 +214,7 @@ impl ServiceState {
     /// The `health` response: role, machine roster, and coarse served
     /// counters — everything a gateway needs to admit or evict this shard.
     fn health_json(&self) -> Json {
-        let s = self.snapshot(0);
+        let (c, up) = (&self.metrics.counters, self.metrics.started.elapsed());
         Json::obj([
             ("ok", Json::Bool(true)),
             ("command", Json::Str("health".into())),
@@ -230,9 +230,9 @@ impl ServiceState {
                         .collect(),
                 ),
             ),
-            ("served_ok", Json::Num(s.served_ok as f64)),
-            ("served_err", Json::Num(s.served_err as f64)),
-            ("uptime_seconds", Json::Num(s.uptime.as_secs_f64())),
+            ("served_ok", Json::Num(c.served_ok.get() as f64)),
+            ("served_err", Json::Num(c.served_err.get() as f64)),
+            ("uptime_seconds", Json::Num(up.as_secs_f64())),
         ])
     }
 
@@ -265,7 +265,7 @@ impl ServiceState {
         let elapsed = start.elapsed();
         if let Some(rem) = remaining {
             if rem < self.config.request_timeout && elapsed > rem {
-                Metrics::bump(&self.metrics.shed_deadline);
+                self.metrics.counters.shed_deadline.bump();
                 return Err(deadline_exceeded(rem.as_millis() as u64));
             }
         }
@@ -309,7 +309,8 @@ impl ServiceState {
     /// with the registry's sorted known-name list.
     fn machine(&self, req: &Request) -> Result<MachineConfig, ProtocolError> {
         let machine = resolve_machine(&self.config.machines, &req.machine, req.seed)?;
-        self.metrics.bump_machine(&machine.id, |c| c.requests += 1);
+        self.metrics
+            .bump_machine(&machine.id, |c| c.requests.bump());
         Ok(machine)
     }
 
@@ -324,14 +325,12 @@ impl ServiceState {
             seed: req.seed,
         };
         if let Some(gro) = self.calibrations.get(&key) {
-            Metrics::bump(&self.metrics.calib_hits);
             self.metrics
-                .bump_machine(&machine.id, |c| c.calib_hits += 1);
+                .bump_machine(&machine.id, |c| c.calib_hits.bump());
             return Ok((gro, false));
         }
-        Metrics::bump(&self.metrics.calib_misses);
         self.metrics
-            .bump_machine(&machine.id, |c| c.calib_misses += 1);
+            .bump_machine(&machine.id, |c| c.calib_misses.bump());
         let faults = &self.config.faults;
         let mut last_err = String::new();
         for attempt in 0..CALIB_ATTEMPTS {
@@ -342,10 +341,10 @@ impl ServiceState {
                 // An empty bucket falls straight through to the last-good
                 // fallback below.
                 if !self.calib_budget.try_withdraw() {
-                    Metrics::bump(&self.metrics.retry_budget_exhausted);
+                    self.metrics.counters.retry_budget_exhausted.bump();
                     break;
                 }
-                Metrics::bump(&self.metrics.calib_retries);
+                self.metrics.counters.calib_retries.bump();
                 std::thread::sleep(crate::client::backoff_delay(
                     CALIB_BACKOFF,
                     attempt,
@@ -373,9 +372,8 @@ impl ServiceState {
             }
         }
         if let Some(gro) = self.calibrations.last_good(&req.machine) {
-            Metrics::bump(&self.metrics.degraded_replies);
             self.metrics
-                .bump_machine(&machine.id, |c| c.degraded_replies += 1);
+                .bump_machine(&machine.id, |c| c.degraded_replies.bump());
             return Ok((gro, true));
         }
         Err(ProtocolError::new(
@@ -482,14 +480,12 @@ impl ServiceState {
         hints: &Hints,
     ) -> (Arc<RenderedProjection>, bool) {
         if let Some(p) = self.projections.get(key) {
-            Metrics::bump(&self.metrics.proj_hits);
             self.metrics
-                .bump_machine(&key.machine, |c| c.proj_hits += 1);
+                .bump_machine(&key.machine, |c| c.proj_hits.bump());
             return (p, true);
         }
-        Metrics::bump(&self.metrics.proj_misses);
         self.metrics
-            .bump_machine(&key.machine, |c| c.proj_misses += 1);
+            .bump_machine(&key.machine, |c| c.proj_misses.bump());
         let proj = Arc::new(RenderedProjection::new(gro, gro.project(program, hints)));
         self.projections.insert(key.clone(), proj.clone());
         (proj, false)
@@ -514,15 +510,13 @@ impl ServiceState {
             // calibrations are never evicted: the full path would hit the
             // calibration cache and then the memo entry.
             self.check_deadline(start, remaining)?;
-            Metrics::bump(&self.metrics.calib_hits);
             self.metrics.bump_machine(&req.machine, |c| {
-                c.requests += 1;
-                c.calib_hits += 1;
+                c.requests.bump();
+                c.calib_hits.bump();
             });
             self.check_deadline(start, remaining)?;
-            Metrics::bump(&self.metrics.proj_hits);
             self.metrics
-                .bump_machine(&req.machine, |c| c.proj_hits += 1);
+                .bump_machine(&req.machine, |c| c.proj_hits.bump());
             return Ok(project_reply(req, &parts, &rendered, true, false));
         }
         let (program, map, hints) = self.program_and_hints(req)?;
@@ -730,126 +724,66 @@ impl ServiceState {
         ]))
     }
 
-    /// The `stats` response body.
+    /// The `stats` response body: the counters in their declared groups,
+    /// each total the value kept once plus the machine rows'.
     pub fn stats_json(&self, queue_depth: usize) -> Json {
-        let s = self.snapshot(queue_depth);
+        let m = &self.metrics;
+        let totals = m.totals();
         let pool = gpp_par::Pool::global().stats();
         let (synth_hits, synth_misses) = gpp_gpu_model::synth_memo_stats();
+        let num = |n: u64| Json::Num(n as f64);
+        let memo = self.projections.keys().into_iter().map(|k| {
+            Json::obj([
+                ("machine", Json::Str(k.machine.clone())),
+                ("seed", num(k.seed)),
+                ("fingerprint", Json::Str(format!("{:032x}", k.fingerprint))),
+            ])
+        });
+        let faults = [("faults_injected", num(self.config.faults.total_fired()))];
+        let machines = m.machines().into_iter().map(|(name, row)| {
+            let name = [("machine", Json::Str(name))];
+            Json::obj(name.into_iter().chain(row.group("machine")))
+        });
+        let uptime = Json::Num(m.started.elapsed().as_secs_f64());
+        let stats = [("uptime_seconds", uptime)]
+            .into_iter()
+            .chain(totals.group("stats"))
+            .chain(m.percentiles().map(|(key, us)| (key, num(us))))
+            .chain([
+                ("queue_depth", num(queue_depth as u64)),
+                (
+                    "projection_cache_entries",
+                    num(self.projections.len() as u64),
+                ),
+                (
+                    "calibration_cache_entries",
+                    num(self.calibrations.len() as u64),
+                ),
+                ("projection_memo", Json::Arr(memo.collect())),
+                (
+                    "pool",
+                    Json::obj([
+                        ("threads", num(pool.threads as u64)),
+                        ("busy_workers", num(pool.busy_workers as u64)),
+                        ("tasks_executed", num(pool.tasks_executed)),
+                        ("parallel_regions", num(pool.parallel_regions)),
+                    ]),
+                ),
+                (
+                    "synthesis_memo",
+                    Json::obj([("hits", num(synth_hits)), ("misses", num(synth_misses))]),
+                ),
+                (
+                    "resilience",
+                    Json::obj(faults.into_iter().chain(totals.group("resilience"))),
+                ),
+                ("machines", Json::Arr(machines.collect())),
+            ]);
         Json::obj([
             ("ok", Json::Bool(true)),
             ("command", Json::Str("stats".into())),
-            (
-                "stats",
-                Json::obj([
-                    ("uptime_seconds", Json::Num(s.uptime.as_secs_f64())),
-                    ("served_ok", Json::Num(s.served_ok as f64)),
-                    ("served_err", Json::Num(s.served_err as f64)),
-                    ("rejected_busy", Json::Num(s.rejected_busy as f64)),
-                    ("timeouts", Json::Num(s.timeouts as f64)),
-                    ("calibration_hits", Json::Num(s.calib_hits as f64)),
-                    ("calibration_misses", Json::Num(s.calib_misses as f64)),
-                    ("projection_hits", Json::Num(s.proj_hits as f64)),
-                    ("projection_misses", Json::Num(s.proj_misses as f64)),
-                    ("p50_latency_us", Json::Num(s.p50_latency_us as f64)),
-                    ("p99_latency_us", Json::Num(s.p99_latency_us as f64)),
-                    ("p50_queued_us", Json::Num(s.p50_queued_us as f64)),
-                    ("p99_queued_us", Json::Num(s.p99_queued_us as f64)),
-                    ("p50_compute_us", Json::Num(s.p50_compute_us as f64)),
-                    ("p99_compute_us", Json::Num(s.p99_compute_us as f64)),
-                    ("queue_depth", Json::Num(s.queue_depth as f64)),
-                    (
-                        "projection_cache_entries",
-                        Json::Num(s.proj_cache_len as f64),
-                    ),
-                    (
-                        "calibration_cache_entries",
-                        Json::Num(s.calib_cache_len as f64),
-                    ),
-                    (
-                        "projection_memo",
-                        Json::Arr(
-                            self.projections
-                                .keys()
-                                .into_iter()
-                                .map(|k| {
-                                    Json::obj([
-                                        ("machine", Json::Str(k.machine.clone())),
-                                        ("seed", Json::Num(k.seed as f64)),
-                                        (
-                                            "fingerprint",
-                                            Json::Str(format!("{:032x}", k.fingerprint)),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "pool",
-                        Json::obj([
-                            ("threads", Json::Num(pool.threads as f64)),
-                            ("busy_workers", Json::Num(pool.busy_workers as f64)),
-                            ("tasks_executed", Json::Num(pool.tasks_executed as f64)),
-                            ("parallel_regions", Json::Num(pool.parallel_regions as f64)),
-                        ]),
-                    ),
-                    (
-                        "synthesis_memo",
-                        Json::obj([
-                            ("hits", Json::Num(synth_hits as f64)),
-                            ("misses", Json::Num(synth_misses as f64)),
-                        ]),
-                    ),
-                    (
-                        "resilience",
-                        Json::obj([
-                            ("faults_injected", Json::Num(s.faults_injected as f64)),
-                            ("calibration_retries", Json::Num(s.calib_retries as f64)),
-                            ("panics_caught", Json::Num(s.panics_caught as f64)),
-                            ("worker_respawns", Json::Num(s.worker_respawns as f64)),
-                            ("degraded_replies", Json::Num(s.degraded_replies as f64)),
-                            ("too_large_rejected", Json::Num(s.too_large_rejected as f64)),
-                            ("frames_corrupted", Json::Num(s.frames_corrupted as f64)),
-                            ("shed_deadline", Json::Num(s.shed_deadline as f64)),
-                            ("shed_queue", Json::Num(s.shed_queue as f64)),
-                            (
-                                "retry_budget_exhausted",
-                                Json::Num(s.retry_budget_exhausted as f64),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "machines",
-                        Json::Arr(
-                            s.machines
-                                .iter()
-                                .map(|(name, c)| {
-                                    Json::obj([
-                                        ("machine", Json::Str(name.clone())),
-                                        ("requests", Json::Num(c.requests as f64)),
-                                        ("calibration_hits", Json::Num(c.calib_hits as f64)),
-                                        ("calibration_misses", Json::Num(c.calib_misses as f64)),
-                                        ("projection_hits", Json::Num(c.proj_hits as f64)),
-                                        ("projection_misses", Json::Num(c.proj_misses as f64)),
-                                        ("degraded_replies", Json::Num(c.degraded_replies as f64)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
+            ("stats", Json::obj(stats)),
         ])
-    }
-
-    /// A typed snapshot (used by tests and the CLI).
-    pub fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
-        self.metrics.snapshot(
-            queue_depth,
-            self.projections.len(),
-            self.calibrations.len(),
-            self.config.faults.total_fired(),
-        )
     }
 }
 
@@ -1088,9 +1022,12 @@ mod tests {
         assert!(first.contains("\"cached\":false"));
         let second = s.handle(&payload("project", VEC_ADD), 0);
         assert!(second.contains("\"cached\":true"), "{second}");
-        let snap = s.snapshot(0);
-        assert_eq!((snap.proj_misses, snap.proj_hits), (1, 1));
-        assert_eq!((snap.calib_misses, snap.calib_hits >= 1), (1, true));
+        let snap = s.metrics.totals();
+        assert_eq!((snap.proj_misses.get(), snap.proj_hits.get()), (1, 1));
+        assert_eq!(
+            (snap.calib_misses.get(), snap.calib_hits.get() >= 1),
+            (1, true)
+        );
         // Identical result either way.
         assert_eq!(
             first.replace("\"cached\":false", ""),
@@ -1115,7 +1052,7 @@ mod tests {
         assert!(other_seed.contains("\"cached\":false"));
         let other_machine = s.handle(&format!("gpp/1 project machine=v2\n{VEC_ADD}"), 0);
         assert!(other_machine.contains("\"cached\":false"));
-        assert_eq!(s.snapshot(0).proj_misses, 3);
+        assert_eq!(s.metrics.totals().proj_misses.get(), 3);
     }
 
     #[test]
@@ -1134,7 +1071,7 @@ mod tests {
         );
         let arr = s.handle(&format!("gpp/1 project temporary=ghost\n{VEC_ADD}"), 0);
         assert!(arr.contains("unknown-array"), "{arr}");
-        assert_eq!(s.snapshot(0).served_err, 3);
+        assert_eq!(s.metrics.totals().served_err.get(), 3);
     }
 
     #[test]
@@ -1157,15 +1094,26 @@ mod tests {
         s.handle(&payload("project", VEC_ADD), 0);
         s.handle(&payload("project", VEC_ADD), 0);
         s.handle(&payload("project machine=v2", VEC_ADD), 0);
-        let snap = s.snapshot(0);
-        let eureka = &snap.machines.iter().find(|(n, _)| n == "eureka").unwrap().1;
-        let v2 = &snap.machines.iter().find(|(n, _)| n == "v2").unwrap().1;
+        let rows = s.metrics.machines();
+        let row = |name: &str| &rows.iter().find(|(n, _)| n == name).unwrap().1;
+        let (eureka, v2) = (row("eureka"), row("v2"));
         assert_eq!(
-            (eureka.requests, eureka.proj_misses, eureka.proj_hits),
+            (
+                eureka.requests.get(),
+                eureka.proj_misses.get(),
+                eureka.proj_hits.get()
+            ),
             (2, 1, 1)
         );
-        assert_eq!((eureka.calib_misses, eureka.calib_hits), (1, 1));
-        assert_eq!((v2.requests, v2.proj_misses, v2.calib_misses), (1, 1, 1));
+        assert_eq!((eureka.calib_misses.get(), eureka.calib_hits.get()), (1, 1));
+        assert_eq!(
+            (
+                v2.requests.get(),
+                v2.proj_misses.get(),
+                v2.calib_misses.get()
+            ),
+            (1, 1, 1)
+        );
         let stats = s.handle("gpp/1 stats", 0);
         assert!(stats.contains("\"machines\":["), "{stats}");
         assert!(
@@ -1282,6 +1230,6 @@ mod tests {
         let s = ServiceState::new(cfg);
         let out = s.handle(&payload("project", VEC_ADD), 0);
         assert!(out.contains("\"kind\":\"timeout\""), "{out}");
-        assert_eq!(s.snapshot(0).timeouts, 1);
+        assert_eq!(s.metrics.totals().timeouts.get(), 1);
     }
 }

@@ -54,8 +54,8 @@ fn batch_subs_share_server_caches() {
     // Second identical sub hits the projection memo warmed by the first.
     assert!(reply.contains("\"cached\":false"), "{reply}");
     assert!(reply.contains("\"cached\":true"), "{reply}");
-    let snap = s.snapshot(0);
-    assert_eq!((snap.proj_misses, snap.proj_hits), (1, 1));
+    let snap = s.metrics.totals();
+    assert_eq!((snap.proj_misses.get(), snap.proj_hits.get()), (1, 1));
 }
 
 /// The `cached` flags of a reply's `project` replies, in reply order.

@@ -172,10 +172,11 @@ fn degraded_mode_serves_stale_replies_from_last_good_calibration() {
         "degraded reply not flagged: {degraded}"
     );
 
-    let snap = handle.state().snapshot(0);
-    assert!(snap.degraded_replies >= 1, "snapshot: {snap:?}");
-    assert!(snap.calib_retries >= 2, "snapshot: {snap:?}");
-    assert!(snap.faults_injected >= 3, "snapshot: {snap:?}");
+    let snap = handle.state().metrics.totals();
+    assert!(snap.degraded_replies.get() >= 1, "snapshot: {snap:?}");
+    assert!(snap.calib_retries.get() >= 2, "snapshot: {snap:?}");
+    let faults_injected = handle.state().config.faults.total_fired();
+    assert!(faults_injected >= 3, "faults injected: {faults_injected}");
     let stats = client.call(&Request::new(Command::Stats)).unwrap();
     assert!(stats.contains("\"degraded_replies\":1"), "stats: {stats}");
     handle.shutdown_and_join().unwrap();
@@ -216,7 +217,7 @@ fn injected_panic_is_isolated_to_one_request() {
 
     let pong = client.call(&Request::new(Command::Ping)).unwrap();
     assert!(pong.starts_with("{\"ok\":true"), "after panic: {pong}");
-    assert_eq!(handle.state().snapshot(0).panics_caught, 1);
+    assert_eq!(handle.state().metrics.totals().panics_caught.get(), 1);
     handle.shutdown_and_join().unwrap();
 }
 
@@ -251,7 +252,7 @@ fn oversize_frame_is_rejected_with_structured_reply() {
     let mut client = Client::connect(addr, CLIENT_TIMEOUT).unwrap();
     let pong = client.call(&Request::new(Command::Ping)).unwrap();
     assert!(pong.starts_with("{\"ok\":true"), "after reject: {pong}");
-    assert!(handle.state().snapshot(0).too_large_rejected >= 1);
+    assert!(handle.state().metrics.totals().too_large_rejected.get() >= 1);
     handle.shutdown_and_join().unwrap();
 }
 

@@ -2,12 +2,11 @@
 //! toy handler: panic isolation per request, and frames that arrive
 //! together on one connection.
 
-use gpp_serve::metrics::Metrics;
+use gpp_serve::metrics::Counter;
 use gpp_serve::protocol::{read_frame, write_frame};
-use gpp_serve::server::{FrameServer, Handler, Limits, Reject};
+use gpp_serve::server::{FrameServer, Handler, Limits, Reject, Tally};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -15,7 +14,8 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 /// Echoes each payload, and panics on `boom`.
 #[derive(Default)]
 struct Echo {
-    metrics: Metrics,
+    panics_caught: Counter,
+    other: Counter,
 }
 
 impl Handler for Echo {
@@ -40,8 +40,11 @@ impl Handler for Echo {
         "busy".to_string()
     }
 
-    fn metrics(&self) -> Option<&Metrics> {
-        Some(&self.metrics)
+    fn counter(&self, tally: Tally) -> &Counter {
+        match tally {
+            Tally::PanicsCaught => &self.panics_caught,
+            _ => &self.other,
+        }
     }
 }
 
@@ -76,10 +79,7 @@ fn a_panicking_reply_is_answered_and_the_worker_serves_on() {
     drop(stream);
     let mut fresh = connect(server.addr());
     assert_eq!(call(&mut fresh, "fresh"), "echo:fresh");
-    assert_eq!(
-        server.state().metrics.panics_caught.load(Ordering::SeqCst),
-        1
-    );
+    assert_eq!(server.state().panics_caught.get(), 1);
     drop(fresh);
     server.shutdown_and_join().unwrap();
 }

@@ -73,10 +73,10 @@ fn concurrent_clients_match_single_shot_output() {
         );
     }
 
-    let stats = handle.state().snapshot(0);
-    assert_eq!(stats.served_ok, CLIENTS as u64);
-    assert_eq!(stats.served_err, 0);
-    assert_eq!(stats.rejected_busy, 0);
+    let stats = handle.state().metrics.totals();
+    assert_eq!(stats.served_ok.get(), CLIENTS as u64);
+    assert_eq!(stats.served_err.get(), 0);
+    assert_eq!(stats.rejected_busy.get(), 0);
     handle.shutdown_and_join().unwrap();
 }
 
@@ -190,13 +190,20 @@ fn one_request_per_registered_machine_routes_and_caches_per_machine() {
 
     // Each machine got its own calibration and projection entry, and the
     // stats command breaks the traffic out per machine.
-    let snap = handle.state().snapshot(0);
-    assert_eq!(snap.calib_cache_len, names.len());
-    assert_eq!(snap.proj_cache_len, names.len());
-    for (name, row) in &snap.machines {
+    let state = handle.state();
+    assert_eq!(state.calibrations.len(), names.len());
+    assert_eq!(state.projections.len(), names.len());
+    for (name, row) in &state.metrics.machines() {
         assert!(names.contains(name), "unexpected stats row {name}");
-        assert_eq!((row.requests, row.proj_misses, row.proj_hits), (2, 1, 1));
-        assert_eq!(row.calib_misses, 1);
+        assert_eq!(
+            (
+                row.requests.get(),
+                row.proj_misses.get(),
+                row.proj_hits.get()
+            ),
+            (2, 1, 1)
+        );
+        assert_eq!(row.calib_misses.get(), 1);
     }
     let stats = client.call(&Request::new(Command::Stats)).unwrap();
     assert!(
@@ -278,12 +285,12 @@ fn over_capacity_requests_get_structured_busy_error() {
         rejected >= 1,
         "no connection was rejected while the queue was full: {replies:?}"
     );
-    let snap = handle.state().snapshot(0);
+    let snap = handle.state().metrics.totals();
     assert!(
-        snap.shed_queue + snap.rejected_busy >= 1,
+        snap.shed_queue.get() + snap.rejected_busy.get() >= 1,
         "rejections not counted: shed_queue={} rejected_busy={}",
-        snap.shed_queue,
-        snap.rejected_busy
+        snap.shed_queue.get(),
+        snap.rejected_busy.get()
     );
 
     drop((holder_a, holder_b));

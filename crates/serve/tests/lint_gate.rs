@@ -29,11 +29,15 @@ fn error_skeleton_is_rejected_before_calibration() {
     assert!(response.contains("\"col\":5"), "{response}");
     // The whole point of the gate: the rejection happened before any
     // calibration or projection work was attempted.
-    let stats = state.snapshot(0);
-    assert_eq!(stats.calib_misses, 0, "calibration ran despite lint errors");
-    assert_eq!(stats.calib_hits, 0);
-    assert_eq!(stats.proj_misses, 0);
-    assert_eq!(stats.served_err, 1);
+    let stats = state.metrics.totals();
+    assert_eq!(
+        stats.calib_misses.get(),
+        0,
+        "calibration ran despite lint errors"
+    );
+    assert_eq!(stats.calib_hits.get(), 0);
+    assert_eq!(stats.proj_misses.get(), 0);
+    assert_eq!(stats.served_err.get(), 1);
 }
 
 #[test]
@@ -46,7 +50,7 @@ fn lint_can_be_disabled_per_request() {
     // with the analyzer off it projects like any other program.
     assert!(response.contains("\"ok\":true"), "{response}");
     assert!(!response.contains("diagnostics"), "{response}");
-    assert_eq!(state.snapshot(0).calib_misses, 1);
+    assert_eq!(state.metrics.totals().calib_misses.get(), 1);
 }
 
 #[test]
@@ -57,7 +61,7 @@ fn warnings_ride_along_on_success_replies() {
     assert!(response.contains("\"diagnostics\":["), "{response}");
     assert!(response.contains("\"code\":\"GPP004\""), "{response}");
     assert!(response.contains("\"severity\":\"warning\""), "{response}");
-    assert_eq!(state.snapshot(0).served_ok, 1);
+    assert_eq!(state.metrics.totals().served_ok.get(), 1);
 }
 
 #[test]

@@ -68,9 +68,9 @@ fn check_hits_match_fresh(what: &str, options: &str, skeleton: &str, hits: &[(St
         );
         assert_eq!(as_fresh(&reply), fresh_reply(&p), "{what} [{opts}]");
     }
-    let snap = s.snapshot(0);
+    let snap = s.metrics.totals();
     assert_eq!(
-        (snap.proj_misses, snap.proj_hits),
+        (snap.proj_misses.get(), snap.proj_hits.get()),
         (1, hits.len() as u64),
         "{what}"
     );
@@ -184,8 +184,8 @@ fn degraded_replies_stay_out_of_the_memo() {
     let again = s.handle(&payload("seed=2", skeleton), 0);
     assert_eq!(again, degraded, "a repeated stale request must not hit");
     assert_eq!(s.projections.len(), 1, "a stale reply entered the memo");
-    let snap = s.snapshot(0);
-    assert_eq!((snap.proj_misses, snap.proj_hits), (1, 0));
+    let snap = s.metrics.totals();
+    assert_eq!((snap.proj_misses.get(), snap.proj_hits.get()), (1, 0));
 
     // The same sequence on a fresh server replies the same bytes.
     let reference = state();

@@ -38,7 +38,7 @@ fn generous_deadline_leaves_the_reply_bytes_untouched() {
         bare, bounded,
         "a met deadline must not change the projection bytes"
     );
-    assert_eq!(state.snapshot(0).shed_deadline, 0);
+    assert_eq!(state.metrics.totals().shed_deadline.get(), 0);
 }
 
 #[test]
@@ -53,9 +53,9 @@ fn queued_past_deadline_is_shed_at_admission_with_a_hint() {
     );
     assert!(reply.contains("\"kind\":\"shed\""), "{reply}");
     assert!(reply.contains("\"retry_after_ms\":"), "{reply}");
-    let snap = state.snapshot(0);
-    assert_eq!(snap.shed_deadline, 1);
-    assert_eq!(snap.served_err, 1);
+    let snap = state.metrics.totals();
+    assert_eq!(snap.shed_deadline.get(), 1);
+    assert_eq!(snap.served_err.get(), 1);
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn injected_compute_stall_trips_the_deadline_mid_flight() {
     // Without a deadline the same stall is invisible: slow, but correct.
     let bare = state.handle(&project_request(4242, None).encode(), 0);
     assert!(bare.starts_with("{\"ok\":true"), "{bare}");
-    assert!(state.snapshot(0).shed_deadline >= 1);
+    assert!(state.metrics.totals().shed_deadline.get() >= 1);
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn warm_median_sheds_hopeless_deadlines_before_any_work() {
     assert!(reply.contains("median compute time"), "{reply}");
     let hint = gpp_serve::protocol::retry_after_ms(&reply).expect("shed reply carries a hint");
     assert!(hint >= 30, "hint {hint}ms should reflect the ~40ms median");
-    assert_eq!(state.snapshot(0).shed_deadline, 1);
+    assert_eq!(state.metrics.totals().shed_deadline.get(), 1);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! for byte with a fresh `ServiceState`'s reply to the same request, and
 //! the counters of one scripted sequence with hand-computed values.
 
-use gpp_serve::metrics::MachineCounters;
+use gpp_serve::metrics::Counter;
 use gpp_serve::{ServeConfig, ServiceState};
 
 const VEC_ADD: &str = include_str!("../../../skeletons/vector_add.gsk");
@@ -76,8 +76,8 @@ fn a_formatting_variant_with_findings_carries_its_own_spans() {
         "{}",
         replies[3]
     );
-    let snap = s.snapshot(0);
-    assert_eq!((snap.proj_misses, snap.proj_hits), (1, 4));
+    let snap = s.metrics.totals();
+    assert_eq!((snap.proj_misses.get(), snap.proj_hits.get()), (1, 4));
 }
 
 #[test]
@@ -125,8 +125,8 @@ fn repeats_with_another_iters_or_deadline_share_the_text() {
             ("seed=4 iters=5", HOTSPOT, false),
         ],
     );
-    let snap = s.snapshot(0);
-    assert_eq!((snap.proj_misses, snap.proj_hits), (2, 3));
+    let snap = s.metrics.totals();
+    assert_eq!((snap.proj_misses.get(), snap.proj_hits.get()), (2, 3));
 }
 
 #[test]
@@ -178,24 +178,28 @@ fn scripted_counters_match_hand_computed_values() {
         replies[6]
     );
 
-    let snap = s.snapshot(0);
-    assert_eq!((snap.served_ok, snap.served_err), (8, 1));
-    assert_eq!((snap.calib_hits, snap.calib_misses), (6, 2));
-    assert_eq!((snap.proj_hits, snap.proj_misses), (5, 3));
-    assert_eq!(snap.proj_cache_len, 3);
-    let row = |requests, calib_hits, proj_hits, proj_misses| MachineCounters {
-        requests,
-        calib_hits,
-        calib_misses: 1,
-        proj_hits,
-        proj_misses,
-        degraded_replies: 0,
-    };
+    let snap = s.metrics.totals();
+    assert_eq!((snap.served_ok.get(), snap.served_err.get()), (8, 1));
+    assert_eq!((snap.calib_hits.get(), snap.calib_misses.get()), (6, 2));
+    assert_eq!((snap.proj_hits.get(), snap.proj_misses.get()), (5, 3));
+    assert_eq!(s.projections.len(), 3);
+    // Per machine: requests, calibration hits and misses, projection hits
+    // and misses, degraded replies.
+    let rows: Vec<(String, Vec<u64>)> = s
+        .metrics
+        .machines()
+        .into_iter()
+        .map(|(name, c)| {
+            let row = [&c.requests, &c.calib_hits, &c.calib_misses];
+            let row = [row, [&c.proj_hits, &c.proj_misses, &c.degraded_replies]].concat();
+            (name, row.into_iter().map(Counter::get).collect())
+        })
+        .collect();
     assert_eq!(
-        snap.machines,
+        rows,
         vec![
-            ("eureka".to_string(), row(6, 5, 4, 2)),
-            ("v2".to_string(), row(2, 1, 1, 1)),
+            ("eureka".to_string(), vec![6, 5, 1, 4, 2, 0]),
+            ("v2".to_string(), vec![2, 1, 1, 1, 1, 0]),
         ]
     );
 
