@@ -141,8 +141,17 @@ for _ in $(seq 100); do
 done
 GW_ADDR=$(sed -n 's/^GPP_ADDR=//p' "$GW_OUT")
 SHARD_ADDR=$(sed -n 's/^GPP_SHARD_ADDR=//p' "$GW_OUT" | head -n 1)
+# Each reply, through real gateway and shard sockets, must be byte for
+# byte its pinned row in the `project` reply goldens; a repeat differs
+# only in its `cached` flag.
+GOLDEN=fixtures/goldens/project_replies.txt
 for seed in 1 2 3 4 1 2 3 4; do
-    target/release/gpp request skeletons/hotspot_1024.gsk --addr "$GW_ADDR" --seed "$seed" >/dev/null
+    target/release/gpp request skeletons/hotspot_1024.gsk --addr "$GW_ADDR" --seed "$seed" \
+        | sed 's/"cached":true/"cached":false/' >"$PERF_TMP/reply.json"
+    awk -F '\t' -v label="hotspot_1024 machine=eureka seed=$seed iters=1" \
+        '$1 == label { print $2 }' "$GOLDEN" >"$PERF_TMP/golden.json"
+    cmp "$PERF_TMP/golden.json" "$PERF_TMP/reply.json" \
+        || { kill -TERM "$GW_PID"; echo "gateway reply for seed $seed differs from $GOLDEN"; exit 1; }
 done
 # The counters of those forwards: the gateway answered all eight, each
 # seed missed once and hit once on its shard, and every latency

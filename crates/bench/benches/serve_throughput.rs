@@ -1,14 +1,20 @@
 //! Throughput of the `gpp-serve` projection service: what the caches and
 //! the SoA batch path buy, measured at the service layer.
 //!
-//! Three tiers, slowest to fastest:
-//!   * `cold`      — a fresh service per request: pays calibration +
+//! Four tiers:
+//!   * `cold`       — a fresh service per request: pays calibration +
 //!     projection (the one-shot CLI cost a server is meant to amortize);
-//!   * `hot`       — primed service, repeated query: both caches hit,
+//!   * `hot`        — primed service, repeated query: both caches hit,
 //!     the steady state of a serve deployment;
-//!   * `hot_batch` — primed service, `batch` frames of many sub-requests
-//!     each, served one after another in frame order. Its `req_per_s`
-//!     counts sub-requests; its latency percentiles are per *frame*.
+//!   * `miss_batch` — `batch` frames of many sub-requests each, served
+//!     one after another in frame order, whose seeds outnumber the
+//!     projection memo: every sub-request misses it and hits only the
+//!     calibration cache;
+//!   * `hot_batch`  — `batch` frames drawn from a few primed payloads:
+//!     every sub-request hits the projection memo.
+//!
+//! The batch tiers' `req_per_s` counts sub-requests; their latency
+//! percentiles are per *frame*.
 //!
 //! Methodology (see README § Performance): every tier runs `ROUNDS`
 //! rounds and reports the **best round** — min-of-N defeats warmup and
@@ -34,6 +40,9 @@ const COLD_CALLS: usize = 16;
 const HOT_CALLS: usize = 256;
 const BATCH_FRAMES: usize = 8;
 const BATCH_WIDTH: usize = 32;
+/// Distinct payloads the `hot_batch` frames draw from: far fewer than the
+/// projection memo holds.
+const HOT_PAYLOADS: usize = 8;
 
 fn project_payload(seed: u64) -> String {
     let mut req = Request::new(Command::Project);
@@ -123,14 +132,35 @@ fn main() {
         black_box(state.handle(&payload, 0));
     }));
 
-    // Hot batch: frames of BATCH_WIDTH distinct-seed sub-requests (cache
-    // misses on first round, hits after — min-of-N keeps the hit rounds).
+    // Miss batch: frames of BATCH_WIDTH distinct-seed sub-requests. The
+    // BATCH_FRAMES × BATCH_WIDTH seeds come round in a fixed cycle twice
+    // the memo's size, so each is evicted before it is requested again:
+    // every sub-request misses the projection memo. Calibrations stay
+    // cached, so after the first round only the projection is redone.
     let frames: Vec<String> = (0..BATCH_FRAMES)
         .map(|f| {
             Request::new_batch(
                 (0..BATCH_WIDTH).map(|i| project_payload(9000 + (f * BATCH_WIDTH + i) as u64)),
             )
             .encode()
+        })
+        .collect();
+    tiers.push(measure("miss_batch", BATCH_FRAMES, BATCH_WIDTH, |i| {
+        black_box(state.handle(&frames[i], 0));
+    }));
+
+    // Hot batch: the same frame shape drawn from HOT_PAYLOADS payloads,
+    // each requested once before measuring, so every sub-request hits.
+    let payloads: Vec<String> = (0..HOT_PAYLOADS)
+        .map(|k| project_payload(7000 + k as u64))
+        .collect();
+    for p in &payloads {
+        state.handle(p, 0);
+    }
+    let frames: Vec<String> = (0..BATCH_FRAMES)
+        .map(|f| {
+            Request::new_batch((0..BATCH_WIDTH).map(|i| payloads[(f + i) % HOT_PAYLOADS].clone()))
+                .encode()
         })
         .collect();
     tiers.push(measure("hot_batch", BATCH_FRAMES, BATCH_WIDTH, |i| {

@@ -21,6 +21,9 @@ pub enum Json {
     Bool(bool),
     /// A finite number (non-finite values serialize as `null`).
     Num(f64),
+    /// An unsigned integer, written exactly (a `u64` above 2^53 has no
+    /// exact `f64`).
+    U64(u64),
     /// A string (escaped on render).
     Str(String),
     /// An array.
@@ -47,24 +50,22 @@ impl Json {
         out
     }
 
+    /// [`Json::render`], except that pre-rendered JSON is handed back
+    /// without a copy.
+    pub fn into_string(self) -> String {
+        match self {
+            Json::Raw(json) => json,
+            other => other.render(),
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                // Writing into `out` formats each number in place, with
-                // no temporary `String`; `fmt::Write` for `String` cannot
-                // fail.
-                if x.is_finite() {
-                    // Integers print without a trailing ".0".
-                    if *x == x.trunc() && x.abs() < 1e15 {
-                        let _ = write!(out, "{}", *x as i64);
-                    } else {
-                        let _ = write!(out, "{x}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
+            Json::Num(x) => write_num(*x, out),
+            Json::U64(n) => {
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
@@ -94,9 +95,36 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal, escaped per RFC 8259.
-fn write_str(s: &str, out: &mut String) {
+/// Writes `x` as [`Json::Num`] renders it: integers below 1e15 without a
+/// fraction, other finite numbers in Rust's shortest round-trip form,
+/// non-finite ones as `null`. Formats in place, with no temporary
+/// `String`; `fmt::Write` for `String` cannot fail.
+pub fn write_num(x: f64, out: &mut String) {
+    if !x.is_finite() {
+        out.push_str("null");
+    } else if x == x.trunc() && x.abs() < 1e15 {
+        let _ = write!(out, "{}", x as i64);
+    } else {
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// Whether `b` is (the only byte of) a character a JSON string escapes.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Writes `s` as a JSON string literal, escaped per RFC 8259. A string
+/// with nothing to escape is copied in one piece.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
+    // Every character that needs escaping is ASCII, so a byte scan finds
+    // them all.
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -117,112 +145,158 @@ fn write_str(s: &str, out: &mut String) {
 /// only when the projection carries them (stream-annotated programs /
 /// multi-device machines), so reports for plain programs on single-GPU
 /// machines are byte-identical to pre-overlap builds.
+///
+/// The object is written straight into one buffer, with the number and
+/// string rules of [`Json`], and returned as [`Json::Raw`]: a projection
+/// is the largest object a reply carries, and building it as a tree
+/// would allocate for every field.
 pub fn projection_json(p: &AppProjection) -> Json {
-    let mut fields = vec![
-        (
-            "kernels",
-            Json::Arr(
-                p.kernels
-                    .iter()
-                    .map(|k| {
-                        Json::obj([
-                            ("name", Json::Str(k.name.clone())),
-                            ("seconds", Json::Num(k.time)),
-                            ("config", Json::Str(k.config.to_string())),
-                            ("bound", Json::Str(k.bound.to_string())),
-                            ("dram_bytes", Json::Num(k.dram_bytes)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("kernel_seconds", Json::Num(p.kernel_time)),
-        (
-            "transfers",
-            Json::Arr(
-                p.plan
-                    .all()
-                    .zip(&p.transfer_times)
-                    .map(|(t, secs)| {
-                        Json::obj([
-                            ("array", Json::Str(t.name.clone())),
-                            ("bytes", Json::Num(t.bytes as f64)),
-                            ("direction", Json::Str(t.dir.to_string())),
-                            ("exact", Json::Bool(t.exact)),
-                            ("seconds", Json::Num(*secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("transfer_seconds", Json::Num(p.transfer_time)),
-        ("total_seconds_1_iter", Json::Num(p.total_time(1))),
-    ];
+    let mut out = String::with_capacity(
+        320 + 192 * (p.kernels.len() + p.transfer_times.len())
+            + p.timeline.as_ref().map_or(0, |tl| 224 * tl.events.len())
+            + p.multi_gpu.as_ref().map_or(0, |mg| 128 * mg.devices.len()),
+    );
+    let mut f = Fields::open(&mut out);
+    f.array("kernels", &p.kernels, |k, f| {
+        f.str("name", &k.name);
+        f.num("seconds", k.time);
+        f.display("config", k.config);
+        f.display("bound", k.bound);
+        f.num("dram_bytes", k.dram_bytes);
+    });
+    f.num("kernel_seconds", p.kernel_time);
+    f.array(
+        "transfers",
+        p.plan.all().zip(&p.transfer_times),
+        |(t, secs), f| {
+            f.str("array", &t.name);
+            f.num("bytes", t.bytes as f64);
+            f.display("direction", t.dir);
+            f.bool("exact", t.exact);
+            f.num("seconds", *secs);
+        },
+    );
+    f.num("transfer_seconds", p.transfer_time);
+    f.num("total_seconds_1_iter", p.total_time(1));
     if let Some(tl) = &p.timeline {
-        fields.push((
-            "timeline",
-            Json::obj([
-                (
-                    "events",
-                    Json::Arr(
-                        tl.events
-                            .iter()
-                            .map(|e| {
-                                Json::obj([
-                                    ("array", Json::Str(e.array.clone())),
-                                    ("direction", Json::Str(e.dir.to_string())),
-                                    ("pos", Json::Num(e.pos as f64)),
-                                    ("stream", Json::Num(e.stream as f64)),
-                                    ("chunks", Json::Num(e.chunks as f64)),
-                                    ("bytes", Json::Num(e.bytes as f64)),
-                                    ("seconds", Json::Num(e.seconds)),
-                                    (
-                                        "overlaps_kernel",
-                                        e.overlaps_kernel
-                                            .map_or(Json::Null, |k| Json::Num(k as f64)),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("serial_pass_seconds", Json::Num(tl.serial_pass)),
-                ("overlapped_pass_seconds", Json::Num(tl.overlapped_pass)),
-                ("saved_seconds", Json::Num(tl.saved())),
-                (
-                    "overlapped_total_1_iter",
-                    Json::Num(p.overlapped_total_time(1)),
-                ),
-            ]),
-        ));
+        f.object("timeline", |f| {
+            f.array("events", &tl.events, |e, f| {
+                f.str("array", &e.array);
+                f.display("direction", e.dir);
+                f.num("pos", e.pos as f64);
+                f.num("stream", e.stream as f64);
+                f.num("chunks", e.chunks as f64);
+                f.num("bytes", e.bytes as f64);
+                f.num("seconds", e.seconds);
+                match e.overlaps_kernel {
+                    Some(k) => f.num("overlaps_kernel", k as f64),
+                    None => f.key("overlaps_kernel").push_str("null"),
+                }
+            });
+            f.num("serial_pass_seconds", tl.serial_pass);
+            f.num("overlapped_pass_seconds", tl.overlapped_pass);
+            f.num("saved_seconds", tl.saved());
+            f.num("overlapped_total_1_iter", p.overlapped_total_time(1));
+        });
     }
     if let Some(mg) = &p.multi_gpu {
-        fields.push((
-            "multi_gpu",
-            Json::obj([
-                ("device_count", Json::Num(mg.device_count() as f64)),
-                ("contended", Json::Bool(mg.is_contended())),
-                (
-                    "devices",
-                    Json::Arr(
-                        mg.devices
-                            .iter()
-                            .map(|d| {
-                                Json::obj([
-                                    ("device", Json::Num(d.id as f64)),
-                                    ("kernel_seconds", Json::Num(d.kernel_seconds)),
-                                    ("transfer_seconds", Json::Num(d.transfer_seconds)),
-                                    ("bandwidth_factor", Json::Num(d.bandwidth_factor)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("total_seconds_1_iter", Json::Num(mg.total_time(1))),
-            ]),
-        ));
+        f.object("multi_gpu", |f| {
+            f.num("device_count", mg.device_count() as f64);
+            f.bool("contended", mg.is_contended());
+            f.array("devices", &mg.devices, |d, f| {
+                f.num("device", d.id as f64);
+                f.num("kernel_seconds", d.kernel_seconds);
+                f.num("transfer_seconds", d.transfer_seconds);
+                f.num("bandwidth_factor", d.bandwidth_factor);
+            });
+            f.num("total_seconds_1_iter", mg.total_time(1));
+        });
     }
-    Json::obj(fields)
+    f.close();
+    Json::Raw(out)
+}
+
+/// Writes one JSON object's fields, in order, straight into a buffer.
+struct Fields<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> Fields<'a> {
+    fn open(out: &'a mut String) -> Fields<'a> {
+        out.push('{');
+        Fields { out, first: true }
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+
+    /// Writes the next key and returns the buffer for its value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_str(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    fn num(&mut self, key: &str, x: f64) {
+        write_num(x, self.key(key));
+    }
+
+    fn bool(&mut self, key: &str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &str, s: &str) {
+        write_str(s, self.key(key));
+    }
+
+    /// A string field holding `value`'s `Display` text, formatted in place;
+    /// text that needs escaping (never, for the model's own types) is
+    /// written again through [`write_str`].
+    fn display(&mut self, key: &str, value: impl std::fmt::Display) {
+        let out = self.key(key);
+        out.push('"');
+        let start = out.len();
+        let _ = write!(out, "{value}");
+        if out[start..].bytes().any(needs_escape) {
+            let text = out.split_off(start);
+            out.pop();
+            write_str(&text, out);
+        } else {
+            out.push('"');
+        }
+    }
+
+    fn object(&mut self, key: &str, fields: impl FnOnce(&mut Fields)) {
+        let mut f = Fields::open(self.key(key));
+        fields(&mut f);
+        f.close();
+    }
+
+    /// An array of objects, one per item.
+    fn array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fields: impl FnMut(T, &mut Fields),
+    ) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut f = Fields::open(out);
+            fields(item, &mut f);
+            f.close();
+        }
+        out.push(']');
+    }
 }
 
 /// Serializes a measurement.
@@ -291,6 +365,15 @@ mod tests {
         assert_eq!(Json::Num(3.25).render(), "3.25");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+        assert_eq!(Json::U64(3).render(), "3");
+        assert_eq!(Json::U64(u64::MAX).render(), "18446744073709551615");
+        // Below 2^53 both number forms write the same digits.
+        for n in [0u64, 7, 999_999_999_999_999, 1 << 52, (1 << 53) - 1] {
+            assert_eq!(Json::U64(n).render(), Json::Num(n as f64).render(), "{n}");
+        }
+        // Nothing to escape: copied as is, multi-byte characters included.
+        assert_eq!(Json::Str("µs → ok".into()).render(), "\"µs → ok\"");
+        assert_eq!(Json::Str("tab\there".into()).render(), r#""tab\there""#);
         assert_eq!(
             Json::Str("a\"b\\c\nd\u{1}".into()).render(),
             concat!(r#""a\"b\\c\nd"#, r"\u0001", "\"")

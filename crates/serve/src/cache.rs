@@ -3,18 +3,22 @@
 //! Three lookups make repeated requests cheap:
 //!
 //! * [`CalibrationCache`] — one calibrated [`Grophecy`] per (machine,
-//!   seed). Calibration replays the two-point PCIe benchmark (20 timed
-//!   transfers, one of 512 MB) on the simulated bus; doing that once per
-//!   machine instead of once per request is the single biggest win.
+//!   seed), kept as a [`Calibration`] with the reply's `pcie` pair
+//!   rendered once. Calibration replays the two-point PCIe benchmark (20
+//!   timed transfers, one of 512 MB) on the simulated bus; doing that once
+//!   per machine instead of once per request is the single biggest win.
 //! * [`ProjectionCache`] — an LRU memo keyed by (machine, seed, skeleton
-//!   content hash, hints). Projection results are deterministic for a
-//!   key, so a hit is always exact. The service memoizes a
-//!   [`RenderedProjection`]: the [`AppProjection`] together with the
-//!   reply's `pcie` and `projection` objects, rendered once when the
-//!   entry is made. A hit splices those bytes into its reply and formats
-//!   only the fields that vary per request. Each entry holds about 1 KB of
-//!   rendered JSON on top of the projection (0.6–1.2 KB for the committed
-//!   skeletons).
+//!   content hash, hints). The content hash is
+//!   [`gpp_skeleton::Program::content_hash`] of the parsed program, so
+//!   formatting-only variants of a skeleton share an entry without the
+//!   program being rendered back to text. Projection results are
+//!   deterministic for a key, so a hit is always exact. The service
+//!   memoizes a [`RenderedProjection`]: the [`AppProjection`] together
+//!   with the reply's `projection` object, rendered once when the entry is
+//!   made, and its calibration's `pcie` pair. A hit splices those bytes
+//!   into its reply and formats only the fields that vary per request.
+//!   Each entry holds about 1 KB of rendered JSON on top of the projection
+//!   (0.6–1.2 KB for the committed skeletons).
 //! * The memo's text index ([`ProjectionCache::get_text`]) — a second way
 //!   into the same entries, keyed by the request's exact text
 //!   ([`TextKey`]). The normalized key above can only be computed after
@@ -38,7 +42,8 @@ use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
-/// FNV-1a content hash used for skeleton texts and hint fingerprints.
+/// FNV-1a content hash: hint fingerprints, gateway ring points and
+/// payload keys, retry jitter seeds.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -55,13 +60,37 @@ pub struct CalibKey {
     pub seed: u64,
 }
 
+/// A calibrated projector with the `project` reply's `pcie` pair, which
+/// depends on nothing else and so is rendered once per calibration.
+#[derive(Clone)]
+pub struct Calibration {
+    pub(crate) gro: Arc<Grophecy>,
+    /// `{"h2d":…,"d2h":…}`, rendered.
+    pub(crate) pcie: Arc<str>,
+}
+
+impl Calibration {
+    pub(crate) fn new(gro: Arc<Grophecy>) -> Calibration {
+        let model = gro.pcie_model();
+        let pcie = Json::obj([
+            ("h2d", Json::Str(model.h2d.to_string())),
+            ("d2h", Json::Str(model.d2h.to_string())),
+        ])
+        .render();
+        Calibration {
+            gro,
+            pcie: pcie.into(),
+        }
+    }
+}
+
 /// Cache of calibrated projectors, keyed by (machine, seed), plus a
 /// per-machine **last-good** entry that survives any later calibration
 /// failures — the degraded-serving fallback.
 #[derive(Default)]
 pub struct CalibrationCache {
-    map: RwLock<HashMap<CalibKey, Arc<Grophecy>>>,
-    last_good: RwLock<HashMap<String, Arc<Grophecy>>>,
+    map: RwLock<HashMap<CalibKey, Calibration>>,
+    last_good: RwLock<HashMap<String, Calibration>>,
 }
 
 impl CalibrationCache {
@@ -76,35 +105,35 @@ impl CalibrationCache {
         key: CalibKey,
         calibrate: impl FnOnce() -> Grophecy,
     ) -> (Arc<Grophecy>, bool) {
-        if let Some(g) = self.get(&key) {
-            return (g, true);
+        if let Some(c) = self.get(&key) {
+            return (c.gro, true);
         }
         // Race window: two workers may both calibrate the same key; the
         // second insert wins and both results are identical (calibration
         // is deterministic per key), so this stays simple.
-        let g = Arc::new(calibrate());
-        self.insert(key, g.clone());
-        (g, false)
+        let c = Calibration::new(Arc::new(calibrate()));
+        self.insert(key, c.clone());
+        (c.gro, false)
     }
 
     /// Looks up a cached calibration.
-    pub fn get(&self, key: &CalibKey) -> Option<Arc<Grophecy>> {
+    pub fn get(&self, key: &CalibKey) -> Option<Calibration> {
         self.map.read().get(key).cloned()
     }
 
     /// Caches a successful calibration and records it as the machine's
     /// last-good fallback.
-    pub fn insert(&self, key: CalibKey, gro: Arc<Grophecy>) {
+    pub fn insert(&self, key: CalibKey, calibration: Calibration) {
         self.last_good
             .write()
-            .insert(key.machine.clone(), gro.clone());
-        self.map.write().insert(key, gro);
+            .insert(key.machine.clone(), calibration.clone());
+        self.map.write().insert(key, calibration);
     }
 
     /// The most recent successful calibration for a machine (any seed) —
     /// what degraded mode serves, flagged stale, when fresh calibration
     /// keeps failing.
-    pub fn last_good(&self, machine: &str) -> Option<Arc<Grophecy>> {
+    pub fn last_good(&self, machine: &str) -> Option<Calibration> {
         self.last_good.read().get(machine).cloned()
     }
 
@@ -124,7 +153,8 @@ impl CalibrationCache {
 pub struct ProjectionKey {
     pub machine: String,
     pub seed: u64,
-    /// FNV-1a of the *normalized* skeleton text, so formatting-only
+    /// The parsed program's content hash
+    /// ([`gpp_skeleton::Program::content_hash`]), so formatting-only
     /// variants of the same program share an entry.
     pub skeleton_hash: u64,
     /// FNV-1a of the canonical hint fingerprint.
@@ -138,27 +168,23 @@ pub struct ProjectionKey {
 
 /// A projection as the `project` reply quotes it. The totals depend on
 /// each request's `iters`, so the projection itself stays; the `pcie` and
-/// `projection` objects do not, so they are rendered here once.
+/// `projection` objects do not, so they are rendered once.
 pub struct RenderedProjection {
     pub(crate) proj: AppProjection,
-    /// The calibration's `{"h2d":…,"d2h":…}` pair. The memo key carries
-    /// the calibration key (machine, seed), so it is fixed per entry.
-    pub(crate) pcie: String,
+    /// The calibration's rendered `pcie` pair. The memo key carries the
+    /// calibration key (machine, seed), so it is fixed per entry.
+    pub(crate) pcie: Arc<str>,
     /// `projection_json(&proj)`, rendered.
     pub(crate) projection: String,
 }
 
 impl RenderedProjection {
-    /// Renders `proj`, computed by `gro`, for splicing into replies.
-    pub(crate) fn new(gro: &Grophecy, proj: AppProjection) -> Self {
-        let model = gro.pcie_model();
+    /// Renders `proj`, computed by `calibration`, for splicing into
+    /// replies.
+    pub(crate) fn new(calibration: &Calibration, proj: AppProjection) -> Self {
         RenderedProjection {
-            pcie: Json::obj([
-                ("h2d", Json::Str(model.h2d.to_string())),
-                ("d2h", Json::Str(model.d2h.to_string())),
-            ])
-            .render(),
-            projection: projection_json(&proj).render(),
+            pcie: calibration.pcie.clone(),
+            projection: projection_json(&proj).into_string(),
             proj,
         }
     }

@@ -8,8 +8,9 @@
 //!
 //! * **calibration cache** — the two-point PCIe benchmark runs once per
 //!   (machine, seed), not once per request;
-//! * **projection memo** — an LRU keyed by (machine, seed, normalized
-//!   skeleton content hash, hints) makes repeated what-if queries O(hash);
+//! * **projection memo** — an LRU keyed by (machine, seed, the parsed
+//!   program's content hash, hints) makes repeated what-if queries
+//!   O(hash);
 //! * **frame server** — a bounded queue and worker pool, shared with
 //!   `gpp-gateway`; overload gets an immediate `shed`/`busy` rejection;
 //! * **metrics** — a `stats` command reports counters, cache hit rates,

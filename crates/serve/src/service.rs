@@ -6,7 +6,8 @@
 //! worker pool, by benchmarks, or by tests without any networking.
 
 use crate::cache::{
-    fnv1a, CalibKey, CalibrationCache, ProjectionCache, ProjectionKey, RenderedProjection, TextKey,
+    fnv1a, CalibKey, Calibration, CalibrationCache, ProjectionCache, ProjectionKey,
+    RenderedProjection, TextKey,
 };
 use crate::client::RetryBudget;
 use crate::metrics::Metrics;
@@ -21,8 +22,11 @@ use grophecy::machine::MachineConfig;
 use grophecy::measurement::measure;
 use grophecy::projector::Grophecy;
 use grophecy::registry::MachineRegistry;
-use grophecy::report::{measurement_json, projection_json, speedup_json, Json};
+use grophecy::report::{
+    measurement_json, projection_json, speedup_json, write_num, write_str, Json,
+};
 use grophecy::speedup::SpeedupReport;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,7 +154,7 @@ impl ServiceState {
             }
         };
         self.metrics.record_latency(queued, start.elapsed());
-        response.render()
+        response.into_string()
     }
 
     /// Deadline-aware admission at dequeue: a request carrying
@@ -318,16 +322,16 @@ impl ServiceState {
     /// The boolean is `true` when the result is **stale**: every fresh
     /// calibration attempt (bounded retries with exponential backoff)
     /// failed and the machine's last-good calibration is serving instead.
-    fn projector(&self, req: &Request) -> Result<(Arc<Grophecy>, bool), ProtocolError> {
+    fn projector(&self, req: &Request) -> Result<(Calibration, bool), ProtocolError> {
         let machine = self.machine(req)?;
         let key = CalibKey {
             machine: req.machine.clone(),
             seed: req.seed,
         };
-        if let Some(gro) = self.calibrations.get(&key) {
+        if let Some(cal) = self.calibrations.get(&key) {
             self.metrics
                 .bump_machine(&machine.id, |c| c.calib_hits.bump());
-            return Ok((gro, false));
+            return Ok((cal, false));
         }
         self.metrics
             .bump_machine(&machine.id, |c| c.calib_misses.bump());
@@ -364,17 +368,17 @@ impl ServiceState {
             match Grophecy::try_calibrate(&machine, &mut node, faults.clone()) {
                 Ok(gro) => {
                     self.calib_budget.deposit();
-                    let gro = Arc::new(gro);
-                    self.calibrations.insert(key, gro.clone());
-                    return Ok((gro, false));
+                    let cal = Calibration::new(Arc::new(gro));
+                    self.calibrations.insert(key, cal.clone());
+                    return Ok((cal, false));
                 }
                 Err(e) => last_err = e.to_string(),
             }
         }
-        if let Some(gro) = self.calibrations.last_good(&req.machine) {
+        if let Some(cal) = self.calibrations.last_good(&req.machine) {
             self.metrics
                 .bump_machine(&machine.id, |c| c.degraded_replies.bump());
-            return Ok((gro, true));
+            return Ok((cal, true));
         }
         Err(ProtocolError::new(
             "calibration-failed",
@@ -469,13 +473,14 @@ impl ServiceState {
         Ok(diags)
     }
 
-    /// Projects via the LRU memo. The key hashes the *normalized* program
-    /// text, so formatting-only differences still hit. A miss renders the
-    /// projection once, as it enters the memo; every hit reuses the bytes.
+    /// Projects via the LRU memo. The key hashes the parsed program's
+    /// content, so formatting-only differences still hit. A miss renders
+    /// the projection once, as it enters the memo; every hit reuses the
+    /// bytes.
     fn project_cached(
         &self,
         key: &ProjectionKey,
-        gro: &Grophecy,
+        cal: &Calibration,
         program: &Program,
         hints: &Hints,
     ) -> (Arc<RenderedProjection>, bool) {
@@ -486,7 +491,10 @@ impl ServiceState {
         }
         self.metrics
             .bump_machine(&key.machine, |c| c.proj_misses.bump());
-        let proj = Arc::new(RenderedProjection::new(gro, gro.project(program, hints)));
+        let proj = Arc::new(RenderedProjection::new(
+            cal,
+            cal.gro.project(program, hints),
+        ));
         self.projections.insert(key.clone(), proj.clone());
         (proj, false)
     }
@@ -522,7 +530,7 @@ impl ServiceState {
         let (program, map, hints) = self.program_and_hints(req)?;
         let diags = self.lint_gate(req, &program, &map, &hints)?;
         self.check_deadline(start, remaining)?;
-        let (gro, stale) = self.projector(req)?;
+        let (cal, stale) = self.projector(req)?;
         self.check_deadline(start, remaining)?;
         let fingerprint = gpp_gpu_model::program_fingerprint(&program);
         // Findings with machine-applicable fixes also price the skeleton
@@ -543,17 +551,17 @@ impl ServiceState {
         // they were computed from another key's calibration and must not
         // be replayed as fresh once calibration recovers.
         if stale {
-            let rendered = RenderedProjection::new(&gro, gro.project(&program, &hints));
+            let rendered = RenderedProjection::new(&cal, cal.gro.project(&program, &hints));
             return Ok(project_reply(req, &parts, &rendered, false, true));
         }
         let key = ProjectionKey {
             machine: req.machine.clone(),
             seed: req.seed,
-            skeleton_hash: fnv1a(text::to_text(&program).as_bytes()),
+            skeleton_hash: program.content_hash(),
             hints_hash: fnv1a(hints_fingerprint(req).as_bytes()),
             fingerprint,
         };
-        let (rendered, cached) = self.project_cached(&key, &gro, &program, &hints);
+        let (rendered, cached) = self.project_cached(&key, &cal, &program, &hints);
         let parts = Arc::new(parts);
         self.projections.alias(&key, &text, parts.clone());
         Ok(project_reply(req, &parts, &rendered, cached, false))
@@ -624,7 +632,7 @@ impl ServiceState {
             ("ok", Json::Bool(true)),
             ("command", Json::Str("measure".into())),
             ("machine", Json::Str(req.machine.clone())),
-            ("seed", Json::Num(req.seed as f64)),
+            ("seed", Json::U64(req.seed)),
             ("iters", Json::Num(req.iters as f64)),
         ];
         if !diags.is_empty() {
@@ -717,7 +725,7 @@ impl ServiceState {
             ("ok", Json::Bool(true)),
             ("command", Json::Str("calibrate".into())),
             ("machine", Json::Str(req.machine.clone())),
-            ("seed", Json::Num(req.seed as f64)),
+            ("seed", Json::U64(req.seed)),
             ("h2d", Json::Str(gro.pcie_model().h2d.to_string())),
             ("d2h", Json::Str(gro.pcie_model().d2h.to_string())),
             ("sweeps", Json::Arr(sweeps)),
@@ -731,7 +739,7 @@ impl ServiceState {
         let totals = m.totals();
         let pool = gpp_par::Pool::global().stats();
         let (synth_hits, synth_misses) = gpp_gpu_model::synth_memo_stats();
-        let num = |n: u64| Json::Num(n as f64);
+        let num = Json::U64;
         let memo = self.projections.keys().into_iter().map(|k| {
             Json::obj([
                 ("machine", Json::Str(k.machine.clone())),
@@ -811,9 +819,10 @@ fn text_key(req: &Request) -> TextKey<'_> {
     }
 }
 
-/// The `project` reply, for the text-index and the parsing path alike.
-/// Only `iters` and the totals it scales are formatted per request; the
-/// rest is spliced from the text's parts and the memoized projection.
+/// The `project` reply, for the text-index and the parsing path alike,
+/// written in one pass into one buffer. Only `seed`, `iters` and the
+/// totals `iters` scales are formatted per request; the rest is copied
+/// from the text's parts and the memoized projection.
 fn project_reply(
     req: &Request,
     parts: &TextParts,
@@ -821,45 +830,65 @@ fn project_reply(
     cached: bool,
     stale: bool,
 ) -> Json {
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("command", Json::Str("project".into())),
-        ("machine", Json::Str(req.machine.clone())),
-        ("seed", Json::Num(req.seed as f64)),
-        ("iters", Json::Num(req.iters as f64)),
-        ("fingerprint", Json::Str(parts.fingerprint.clone())),
-        ("cached", Json::Bool(cached)),
-    ];
+    let spliced = |part: &Option<String>| part.as_ref().map_or(0, |p| p.len() + 24);
+    let mut out = String::with_capacity(
+        REPLY_FIELD_BYTES
+            + req.machine.len()
+            + parts.fingerprint.len()
+            + spliced(&parts.diagnostics)
+            + spliced(&parts.transfer_headroom)
+            + rendered.pcie.len()
+            + rendered.projection.len(),
+    );
+    out.push_str(r#"{"ok":true,"command":"project","machine":"#);
+    write_str(&req.machine, &mut out);
+    let _ = write!(
+        out,
+        r#","seed":{},"iters":{},"fingerprint":"#,
+        req.seed, req.iters
+    );
+    write_str(&parts.fingerprint, &mut out);
+    out.push_str(if cached {
+        r#","cached":true"#
+    } else {
+        r#","cached":false"#
+    });
     // Only present when true, so fault-free replies stay byte-for-byte
     // what they were before degraded mode existed.
     if stale {
-        fields.push(("stale", Json::Bool(true)));
+        out.push_str(r#","stale":true"#);
     }
     // Same convention: a clean skeleton's reply is byte-for-byte what it
     // was before the analyzer existed, and `transfer_headroom` is absent
     // unless a fix applies.
     if let Some(diags) = &parts.diagnostics {
-        fields.push(("diagnostics", Json::Raw(diags.clone())));
+        out.push_str(r#","diagnostics":"#);
+        out.push_str(diags);
     }
     if let Some(rows) = &parts.transfer_headroom {
-        fields.push(("transfer_headroom", Json::Raw(rows.clone())));
+        out.push_str(r#","transfer_headroom":"#);
+        out.push_str(rows);
     }
     let proj = &rendered.proj;
-    fields.extend([
-        ("pcie", Json::Raw(rendered.pcie.clone())),
-        ("projection", Json::Raw(rendered.projection.clone())),
-        ("total_seconds", Json::Num(proj.total_time(req.iters))),
-    ]);
+    out.push_str(r#","pcie":"#);
+    out.push_str(&rendered.pcie);
+    out.push_str(r#","projection":"#);
+    out.push_str(&rendered.projection);
+    out.push_str(r#","total_seconds":"#);
+    write_num(proj.total_time(req.iters), &mut out);
     // Stream-annotated programs also quote the overlapped-schedule
     // total; absent otherwise so legacy replies keep their bytes.
     if proj.timeline.is_some() {
-        fields.push((
-            "overlapped_total_seconds",
-            Json::Num(proj.overlapped_total_time(req.iters)),
-        ));
+        out.push_str(r#","overlapped_total_seconds":"#);
+        write_num(proj.overlapped_total_time(req.iters), &mut out);
     }
-    Json::obj(fields)
+    out.push('}');
+    Json::Raw(out)
 }
+
+/// Room for a `project` reply's keys and the numbers it formats itself,
+/// so that writing the reply does not grow its buffer.
+const REPLY_FIELD_BYTES: usize = 320;
 
 /// Resolves a machine name against a registry. Unknown names become a
 /// structured kind-`machine` error whose message carries the sorted list
@@ -1219,6 +1248,23 @@ mod tests {
         assert!(out.contains("\"ok\":true"), "{out}");
         assert!(!out.contains("transfer_headroom"), "{out}");
         assert!(!out.contains("diagnostics"), "{out}");
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_come_back_exactly() {
+        let s = state();
+        let seed = (1u64 << 53) + 1;
+        let want = format!("\"seed\":{seed},");
+        for cmd in ["project", "measure"] {
+            let out = s.handle(&payload(&format!("{cmd} seed={seed}"), VEC_ADD), 0);
+            assert!(out.contains("\"ok\":true"), "{cmd}: {out}");
+            assert!(out.contains(&want), "{cmd}: {out}");
+        }
+        let out = s.handle(&format!("gpp/1 calibrate seed={seed}"), 0);
+        assert!(out.contains(&want), "calibrate: {out}");
+        let stats = s.handle("gpp/1 stats", 0);
+        let row = format!("{{\"machine\":\"eureka\",{want}\"fingerprint\":");
+        assert!(stats.contains(&row), "{stats}");
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl ProgramBuilder {
 
     /// Declares a dense array and returns its id.
     pub fn array(&mut self, name: impl Into<String>, elem: ElemType, extents: &[usize]) -> ArrayId {
-        self.declare(name, elem, extents, false)
+        self.declare(name.into(), elem, extents.to_vec(), false)
     }
 
     /// Declares a sparse/irregular array (CSR values, index vectors...).
@@ -71,7 +71,7 @@ impl ProgramBuilder {
         elem: ElemType,
         extents: &[usize],
     ) -> ArrayId {
-        self.declare(name, elem, extents, true)
+        self.declare(name.into(), elem, extents.to_vec(), true)
     }
 
     /// Declares a device-side temporary: an array whose final contents
@@ -83,7 +83,7 @@ impl ProgramBuilder {
         elem: ElemType,
         extents: &[usize],
     ) -> ArrayId {
-        let id = self.declare(name, elem, extents, false);
+        let id = self.declare(name.into(), elem, extents.to_vec(), false);
         self.arrays[id.index()].temporary = true;
         id
     }
@@ -94,19 +94,20 @@ impl ProgramBuilder {
         self.arrays[id.index()].temporary = true;
     }
 
-    fn declare(
+    /// Declares an array from owned parts (the text parser's way in).
+    pub(crate) fn declare(
         &mut self,
-        name: impl Into<String>,
+        name: String,
         elem: ElemType,
-        extents: &[usize],
+        extents: Vec<usize>,
         sparse: bool,
     ) -> ArrayId {
         let id = ArrayId(self.arrays.len() as u32);
         self.arrays.push(ArrayDecl {
             id,
-            name: name.into(),
+            name,
             elem,
-            extents: extents.to_vec(),
+            extents,
             sparse,
             temporary: false,
         });
@@ -308,22 +309,23 @@ impl StatementBuilder<'_, '_> {
     }
 
     /// Adds a read with arbitrary (possibly irregular) indices.
-    pub fn read_ix(mut self, array: ArrayId, index: &[IndexExpr]) -> Self {
-        self.refs.push(ArrayRef {
-            array,
-            index: index.to_vec(),
-            kind: AccessKind::Read,
-        });
-        self
+    pub fn read_ix(self, array: ArrayId, index: &[IndexExpr]) -> Self {
+        self.access(array, AccessKind::Read, index.to_vec())
     }
 
     /// Adds a write with arbitrary (possibly irregular) indices.
-    pub fn write_ix(mut self, array: ArrayId, index: &[IndexExpr]) -> Self {
-        self.refs.push(ArrayRef {
-            array,
-            index: index.to_vec(),
-            kind: AccessKind::Write,
-        });
+    pub fn write_ix(self, array: ArrayId, index: &[IndexExpr]) -> Self {
+        self.access(array, AccessKind::Write, index.to_vec())
+    }
+
+    /// Adds a reference of either kind, taking its indices as they are.
+    pub(crate) fn access(
+        mut self,
+        array: ArrayId,
+        kind: AccessKind,
+        index: Vec<IndexExpr>,
+    ) -> Self {
+        self.refs.push(ArrayRef { array, index, kind });
         self
     }
 

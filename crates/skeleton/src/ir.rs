@@ -375,6 +375,99 @@ impl Program {
     pub fn has_stream_annotations(&self) -> bool {
         self.transfers.iter().any(|t| !t.is_plain())
     }
+
+    /// A 64-bit hash of everything the program says: names, types,
+    /// extents, loops, arithmetic, references and the transfer schedule,
+    /// with `f64` fields taken by their bits. Equal programs hash equal, so
+    /// formatting-only variants of one skeleton share the value without
+    /// being rendered back to text. Changing any one field changes the
+    /// hash: each word enters through a step that is a bijection of the
+    /// running state.
+    pub fn content_hash(&self) -> u64 {
+        let mut h = ContentHasher(0xcbf2_9ce4_8422_2325);
+        h.str(&self.name);
+        h.word(self.arrays.len() as u64);
+        for a in &self.arrays {
+            h.str(&a.name);
+            h.word(a.elem as u64 | (a.sparse as u64) << 8 | (a.temporary as u64) << 9);
+            h.word(a.extents.len() as u64);
+            for &e in &a.extents {
+                h.word(e as u64);
+            }
+        }
+        h.word(self.kernels.len() as u64);
+        for k in &self.kernels {
+            h.str(&k.name);
+            h.word(k.gpu_compute_scale.to_bits());
+            h.word(k.cpu_compute_scale.to_bits());
+            h.word(k.loops.len() as u64);
+            for l in &k.loops {
+                h.str(&l.name);
+                h.word(l.trip);
+                h.word(l.parallel as u64);
+            }
+            h.word(k.statements.len() as u64);
+            for st in &k.statements {
+                let f = &st.flops;
+                h.word(u64::from(f.adds) | u64::from(f.muls) << 32);
+                h.word(u64::from(f.divs) | u64::from(f.specials) << 32);
+                h.word(u64::from(f.compares));
+                h.word(st.active_fraction.to_bits());
+                h.word(st.refs.len() as u64);
+                for r in &st.refs {
+                    h.word(u64::from(r.array.0) | (r.kind.is_read() as u64) << 32);
+                    h.word(r.index.len() as u64);
+                    for ix in &r.index {
+                        match ix {
+                            IndexExpr::Irregular => h.word(0),
+                            IndexExpr::IrregularBounded(span) => {
+                                h.word(1);
+                                h.word(u64::from(*span));
+                            }
+                            IndexExpr::Affine(e) => {
+                                h.word(2);
+                                h.word(e.offset as u64);
+                                h.word(e.terms.len() as u64);
+                                for &(l, c) in &e.terms {
+                                    h.word(u64::from(l.0));
+                                    h.word(c as u64);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        h.word(self.transfers.len() as u64);
+        for t in &self.transfers {
+            h.word(u64::from(t.array.0) | (t.kind as u64) << 32);
+            h.word(t.pos as u64);
+            h.word(u64::from(t.stream) | u64::from(t.chunks) << 32);
+        }
+        h.0
+    }
+}
+
+/// The running state of [`Program::content_hash`].
+struct ContentHasher(u64);
+
+impl ContentHasher {
+    /// Folds in one word. Every step (xor, multiply by an odd constant,
+    /// xor-shift) is invertible, so two states stay distinct.
+    fn word(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 29);
+    }
+
+    /// A string: its length, then its bytes eight at a time.
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut bytes = [0u8; 8];
+            bytes[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(bytes));
+        }
+    }
 }
 
 #[cfg(test)]

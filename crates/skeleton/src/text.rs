@@ -213,20 +213,21 @@ pub fn parse(input: &str) -> Result<Program, ParseError> {
 pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError> {
     let mut builder: Option<ProgramBuilder> = None;
     // Kernel under construction: (name, gpu_scale, cpu_scale, loops,
-    // statements), each with the span of its directive line.
-    struct PendStmt {
+    // statements), each with the span of its directive line. Names stay
+    // slices of `input` until the program is built.
+    struct PendStmt<'a> {
         flops: Flops,
         active: f64,
-        refs: Vec<(String, Vec<IndexExpr>, AccessKind, Span)>,
+        refs: Vec<(&'a str, Vec<IndexExpr>, AccessKind, Span)>,
         span: Span,
     }
-    struct PendKernel {
-        name: String,
+    struct PendKernel<'a> {
+        name: &'a str,
         gpu_scale: f64,
         cpu_scale: f64,
-        loops: Vec<(String, u64, bool)>,
+        loops: Vec<PendLoop<'a>>,
         loop_spans: Vec<Span>,
-        stmts: Vec<PendStmt>,
+        stmts: Vec<PendStmt<'a>>,
         span: Span,
     }
     let mut kernel: Option<PendKernel> = None;
@@ -249,8 +250,8 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
             col: pre.len() - pre.trim_start().len() + 1,
             len: line.len(),
         };
-        let mut words = line.split_whitespace();
-        let head = words.next().expect("nonempty line has a word");
+        let (head, body) = split_word(line).expect("nonempty line has a word");
+        let mut words = body.split_whitespace();
         match head {
             "program" => {
                 if builder.is_some() {
@@ -266,27 +267,25 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| err_at(at, "`array` before `program`"))?;
-                let name = words
-                    .next()
-                    .ok_or_else(|| err_at(at, "array needs a name"))?
-                    .to_string();
-                let elem = match words.next() {
-                    Some("f32") => ElemType::F32,
-                    Some("f64") => ElemType::F64,
-                    Some("i32") => ElemType::I32,
-                    Some("i64") => ElemType::I64,
-                    Some("c64") => ElemType::C64,
-                    Some("c128") => ElemType::C128,
+                let (name, rest) =
+                    split_word(body).ok_or_else(|| err_at(at, "array needs a name"))?;
+                let (elem, rest) = match split_word(rest) {
+                    Some(("f32", rest)) => (ElemType::F32, rest),
+                    Some(("f64", rest)) => (ElemType::F64, rest),
+                    Some(("i32", rest)) => (ElemType::I32, rest),
+                    Some(("i64", rest)) => (ElemType::I64, rest),
+                    Some(("c64", rest)) => (ElemType::C64, rest),
+                    Some(("c128", rest)) => (ElemType::C128, rest),
                     other => {
+                        let other = other.map(|(word, _)| word);
                         return Err(err_at(at, format!("unknown element type {other:?}")));
                     }
                 };
-                let rest: String = words.collect::<Vec<_>>().join(" ");
                 // Attributes (`sparse`, `temporary`, in any order) follow
                 // the bracketed extents.
                 let (extents_src, attrs) = match rest.rfind(']') {
                     Some(k) => (&rest[..=k], rest[k + 1..].trim()),
-                    None => (rest.as_str(), ""),
+                    None => (rest, ""),
                 };
                 let extents = parse_extents(extents_src, at)?;
                 let mut sparse = false;
@@ -300,11 +299,7 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
                         }
                     }
                 }
-                let id = if sparse {
-                    b.sparse_array(name, elem, &extents)
-                } else {
-                    b.array(name, elem, &extents)
-                };
+                let id = b.declare(name.to_string(), elem, extents, sparse);
                 if temporary {
                     b.set_temporary(id);
                 }
@@ -366,8 +361,7 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
                 }
                 let name = words
                     .next()
-                    .ok_or_else(|| err_at(at, "kernel needs a name"))?
-                    .to_string();
+                    .ok_or_else(|| err_at(at, "kernel needs a name"))?;
                 let mut gpu_scale = 1.0;
                 let mut cpu_scale = 1.0;
                 for w in words {
@@ -408,7 +402,11 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
                     .ok_or_else(|| err_at(at, "loop needs a trip count"))?
                     .parse()
                     .map_err(|_| err_at(at, "trip count must be an integer"))?;
-                k.loops.push((var.to_string(), trip, head == "parallel"));
+                k.loops.push(PendLoop {
+                    name: var,
+                    trip,
+                    parallel: head == "parallel",
+                });
                 k.loop_spans.push(at);
             }
             "stmt" => {
@@ -457,18 +455,15 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
                     .stmts
                     .last_mut()
                     .ok_or_else(|| err_at(at, format!("`{head}` before any `stmt`")))?;
-                let array = words
-                    .next()
-                    .ok_or_else(|| err_at(at, "reference needs an array"))?;
-                let rest: String = words.collect::<Vec<_>>().join(" ");
-                let loop_names: Vec<&str> = k.loops.iter().map(|(n, _, _)| n.as_str()).collect();
-                let index = parse_index_list(&rest, &loop_names, at)?;
+                let (array, rest) =
+                    split_word(body).ok_or_else(|| err_at(at, "reference needs an array"))?;
+                let index = parse_index_list(rest, &k.loops, at)?;
                 let kind = if head == "read" {
                     AccessKind::Read
                 } else {
                     AccessKind::Write
                 };
-                stmt.refs.push((array.to_string(), index, kind, at));
+                stmt.refs.push((array, index, kind, at));
             }
             other => return Err(err_at(at, format!("unknown directive `{other}`"))),
         }
@@ -481,8 +476,8 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
     let mut map = SourceMap {
         program: program_span,
         arrays: array_spans,
-        kernels: Vec::new(),
-        transfers: Vec::new(),
+        kernels: Vec::with_capacity(done.len()),
+        transfers: Vec::with_capacity(transfers.len()),
     };
     for (id, kind, stream, chunks, pos, at) in transfers {
         b.transfer_with(id, kind, pos, stream, chunks);
@@ -492,33 +487,30 @@ pub fn parse_with_spans(input: &str) -> Result<(Program, SourceMap), ParseError>
         let mut ks = KernelSpans {
             span: pk.span,
             loops: pk.loop_spans,
-            stmts: Vec::new(),
+            stmts: Vec::with_capacity(pk.stmts.len()),
         };
-        let mut kb = b.kernel(&pk.name);
+        let mut kb = b.kernel(pk.name);
         kb.gpu_compute_scale(pk.gpu_scale);
         kb.cpu_compute_scale(pk.cpu_scale);
-        for (name, trip, parallel) in &pk.loops {
-            if *parallel {
-                kb.parallel_loop(name.clone(), *trip);
+        for l in &pk.loops {
+            if l.parallel {
+                kb.parallel_loop(l.name, l.trip);
             } else {
-                kb.serial_loop(name.clone(), *trip);
+                kb.serial_loop(l.name, l.trip);
             }
         }
         for st in pk.stmts {
             let mut ss = StmtSpans {
                 span: st.span,
-                refs: Vec::new(),
+                refs: Vec::with_capacity(st.refs.len()),
             };
             let mut sb = kb.statement().flops(st.flops);
             if st.active != 1.0 {
                 sb = sb.active(st.active);
             }
             for (array, index, kind, at) in st.refs {
-                let id = resolve_array(&mut sb, &array, at)?;
-                sb = match kind {
-                    AccessKind::Read => sb.read_ix(id, &index),
-                    AccessKind::Write => sb.write_ix(id, &index),
-                };
+                let id = resolve_array(&mut sb, array, at)?;
+                sb = sb.access(id, kind, index);
                 ss.refs.push(at);
             }
             sb.finish();
@@ -540,28 +532,69 @@ fn resolve_array(
         .ok_or_else(|| err_at(at, format!("unknown array `{name}`")))
 }
 
+/// A loop of the kernel being parsed.
+struct PendLoop<'a> {
+    name: &'a str,
+    trip: u64,
+    parallel: bool,
+}
+
+/// Splits the first whitespace-delimited word off `s`, returning it and
+/// the text after it; `None` when `s` is blank.
+fn split_word(s: &str) -> Option<(&str, &str)> {
+    let s = s.trim_start();
+    let end = s.find(char::is_whitespace).unwrap_or(s.len());
+    (end > 0).then(|| s.split_at(end))
+}
+
+/// `src` with each run of whitespace as one space: the text an error
+/// message quotes, as it reads with the line's words rejoined.
+fn squash(src: &str) -> String {
+    let mut out = String::with_capacity(src.len());
+    let mut blank = false;
+    for c in src.chars() {
+        if !c.is_whitespace() {
+            out.push(c);
+        } else if !blank {
+            out.push(' ');
+        }
+        blank = c.is_whitespace();
+    }
+    out
+}
+
 fn parse_extents(src: &str, at: Span) -> Result<Vec<usize>, ParseError> {
     let src = src.trim();
     let inner = src
         .strip_prefix('[')
         .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| err_at(at, format!("extents must be bracketed, got `{src}`")))?;
+        .ok_or_else(|| {
+            err_at(
+                at,
+                format!("extents must be bracketed, got `{}`", squash(src)),
+            )
+        })?;
     inner
         .split(',')
         .map(|p| {
             p.trim()
                 .parse::<usize>()
-                .map_err(|_| err_at(at, format!("bad extent `{}`", p.trim())))
+                .map_err(|_| err_at(at, format!("bad extent `{}`", squash(p.trim()))))
         })
         .collect()
 }
 
-fn parse_index_list(src: &str, loops: &[&str], at: Span) -> Result<Vec<IndexExpr>, ParseError> {
+fn parse_index_list(src: &str, loops: &[PendLoop], at: Span) -> Result<Vec<IndexExpr>, ParseError> {
     let src = src.trim();
     let inner = src
         .strip_prefix('[')
         .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| err_at(at, format!("index list must be bracketed, got `{src}`")))?;
+        .ok_or_else(|| {
+            err_at(
+                at,
+                format!("index list must be bracketed, got `{}`", squash(src)),
+            )
+        })?;
     inner
         .split(',')
         .map(|p| parse_index(p.trim(), loops, at))
@@ -570,39 +603,34 @@ fn parse_index_list(src: &str, loops: &[&str], at: Span) -> Result<Vec<IndexExpr
 
 /// Parses one index expression: `?`, `?<span>`, or an affine combination
 /// like `2*i - 3 + j`.
-fn parse_index(src: &str, loops: &[&str], at: Span) -> Result<IndexExpr, ParseError> {
+fn parse_index(src: &str, loops: &[PendLoop], at: Span) -> Result<IndexExpr, ParseError> {
     if src == "?" {
         return Ok(IndexExpr::Irregular);
     }
     if let Some(span) = src.strip_prefix('?') {
         let span: u32 = span
             .parse()
-            .map_err(|_| err_at(at, format!("bad irregular span `{span}`")))?;
+            .map_err(|_| err_at(at, format!("bad irregular span `{}`", squash(span))))?;
         return Ok(IndexExpr::IrregularBounded(span));
     }
-    // Tokenize into signed terms.
-    let mut expr = AffineExpr::constant(0);
-    // Normalize: ensure a leading sign, then split on +/- keeping signs.
-    let cleaned: String = src.chars().filter(|c| !c.is_whitespace()).collect();
+    // Terms are read with the whitespace removed; only an expression
+    // that contains some needs a cleaned copy.
+    let cleaned: std::borrow::Cow<str> = if src.contains(char::is_whitespace) {
+        src.chars().filter(|c| !c.is_whitespace()).collect()
+    } else {
+        src.into()
+    };
     if cleaned.is_empty() {
         return Err(err_at(at, "empty index expression"));
     }
-    let mut terms = Vec::new();
-    let mut current = String::new();
-    for (k, ch) in cleaned.char_indices() {
-        if (ch == '+' || ch == '-') && k != 0 {
-            terms.push(std::mem::take(&mut current));
-        }
-        current.push(ch);
-    }
-    terms.push(current);
-    for t in terms {
+    let mut expr = AffineExpr::constant(0);
+    let mut add_term = |t: &str| {
         let (sign, body) = match t.strip_prefix('-') {
             Some(b) => (-1i64, b),
-            None => (1, t.strip_prefix('+').unwrap_or(&t)),
+            None => (1, t.strip_prefix('+').unwrap_or(t)),
         };
         if body.is_empty() {
-            return Err(err_at(at, format!("dangling sign in `{src}`")));
+            return Err(err_at(at, format!("dangling sign in `{}`", squash(src))));
         }
         // Forms: `<int>`, `<var>`, `<int>*<var>`.
         if let Some((coeff, var)) = body.split_once('*') {
@@ -617,15 +645,27 @@ fn parse_index(src: &str, loops: &[&str], at: Span) -> Result<IndexExpr, ParseEr
             let li = loop_index(body, loops, at, src)?;
             expr.add_term(LoopId(li as u32), sign);
         }
+        Ok(())
+    };
+    // Each sign after the first character starts a new signed term.
+    let mut start = 0;
+    for (k, ch) in cleaned.char_indices() {
+        if (ch == '+' || ch == '-') && k != 0 {
+            add_term(&cleaned[start..k])?;
+            start = k;
+        }
     }
+    add_term(&cleaned[start..])?;
     Ok(IndexExpr::Affine(expr))
 }
 
-fn loop_index(var: &str, loops: &[&str], at: Span, ctx: &str) -> Result<usize, ParseError> {
-    loops
-        .iter()
-        .position(|l| *l == var)
-        .ok_or_else(|| err_at(at, format!("unknown loop variable `{var}` in `{ctx}`")))
+fn loop_index(var: &str, loops: &[PendLoop], at: Span, ctx: &str) -> Result<usize, ParseError> {
+    loops.iter().position(|l| l.name == var).ok_or_else(|| {
+        err_at(
+            at,
+            format!("unknown loop variable `{var}` in `{}`", squash(ctx)),
+        )
+    })
 }
 
 /// Renders a program back to the text format. `parse(to_text(p))`
@@ -851,7 +891,11 @@ kernel k1 gpu_scale=38 cpu_scale=0.45
 
     #[test]
     fn index_expression_parsing() {
-        let loops = ["i", "j"];
+        let loops = ["i", "j"].map(|name| PendLoop {
+            name,
+            trip: 8,
+            parallel: true,
+        });
         let at = Span {
             line: 1,
             col: 1,

@@ -247,3 +247,96 @@ proptest! {
         prop_assert!(v >= lo && v <= hi, "{v} outside [{lo}, {hi}]");
     }
 }
+
+/// A random program with one explicit, annotated transfer, so every field
+/// the content hash covers is present.
+fn any_program_with_transfer() -> impl Strategy<Value = Program> {
+    (any_program(), any::<bool>(), 1u32..4, 2u32..6).prop_map(|(mut p, h2d, stream, chunks)| {
+        let kind = if h2d {
+            TransferKind::HostToDevice
+        } else {
+            TransferKind::DeviceToHost
+        };
+        let array = p.arrays[0].id;
+        p.transfers.push(gpp_skeleton::TransferDecl {
+            array,
+            kind,
+            pos: 0,
+            stream,
+            chunks,
+        });
+        p
+    })
+}
+
+/// `text` with its layout changed and nothing else: blank lines, a
+/// comment, and runs of spaces and tabs between words.
+fn reformat(text: &str, style: u8) -> String {
+    let mut out = String::from("# reformatted\n");
+    for (n, line) in text.lines().enumerate() {
+        let words: Vec<&str> = line.split(' ').filter(|w| !w.is_empty()).collect();
+        let gap = if (n + usize::from(style)).is_multiple_of(2) {
+            "  "
+        } else {
+            " \t"
+        };
+        out.push_str(&" ".repeat((style % 3) as usize));
+        out.push_str(&words.join(gap));
+        out.push_str(if style.is_multiple_of(2) {
+            "\n\n"
+        } else {
+            "  # note\n"
+        });
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Programs that render to the same text hash the same, so a
+    /// formatting-only variant of a skeleton shares its memo entry.
+    #[test]
+    fn equal_text_means_equal_content_hash(p in any_program_with_transfer(), style in 0u8..6) {
+        let rendered = text::to_text(&p);
+        let variant = reformat(&rendered, style);
+        let (reparsed, _) = text::parse_with_spans(&variant)
+            .map_err(|e| TestCaseError::fail(format!("reparse failed: {e}\n{variant}")))?;
+        prop_assert_eq!(text::to_text(&reparsed), rendered);
+        prop_assert_eq!(reparsed.content_hash(), p.content_hash());
+    }
+
+    /// Changing any one field changes the hash.
+    #[test]
+    fn each_single_field_mutation_changes_the_content_hash(p in any_program_with_transfer()) {
+        type Mutation = fn(&mut Program) -> bool;
+        let mutations: [(&str, Mutation); 8] = [
+            ("trip", |p| { p.kernels[0].loops[0].trip += 1; true }),
+            ("extent", |p| { p.arrays[0].extents[0] += 1; true }),
+            ("stream", |p| { p.transfers[0].stream += 1; true }),
+            ("chunks", |p| { p.transfers[0].chunks += 1; true }),
+            ("active", |p| { p.kernels[0].statements[0].active_fraction = 0.5; true }),
+            ("gpu_scale", |p| { p.kernels[0].gpu_compute_scale += 0.5; true }),
+            ("index coefficient", |p| {
+                let coeff = p.kernels.iter_mut()
+                    .flat_map(|k| &mut k.statements)
+                    .flat_map(|s| &mut s.refs)
+                    .flat_map(|r| &mut r.index)
+                    .find_map(|ix| match ix {
+                        IndexExpr::Affine(e) => e.terms.first_mut().map(|t| &mut t.1),
+                        _ => None,
+                    });
+                coeff.map(|c| *c += 1).is_some()
+            }),
+            ("array name", |p| { p.arrays[0].name.push('x'); true }),
+        ];
+        let hash = p.content_hash();
+        for (what, mutate) in mutations {
+            let mut q = p.clone();
+            if mutate(&mut q) {
+                prop_assert_ne!(text::to_text(&q), text::to_text(&p), "{} left the text as it was", what);
+                prop_assert_ne!(q.content_hash(), hash, "{} left the hash as it was", what);
+            }
+        }
+    }
+}
