@@ -6,6 +6,10 @@ cd "$(dirname "$0")"
 
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
 
+# Scratch files of the smoke, gateway-log and perf-regression steps.
+PERF_TMP=$(mktemp -d)
+trap 'rm -rf "$PERF_TMP"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -60,21 +64,6 @@ for needle in "dual-v2:" "quad-v2:" " split2 " " split4 " " ov "; do
     grep -qF -- "$needle" <<<"$CROSSFLEET" \
         || { echo "crossfleet output lacks \`$needle\`"; exit 1; }
 done
-
-echo "== perf-regression gate (min-of-N vs committed BENCH_*.json)"
-# Re-measure both bench harnesses to temporary files and fail on >25%
-# regression against the committed baselines. Both harnesses report
-# min-of-N, so a single noisy round cannot trip the gate — only a
-# consistent slowdown across every round does.
-PERF_TMP=$(mktemp -d)
-trap 'rm -rf "$PERF_TMP"' EXIT
-GPP_BENCH_OUT="$PERF_TMP/project.json" \
-    cargo bench $CARGO_FLAGS -p gpp-bench --bench project_throughput >/dev/null
-GPP_BENCH_OUT="$PERF_TMP/serve.json" \
-    cargo bench $CARGO_FLAGS -p gpp-bench --bench serve_throughput >/dev/null
-cargo build $CARGO_FLAGS --release -p gpp-bench --bin perfgate
-target/release/perfgate BENCH_project.json "$PERF_TMP/project.json" --max-regress 0.25
-target/release/perfgate BENCH_serve.json "$PERF_TMP/serve.json" --max-regress 0.25
 
 echo "== chaos suite (pinned fault plan)"
 # The chaos tests pin their own seeds (7, 42, 2013); the env var pins the
@@ -203,5 +192,19 @@ if grep -E "$LOG_ALARM" "$GW_ERR"; then
     echo "gpp gateway or its shards logged an error"
     exit 1
 fi
+
+echo "== perf-regression gate (min-of-N vs committed BENCH_*.json)"
+# Re-measure both bench harnesses to temporary files and fail on >25%
+# regression against the committed baselines. Both harnesses report
+# min-of-N, so a single noisy round cannot trip the gate — only a
+# consistent slowdown across every round does. It runs last, so a
+# noisy-host failure here cannot hide a failure of any gate above.
+GPP_BENCH_OUT="$PERF_TMP/project.json" \
+    cargo bench $CARGO_FLAGS -p gpp-bench --bench project_throughput >/dev/null
+GPP_BENCH_OUT="$PERF_TMP/serve.json" \
+    cargo bench $CARGO_FLAGS -p gpp-bench --bench serve_throughput >/dev/null
+cargo build $CARGO_FLAGS --release -p gpp-bench --bin perfgate
+target/release/perfgate BENCH_project.json "$PERF_TMP/project.json" --max-regress 0.25
+target/release/perfgate BENCH_serve.json "$PERF_TMP/serve.json" --max-regress 0.25
 
 echo "CI OK"

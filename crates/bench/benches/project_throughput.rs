@@ -28,9 +28,9 @@
 //! Every arm runs at one thread. The engine and `Grophecy::project` never
 //! touch the `gpp-par` pool; the oracle maps its candidates over it, so
 //! the pool is pinned to one thread for the whole run, and `perfgate`
-//! fails a run whose `threads` differs from the baseline's. Not a
-//! criterion harness: `gpp_par::set_threads` is process-global state a
-//! shared criterion runner would race on.
+//! fails a run whose `threads` differs from the baseline's. A plain
+//! `main`, not a shared bench runner: `gpp_par::set_threads` is
+//! process-global state such a runner would race on.
 
 use gpp_skeleton::KernelCharacteristics;
 use gpp_workloads::cfd::Cfd;

@@ -26,9 +26,9 @@
 //! and gates on >25% regression against the committed JSON (see
 //! `perfgate`).
 //!
-//! Not a criterion harness: the JSON schema, the round structure, and
-//! the batch-frame accounting are all bespoke, and the regression gate
-//! needs a stable, self-describing output file.
+//! A plain `main`, not a shared bench runner: the JSON schema, the round
+//! structure, and the batch-frame accounting are all bespoke, and the
+//! regression gate needs a stable, self-describing output file.
 
 use gpp_serve::{Command, Request, ServeConfig, ServiceState};
 use grophecy::report::Json;

@@ -1,9 +1,7 @@
 //! Ablation studies for the design decisions called out in DESIGN.md.
 
 use gpp_datausage::analyze;
-use gpp_pcie::{
-    BusParams, BusSimulator, Calibrator, Direction, MemType, PiecewiseModel, SweepValidation,
-};
+use gpp_pcie::{BusParams, BusSimulator, Calibrator, Direction, MemType, PiecewiseModel};
 use gpp_workloads::{paper_cases, srad::Srad};
 
 /// D1 — linear (2-point) vs piecewise (30-point) PCIe model accuracy on a
@@ -120,18 +118,6 @@ pub fn hints_ablation(seed: u64) -> Vec<(usize, f64, f64)> {
             (n, time(&with), time(&without))
         })
         .collect()
-}
-
-/// The §V-A model-validation headline: full pinned sweep errors after a
-/// fresh calibration (used by the `ablations` report and benches).
-pub fn sweep_errors(seed: u64) -> (f64, f64) {
-    let mut bus = BusSimulator::new(BusParams::pcie_v1_x16(), seed);
-    let model = Calibrator::default().calibrate(&mut bus);
-    let h =
-        SweepValidation::paper_sweep(&mut bus, &model, Direction::HostToDevice, MemType::Pinned);
-    let d =
-        SweepValidation::paper_sweep(&mut bus, &model, Direction::DeviceToHost, MemType::Pinned);
-    (h.mean_error(), d.mean_error())
 }
 
 /// Renders every ablation as text.

@@ -2,9 +2,8 @@
 //! paper's evaluation (§V) from the simulated testbed.
 //!
 //! Each `fig*`/`table*` function returns the data series the corresponding
-//! figure plots (so tests and Criterion benches can consume them), and
-//! [`render`] formats them as text tables. The `repro` binary dispatches
-//! by experiment id:
+//! figure plots (so tests can consume them), and [`render`] formats them
+//! as text tables. The `repro` binary dispatches by experiment id:
 //!
 //! ```text
 //! cargo run -p gpp-bench --release --bin repro -- table1

@@ -73,13 +73,9 @@ options:
   --check                 (machines) parse each .gmach file and verify it
                           round-trips through the canonical writer
   --export NAME           (machines) print NAME's canonical .gmach datasheet
-  --threads N             gpp-par pool threads (default: GPP_THREADS env,
-                          else all cores); only offline sweeps use the
-                          pool, projections always run serially
   --profile               (project) print simulated kernel profiles
   --stats                 (project) print search statistics after the
-                          projection: synthesis-memo hits/misses and
-                          gpp-par pool utilization
+                          projection: synthesis-memo hits/misses
   --seed N                noise seed (default 2013)
   --iters N               iteration count for speedups (default 1)
   --temporary NAME        hint: array is a device-side temporary
@@ -210,13 +206,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v >= 1 => gpp_par::set_threads(v),
-                _ => {
-                    eprintln!("--threads needs an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
             "--profile" => opt.profile = true,
             "--stats" => opt.stats = true,
             "--temporary" => match args.next() {
@@ -825,13 +814,8 @@ fn cmd_project(program: &Program, hints: &Hints, opt: &Options) -> ExitCode {
     }
     if opt.stats {
         let (hits, misses) = gpp_gpu_model::synth_memo_stats();
-        let pool = gpp_par::Pool::global().stats();
         println!();
-        println!(
-            "search stats: synthesis memo {hits} hit(s) / {misses} miss(es); \
-             pool {} thread(s), {} task(s) in {} region(s)",
-            pool.threads, pool.tasks_executed, pool.parallel_regions
-        );
+        println!("search stats: synthesis memo {hits} hit(s) / {misses} miss(es)");
     }
     ExitCode::SUCCESS
 }

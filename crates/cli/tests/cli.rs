@@ -38,7 +38,7 @@ fn project_reports_kernel_and_transfer_times() {
 }
 
 #[test]
-fn project_stats_reports_synthesis_memo_and_pool() {
+fn project_stats_reports_synthesis_memo() {
     let out = gpp()
         .args(["project", &skeleton_path("hotspot_1024.gsk"), "--stats"])
         .output()
@@ -48,7 +48,6 @@ fn project_stats_reports_synthesis_memo_and_pool() {
     assert!(stdout.contains("search stats:"), "{stdout}");
     assert!(stdout.contains("synthesis memo"), "{stdout}");
     assert!(stdout.contains("miss(es)"), "{stdout}");
-    assert!(stdout.contains("thread(s)"), "{stdout}");
     // A fresh process projecting one program must have synthesized at
     // least one staging class per kernel search — misses cannot be zero.
     assert!(!stdout.contains("0 miss(es)"), "{stdout}");

@@ -78,7 +78,7 @@ impl SpeedupReport {
     }
 
     /// True if the prediction got the port/don't-port decision right —
-    /// the Stassuij criterion (§V-B-4): is the speedup on the same side
+    /// the Stassuij test (§V-B-4): is the speedup on the same side
     /// of 1.0?
     pub fn verdict_correct(&self, predicted: f64) -> bool {
         (predicted >= 1.0) == (self.measured >= 1.0)

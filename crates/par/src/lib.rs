@@ -77,20 +77,18 @@ pub fn configured_threads() -> usize {
     }
 }
 
-/// Overrides the thread count process-wide (tests, `--threads`).
+/// Overrides the thread count process-wide (tests and bench harnesses).
 /// `set_threads(1)` forces the exact serial code path; `set_threads(0)`
 /// removes the override. Results are bit-identical at any setting.
 pub fn set_threads(n: usize) {
     OVERRIDE.store(n.min(MAX_THREADS), Ordering::Relaxed);
 }
 
-/// Utilization counters of the global pool (for `gpp-serve` stats).
+/// Utilization counters of the global pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// The configured thread count regions size themselves against.
     pub threads: usize,
-    /// Workers (helpers + participating callers) running right now.
-    pub busy_workers: usize,
     /// Total `f(i)` invocations executed through the pool, ever.
     pub tasks_executed: u64,
     /// Total parallel regions entered (serial fast paths included).
@@ -101,7 +99,6 @@ pub struct PoolStats {
 pub struct Pool {
     /// Helper tokens currently on loan to running regions.
     outstanding: AtomicUsize,
-    busy: AtomicUsize,
     tasks: AtomicU64,
     regions: AtomicU64,
 }
@@ -112,7 +109,6 @@ impl Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| Pool {
             outstanding: AtomicUsize::new(0),
-            busy: AtomicUsize::new(0),
             tasks: AtomicU64::new(0),
             regions: AtomicU64::new(0),
         })
@@ -122,7 +118,6 @@ impl Pool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             threads: configured_threads(),
-            busy_workers: self.busy.load(Ordering::Relaxed),
             tasks_executed: self.tasks.load(Ordering::Relaxed),
             parallel_regions: self.regions.load(Ordering::Relaxed),
         }
@@ -184,7 +179,6 @@ where
     let cursor = AtomicUsize::new(0);
     let chunk = chunk_size(n, workers);
     let run_worker = |expect: usize| -> Vec<(usize, T)> {
-        pool.busy.fetch_add(1, Ordering::Relaxed);
         let mut got: Vec<(usize, T)> = Vec::with_capacity(expect);
         loop {
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -196,7 +190,6 @@ where
             }
         }
         pool.tasks.fetch_add(got.len() as u64, Ordering::Relaxed);
-        pool.busy.fetch_sub(1, Ordering::Relaxed);
         got
     };
 
@@ -226,11 +219,8 @@ where
 
 /// The exact serial code path (`GPP_THREADS=1`): a plain in-order loop.
 fn serial_map<T, F: Fn(usize) -> T>(pool: &Pool, n: usize, f: &F) -> Vec<T> {
-    pool.busy.fetch_add(1, Ordering::Relaxed);
-    let out = (0..n).map(f).collect();
     pool.tasks.fetch_add(n as u64, Ordering::Relaxed);
-    pool.busy.fetch_sub(1, Ordering::Relaxed);
-    out
+    (0..n).map(f).collect()
 }
 
 #[cfg(test)]

@@ -737,7 +737,6 @@ impl ServiceState {
     pub fn stats_json(&self, queue_depth: usize) -> Json {
         let m = &self.metrics;
         let totals = m.totals();
-        let pool = gpp_par::Pool::global().stats();
         let (synth_hits, synth_misses) = gpp_gpu_model::synth_memo_stats();
         let num = Json::U64;
         let memo = self.projections.keys().into_iter().map(|k| {
@@ -768,15 +767,6 @@ impl ServiceState {
                     num(self.calibrations.len() as u64),
                 ),
                 ("projection_memo", Json::Arr(memo.collect())),
-                (
-                    "pool",
-                    Json::obj([
-                        ("threads", num(pool.threads as u64)),
-                        ("busy_workers", num(pool.busy_workers as u64)),
-                        ("tasks_executed", num(pool.tasks_executed)),
-                        ("parallel_regions", num(pool.parallel_regions)),
-                    ]),
-                ),
                 (
                     "synthesis_memo",
                     Json::obj([("hits", num(synth_hits)), ("misses", num(synth_misses))]),

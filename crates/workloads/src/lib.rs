@@ -8,7 +8,7 @@
 //!
 //! Each module provides, for one benchmark:
 //!
-//! * a **real numeric implementation** (sequential and crossbeam-parallel,
+//! * a **real numeric implementation** (sequential and thread-parallel,
 //!   validated against each other and against analytic properties) — our
 //!   stand-in for the original C++/OpenMP code, proving the skeletons
 //!   describe real algorithms;

@@ -1,4 +1,4 @@
-//! Tiny data-parallel helper over crossbeam scoped threads.
+//! Tiny data-parallel helper over `std::thread::scope`.
 //!
 //! The paper's CPU baselines are OpenMP loops; this is the Rust
 //! equivalent: split an output slice into contiguous chunks, one worker
@@ -8,6 +8,7 @@
 /// Applies `f(start_index, chunk)` to disjoint chunks of `out`, in
 /// parallel across `threads` workers. `f` receives the global start index
 /// of its chunk so workers can locate themselves in the input arrays.
+/// A panicking worker panics the caller once every worker has finished.
 pub fn par_chunks<T: Send, F>(out: &mut [T], threads: usize, chunk_len: usize, f: F)
 where
     F: Fn(usize, &mut [T]) + Sync,
@@ -21,7 +22,7 @@ where
         f(0, out);
         return;
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let mut rest = out;
         let mut start = 0usize;
@@ -31,12 +32,11 @@ where
             let take = per_worker.min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
             let head_start = start;
-            scope.spawn(move |_| f(head_start, head));
+            scope.spawn(move || f(head_start, head));
             start += take;
             rest = tail;
         }
-    })
-    .expect("worker panicked");
+    });
 }
 
 fn out_len_chunks(len: usize, chunk: usize) -> usize {
@@ -79,6 +79,17 @@ mod tests {
         assert_eq!(out, (0..10u8).collect::<Vec<_>>());
         let mut empty: Vec<u8> = vec![];
         par_chunks(&mut empty, 4, 4, |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_worker_panics_the_caller() {
+        let mut out = vec![0u32; 1000];
+        par_chunks(&mut out, 4, 10, |start, _| {
+            if start > 0 {
+                panic!("worker at {start} fails");
+            }
+        });
     }
 
     #[test]

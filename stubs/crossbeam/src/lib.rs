@@ -1,74 +1,18 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! Two submodules, matching the subset of crossbeam this workspace uses:
-//!
-//! * [`thread`] — `scope`/`Scope::spawn` with crossbeam's signature (the
-//!   spawn closure receives `&Scope`, and `scope` returns `Err` when a
-//!   child panicked), implemented over `std::thread::scope`.
-//! * [`channel`] — a multi-producer multi-consumer bounded channel with
-//!   `send`/`try_send`/`recv`/`recv_timeout` and disconnect semantics,
-//!   implemented with `Mutex` + `Condvar`. Not lock-free; plenty for the
-//!   request queue of `gpp-serve` where each item is a TCP connection.
-
-pub mod thread {
-    use std::any::Any;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Scope handle passed to [`scope`] closures and child threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Handle to a scoped child thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the child and returns its result (`Err` on panic).
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread; the closure receives this scope so it
-        /// can spawn further children (crossbeam's signature).
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Creates a scope for spawning borrowing threads. Unlike
-    /// `std::thread::scope`, a panicking child makes this return `Err`
-    /// instead of propagating the panic.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-}
+//! One submodule, matching the subset of crossbeam this workspace uses:
+//! [`channel`], a multi-producer multi-consumer bounded channel with
+//! `try_send`/`recv`/`try_recv` and disconnect semantics, implemented with
+//! `Mutex` + `Condvar`. Not lock-free; plenty for the request queue of
+//! `gpp-serve` where each item is a TCP connection.
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::fmt;
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
 
     struct Shared<T> {
         queue: Mutex<State<T>>,
         not_empty: Condvar,
-        not_full: Condvar,
     }
 
     struct State<T> {
@@ -97,29 +41,9 @@ pub mod channel {
         Disconnected(T),
     }
 
-    /// Error for [`Sender::send`]: all receivers dropped.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
     /// Error for [`Receiver::recv`]: channel empty and all senders dropped.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    /// Error for [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No item arrived in time.
-        Timeout,
-        /// Channel empty and all senders dropped.
-        Disconnected,
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            "receiving on an empty and disconnected channel".fmt(f)
-        }
-    }
-    impl std::error::Error for RecvError {}
 
     /// Creates a bounded MPMC channel with capacity `cap` (≥ 1).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
@@ -132,7 +56,6 @@ pub mod channel {
                 receivers: 1,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         });
         (
             Sender {
@@ -157,33 +80,6 @@ pub mod channel {
             self.shared.not_empty.notify_one();
             Ok(())
         }
-
-        /// Blocking send; waits for space.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.shared.queue.lock().unwrap();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                if st.items.len() < st.cap {
-                    st.items.push_back(value);
-                    drop(st);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-                st = self.shared.not_full.wait(st).unwrap();
-            }
-        }
-
-        /// Items currently queued.
-        pub fn len(&self) -> usize {
-            self.shared.queue.lock().unwrap().items.len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
     }
 
     impl<T> Receiver<T> {
@@ -192,8 +88,6 @@ pub mod channel {
             let mut st = self.shared.queue.lock().unwrap();
             loop {
                 if let Some(v) = st.items.pop_front() {
-                    drop(st);
-                    self.shared.not_full.notify_one();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -203,41 +97,9 @@ pub mod channel {
             }
         }
 
-        /// Receive with a deadline.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.shared.queue.lock().unwrap();
-            loop {
-                if let Some(v) = st.items.pop_front() {
-                    drop(st);
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (g, _timeout) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(st, deadline - now)
-                    .unwrap();
-                st = g;
-            }
-        }
-
         /// Non-blocking receive; `None` when empty (regardless of senders).
         pub fn try_recv(&self) -> Option<T> {
-            let mut st = self.shared.queue.lock().unwrap();
-            let v = st.items.pop_front();
-            if v.is_some() {
-                drop(st);
-                self.shared.not_full.notify_one();
-            }
-            v
+            self.shared.queue.lock().unwrap().items.pop_front()
         }
 
         /// Items currently queued.
@@ -283,42 +145,14 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut st = self.shared.queue.lock().unwrap();
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                drop(st);
-                self.shared.not_full.notify_all();
-            }
+            self.shared.queue.lock().unwrap().receivers -= 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, RecvTimeoutError, TrySendError};
-    use std::time::Duration;
-
-    #[test]
-    fn scoped_threads_spawn_and_join() {
-        let data = [1u64, 2, 3, 4];
-        let total: u64 = super::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move |_| c.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn scope_reports_child_panic_as_err() {
-        let r = super::thread::scope(|s| {
-            s.spawn(|_| panic!("child dies"));
-        });
-        assert!(r.is_err());
-    }
+    use super::channel::{bounded, TrySendError};
 
     #[test]
     fn bounded_backpressure_and_disconnect() {
@@ -328,14 +162,15 @@ mod tests {
         assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
         assert_eq!(rx.recv(), Ok(1));
         tx.try_send(3).unwrap();
+        assert_eq!(rx.len(), 2);
         assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
+        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(rx.try_recv(), None);
         drop(tx);
         assert!(rx.recv().is_err());
+        let (tx, rx) = bounded::<u32>(1);
+        drop(rx);
+        assert_eq!(tx.try_send(1), Err(TrySendError::Disconnected(1)));
     }
 
     #[test]
@@ -343,12 +178,16 @@ mod tests {
         let (tx, rx) = bounded::<usize>(4);
         let n_prod = 4;
         let per = 100;
-        let got = super::thread::scope(|s| {
+        let got = std::thread::scope(|s| {
             for p in 0..n_prod {
                 let tx = tx.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per {
-                        tx.send(p * per + i).unwrap();
+                        let mut item = p * per + i;
+                        while let Err(TrySendError::Full(back)) = tx.try_send(item) {
+                            item = back;
+                            std::thread::yield_now();
+                        }
                     }
                 });
             }
@@ -356,7 +195,7 @@ mod tests {
             let consumers: Vec<_> = (0..3)
                 .map(|_| {
                     let rx = rx.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut got = Vec::new();
                         while let Ok(v) = rx.recv() {
                             got.push(v);
@@ -371,8 +210,7 @@ mod tests {
                 .collect();
             all.sort_unstable();
             all
-        })
-        .unwrap();
+        });
         assert_eq!(got, (0..n_prod * per).collect::<Vec<_>>());
     }
 }

@@ -28,33 +28,12 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: e.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
         }
     }
 }
@@ -100,10 +79,6 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -116,13 +91,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
         }
     }
 }
@@ -166,29 +134,14 @@ impl Condvar {
         }
     }
 
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        take_guard(&mut guard.inner, |g| {
-            self.inner.wait(g).unwrap_or_else(|e| e.into_inner())
-        });
-    }
-
-    /// Returns `true` if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let mut timed_out = false;
-        take_guard(&mut guard.inner, |g| {
+    /// Waits for a notification or until `timeout` passes.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
+        replace_with(&mut guard.inner, |g| {
             match self.inner.wait_timeout(g, timeout) {
-                Ok((g, t)) => {
-                    timed_out = t.timed_out();
-                    g
-                }
+                Ok((g, _)) => g,
                 Err(e) => e.into_inner().0,
             }
         });
-        timed_out
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     pub fn notify_all(&self) {
@@ -196,30 +149,25 @@ impl Condvar {
     }
 }
 
-/// Runs `f` on an owned std guard, then puts the result back. The
-/// `unreachable` placeholder never escapes: `f` always returns a guard.
-fn take_guard<'a, T>(
-    slot: &mut sync::MutexGuard<'a, T>,
-    f: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
-) {
-    // Safety-free trick: std's wait() consumes the guard, but we only have
-    // `&mut`. Use a two-step replace with ManuallyDrop semantics via Option.
-    replace_with(slot, f);
-}
-
+/// Runs `f` on the std guard in `slot`, which `f` consumes (std's
+/// `wait_timeout` takes the guard by value), and puts the guard `f`
+/// returns back into `slot`.
 fn replace_with<'a, T>(
     slot: &mut sync::MutexGuard<'a, T>,
     f: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
 ) {
-    // If `f` unwound after consuming the guard, `slot` would be read twice;
-    // abort instead (the closures used here never panic — poison is mapped
-    // to `into_inner` first).
     struct Bomb;
     impl Drop for Bomb {
         fn drop(&mut self) {
             std::process::abort();
         }
     }
+    // SAFETY: `old` is a bitwise copy of the guard in `slot`, `f` consumes
+    // it, and the guard `f` returns overwrites `slot` without dropping the
+    // moved-from value, so exactly one guard is live and dropped. If `f`
+    // unwound after consuming `old`, `slot` would be dropped a second time;
+    // `Bomb` aborts the process first (the closure used here never panics:
+    // poison is mapped to `into_inner`).
     unsafe {
         let old = std::ptr::read(slot);
         let bomb = Bomb;
@@ -268,12 +216,12 @@ mod tests {
             let (m, cv) = &*pair2;
             let mut g = m.lock();
             *g = true;
-            cv.notify_one();
+            cv.notify_all();
         });
         let (m, cv) = &*pair;
         let mut g = m.lock();
         while !*g {
-            cv.wait(&mut g);
+            cv.wait_for(&mut g, Duration::from_secs(1));
         }
         assert!(*g);
         t.join().unwrap();
