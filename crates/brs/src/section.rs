@@ -153,7 +153,16 @@ impl Section {
 
     /// True if the sections share at least one element. Exact.
     pub fn overlaps(&self, other: &Section) -> bool {
-        !self.intersect(other).is_empty()
+        assert_eq!(
+            self.ndims(),
+            other.ndims(),
+            "section dimensionality mismatch"
+        );
+        // The intersection is empty exactly when one dimension's is.
+        self.dims
+            .iter()
+            .zip(&other.dims)
+            .all(|(a, b)| a.overlaps(b))
     }
 
     /// The single-section hull (`UNION` merge of Havlak–Kennedy): smallest
@@ -203,18 +212,18 @@ impl Section {
         if self.is_empty() {
             return Vec::new();
         }
-        let overlap = self.intersect(other);
-        if overlap.is_empty() {
+        if !self.overlaps(other) {
             return vec![self.clone()];
         }
         if other.contains_section(self) {
             return Vec::new();
         }
-        let mut pieces = Vec::new();
+        let mut pieces = Vec::with_capacity(2 * self.ndims());
         // `remaining` shrinks toward the overlap as we peel each dimension.
         let mut remaining = self.dims.clone();
         for d in 0..self.ndims() {
-            let (left, right) = remaining[d].subtract_dense(&overlap.dims[d]);
+            let overlap = self.dims[d].intersect(&other.dims[d]);
+            let (left, right) = remaining[d].subtract_dense(&overlap);
             for part in [left, right] {
                 if !part.is_empty() {
                     let mut dims = remaining.clone();
@@ -222,7 +231,7 @@ impl Section {
                     pieces.push(Section::new(dims));
                 }
             }
-            remaining[d] = overlap.dims[d];
+            remaining[d] = overlap;
         }
         pieces
     }

@@ -83,19 +83,25 @@ impl SectionSet {
             self.exact = false;
             densify(&s)
         };
+        if !self.parts.iter().any(|p| p.overlaps(&s)) {
+            self.parts.push(s);
+            return;
+        }
         // Insert s minus everything already present; pieces stay disjoint.
         let mut incoming = vec![s];
         for existing in &self.parts {
-            let mut next = Vec::with_capacity(incoming.len());
-            for piece in incoming {
-                next.extend(piece.subtract_dense(existing));
-            }
-            incoming = next;
+            subtract_each(&mut incoming, existing);
             if incoming.is_empty() {
                 return;
             }
         }
         self.parts.extend(incoming);
+    }
+
+    /// Empties the set, keeping its storage for reuse.
+    pub fn clear(&mut self) {
+        self.parts.clear();
+        self.exact = true;
     }
 
     /// Unions another set into this one.
@@ -121,11 +127,7 @@ impl SectionSet {
             self.exact = false;
             return;
         }
-        let mut next = Vec::with_capacity(self.parts.len());
-        for p in std::mem::take(&mut self.parts) {
-            next.extend(p.subtract_dense(s));
-        }
-        self.parts = next;
+        subtract_each(&mut self.parts, s);
     }
 
     /// Removes every element of `other` from the set (same caveats as
@@ -155,11 +157,7 @@ impl SectionSet {
         }
         let mut rest = vec![s.clone()];
         for p in &self.parts {
-            let mut next = Vec::with_capacity(rest.len());
-            for piece in rest {
-                next.extend(piece.subtract_dense(p));
-            }
-            rest = next;
+            subtract_each(&mut rest, p);
             if rest.is_empty() {
                 return true;
             }
@@ -211,6 +209,23 @@ impl std::fmt::Display for SectionSet {
             write!(f, "{p}")?;
         }
         Ok(())
+    }
+}
+
+/// Replaces each of `pieces` (dense, non-empty) by its dense difference
+/// with `cut`, in place and in order. A piece that `cut` misses stays as it
+/// is, without being copied.
+fn subtract_each(pieces: &mut Vec<Section>, cut: &Section) {
+    let mut i = 0;
+    while i < pieces.len() {
+        if !pieces[i].overlaps(cut) {
+            i += 1;
+            continue;
+        }
+        let rest = pieces[i].subtract_dense(cut);
+        let n = rest.len();
+        pieces.splice(i..=i, rest);
+        i += n;
     }
 }
 

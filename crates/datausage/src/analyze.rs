@@ -3,9 +3,8 @@
 use crate::hints::Hints;
 use crate::plan::{Transfer, TransferDir, TransferPlan};
 use gpp_brs::{ArrayId, SectionSet};
-use gpp_skeleton::sections::{read_sets, write_sets};
-use gpp_skeleton::{Program, TransferKind};
-use std::collections::BTreeMap;
+use gpp_skeleton::sections::ref_section;
+use gpp_skeleton::{ArrayDecl, Program, TransferKind};
 
 /// Runs the data usage analysis on a program (a sequence of kernels), in
 /// kernel order, producing the transfer plan.
@@ -26,47 +25,94 @@ pub fn analyze(program: &Program, hints: &Hints) -> TransferPlan {
     if program.has_explicit_transfers() {
         return explicit_plan(program, hints);
     }
-    let mut written: BTreeMap<ArrayId, SectionSet> = BTreeMap::new();
-    let mut inbound: BTreeMap<ArrayId, SectionSet> = BTreeMap::new();
-
+    let mut usage: Vec<Usage> = program.arrays.iter().map(Usage::new).collect();
+    let mut trips = Vec::new();
     for kernel in &program.kernels {
-        for (array, read) in read_sets(kernel, program) {
-            let mut need = read;
-            if let Some(w) = written.get(&array) {
-                need.subtract(w);
-            }
-            if need.is_empty() {
-                continue;
-            }
-            match inbound.get_mut(&array) {
-                Some(set) => set.union_with(&need),
-                None => {
-                    inbound.insert(array, need);
-                }
+        trips.clear();
+        trips.extend(kernel.loops.iter().map(|l| l.trip));
+        for r in kernel.statements.iter().flat_map(|s| &s.refs) {
+            let (section, _) = ref_section(r, program.array(r.array), &trips);
+            let u = &mut usage[r.array.index()];
+            if r.kind.is_read() {
+                u.read.insert(section);
+            } else {
+                u.write.insert(section);
+                u.writes = true;
             }
         }
-        for (array, wset) in write_sets(kernel, program) {
-            match written.get_mut(&array) {
-                Some(set) => set.union_with(&wset),
-                None => {
-                    written.insert(array, wset);
-                }
-            }
+        for u in &mut usage {
+            u.end_kernel();
         }
     }
 
-    let h2d = inbound
-        .into_iter()
-        .map(|(array, set)| make_transfer(program, hints, array, &set, TransferDir::ToDevice))
+    let arrays = || (program.arrays.iter().map(|a| a.id)).zip(&usage);
+    let h2d = arrays()
+        .filter_map(|(array, u)| Some((array, u.inbound.as_ref()?)))
+        .map(|(array, set)| make_transfer(program, hints, array, set, TransferDir::ToDevice))
         .collect();
-
-    let d2h = written
-        .into_iter()
+    let d2h = arrays()
         .filter(|(array, _)| !hints.is_temporary(*array))
-        .map(|(array, set)| make_transfer(program, hints, array, &set, TransferDir::FromDevice))
+        .filter_map(|(array, u)| Some((array, u.written.as_ref()?)))
+        .map(|(array, set)| make_transfer(program, hints, array, set, TransferDir::FromDevice))
         .collect();
 
     TransferPlan { h2d, d2h }
+}
+
+/// One array's sections in [`analyze`]'s walk over the kernels.
+struct Usage {
+    /// What the current kernel reads.
+    read: SectionSet,
+    /// What the current kernel writes, and whether it writes the array at
+    /// all (a write may touch no element).
+    write: SectionSet,
+    writes: bool,
+    /// The union of what earlier kernels wrote; `None` until one writes.
+    written: Option<SectionSet>,
+    /// The union of what kernels read before any kernel wrote it: the
+    /// host-to-device traffic. `None` until some is needed.
+    inbound: Option<SectionSet>,
+}
+
+impl Usage {
+    fn new(decl: &ArrayDecl) -> Usage {
+        Usage {
+            read: SectionSet::empty(decl.ndims()),
+            write: SectionSet::empty(decl.ndims()),
+            writes: false,
+            written: None,
+            inbound: None,
+        }
+    }
+
+    /// Folds the kernel just walked into the running unions. Its reads see
+    /// only earlier kernels' writes, and it leaves `read` and `write` empty
+    /// for the next kernel.
+    fn end_kernel(&mut self) {
+        if let Some(w) = &self.written {
+            self.read.subtract(w);
+        }
+        if !self.read.is_empty() {
+            fold(&mut self.inbound, &mut self.read);
+        }
+        self.read.clear();
+        if self.writes {
+            fold(&mut self.written, &mut self.write);
+            self.write.clear();
+            self.writes = false;
+        }
+    }
+}
+
+/// Unions `part` into `total`, or moves it there while `total` is `None`.
+fn fold(total: &mut Option<SectionSet>, part: &mut SectionSet) {
+    match total {
+        Some(set) => set.union_with(part),
+        None => {
+            let empty = SectionSet::empty(part.ndims());
+            *total = Some(std::mem::replace(part, empty));
+        }
+    }
 }
 
 /// Prices an explicit `h2d`/`d2h` schedule literally: one whole-array
@@ -304,6 +350,27 @@ mod tests {
         let plan = analyze(&prog, &Hints::new());
         assert_eq!(plan.transfer_count(), 2);
         assert!(plan.all().all(|t| t.name == "a"));
+    }
+
+    #[test]
+    fn a_write_that_misses_every_element_still_gets_a_copy_back() {
+        // The section of `y[i+100]` clamps to nothing in a 64-element
+        // array; the kernel still writes `y`, so the plan lists it.
+        let mut p = ProgramBuilder::new("offside");
+        let x = p.array("x", ElemType::F32, &[64]);
+        let y = p.array("y", ElemType::F32, &[64]);
+        let mut k = p.kernel("k");
+        let i = k.parallel_loop("i", 10);
+        k.statement()
+            .read(x, &[idx(i)])
+            .write(y, &[idx(i) + 100])
+            .finish();
+        k.finish();
+        let prog = p.build().unwrap();
+        let plan = analyze(&prog, &Hints::new());
+        assert_eq!(plan.d2h.len(), 1);
+        assert_eq!((plan.d2h[0].array, plan.d2h[0].bytes), (y, 0));
+        assert_eq!(plan.h2d_bytes(), 40);
     }
 
     #[test]

@@ -23,11 +23,13 @@
 use crate::diag::{Code, Diagnostic, Severity};
 use gpp_brs::{AccessKind, ArrayId, Section, SectionSet};
 use gpp_datausage::plan::human_bytes;
-use gpp_datausage::{device_resident_arrays, Hints};
+use gpp_datausage::Hints;
 use gpp_skeleton::expr::LoopId;
 use gpp_skeleton::sections::ref_section;
-use gpp_skeleton::{ArrayRef, CoalesceClass, IndexExpr, Program, SourceMap, Span, ValidationError};
-use std::collections::{BTreeMap, BTreeSet};
+use gpp_skeleton::{
+    coalesce_class, ArrayRef, CoalesceClass, IndexExpr, Program, SourceMap, Span, ValidationError,
+};
+use std::collections::BTreeSet;
 
 /// Runs every pass over `program` and returns raw (unconfigured)
 /// diagnostics. Pass the [`SourceMap`] from
@@ -174,23 +176,22 @@ impl<'a> Ctx<'a> {
     /// transfer analysis (`gpp_datausage::analyze`) only subtracts the
     /// former, which is exactly what GPP006 reports.
     fn liveness(&self, diags: &mut Vec<Diagnostic>) {
-        let mut prior: BTreeMap<ArrayId, SectionSet> = BTreeMap::new();
+        // Both indexed by array id; `cur` is emptied into `prior` after
+        // each kernel.
+        let mut prior: Vec<SectionSet> = (self.p.arrays.iter())
+            .map(|a| SectionSet::empty(a.ndims()))
+            .collect();
+        let mut cur = prior.clone();
         for (ki, k) in self.p.kernels.iter().enumerate() {
-            let mut cur: BTreeMap<ArrayId, SectionSet> = BTreeMap::new();
-            for si in 0..k.statements.len() {
-                let sites: Vec<&Site> = self.sites[ki].iter().filter(|s| s.si == si).collect();
+            // Sites are in program order, so each statement's are a run.
+            for stmt in self.sites[ki].chunk_by(|a, b| a.si == b.si) {
                 // Reads observe writes of *earlier* statements only.
-                for s in sites.iter().filter(|s| s.r.kind == AccessKind::Read) {
+                for s in stmt.iter().filter(|s| s.r.kind == AccessKind::Read) {
                     let a = s.r.array;
                     let decl = self.p.array(a);
-                    let nd = decl.ndims();
-                    let empty = SectionSet::empty(nd);
-                    let pset = prior.get(&a).unwrap_or(&empty);
-                    let cset = cur.get(&a).unwrap_or(&empty);
+                    let (pset, cset) = (&prior[a.index()], &cur[a.index()]);
                     if self.is_temp(a) {
-                        let mut written = pset.clone();
-                        written.union_with(cset);
-                        if !written.covers(&s.section) {
+                        if !covered(&s.section, pset, cset) {
                             diags.push(Diagnostic::new(
                                 Code::UninitializedRead,
                                 self.ref_span(ki, s.si, s.ri),
@@ -202,46 +203,44 @@ impl<'a> Ctx<'a> {
                                 ),
                             ));
                         }
-                    } else if s.exact {
+                    } else if s.exact && !cset.is_empty() {
+                        // What the transfer analysis ships for this read,
+                        // when earlier statements produce all of it.
                         let mut need = SectionSet::from_section(s.section.clone());
                         need.subtract(pset);
-                        if !need.is_empty() {
-                            let mut rest = need.clone();
-                            rest.subtract(cset);
-                            if rest.is_empty() {
-                                diags.push(Diagnostic::new(
-                                    Code::RedundantH2d,
-                                    self.ref_span(ki, s.si, s.ri),
-                                    format!(
-                                        "`{}` is produced earlier in kernel `{}`, \
-                                         yet the per-kernel transfer analysis still \
-                                         schedules {} of host-to-device traffic for \
-                                         this read; hoist the producer into its own \
-                                         kernel to keep the data device-resident",
-                                        decl.name,
-                                        k.name,
-                                        human_bytes(need.byte_count(decl.elem.bytes())),
-                                    ),
-                                ));
-                            }
+                        if !need.is_empty() && need.parts().iter().all(|p| cset.covers(p)) {
+                            diags.push(Diagnostic::new(
+                                Code::RedundantH2d,
+                                self.ref_span(ki, s.si, s.ri),
+                                format!(
+                                    "`{}` is produced earlier in kernel `{}`, \
+                                     yet the per-kernel transfer analysis still \
+                                     schedules {} of host-to-device traffic for \
+                                     this read; hoist the producer into its own \
+                                     kernel to keep the data device-resident",
+                                    decl.name,
+                                    k.name,
+                                    human_bytes(need.byte_count(decl.elem.bytes())),
+                                ),
+                            ));
                         }
                     }
                 }
                 // Then record this statement's guaranteed writes.
-                for s in sites
+                for s in stmt
                     .iter()
                     .filter(|s| s.r.kind == AccessKind::Write && s.exact && s.full)
                 {
-                    cur.entry(s.r.array)
-                        .or_insert_with(|| SectionSet::empty(s.section.ndims()))
-                        .insert(s.section.clone());
+                    cur[s.r.array.index()].insert(s.section.clone());
                 }
             }
-            for (a, set) in cur {
-                prior
-                    .entry(a)
-                    .or_insert_with(|| SectionSet::empty(set.ndims()))
-                    .union_with(&set);
+            for (p, c) in prior.iter_mut().zip(&mut cur) {
+                if p.is_empty() {
+                    std::mem::swap(p, c);
+                } else if !c.is_empty() {
+                    p.union_with(c);
+                    *c = SectionSet::empty(c.ndims());
+                }
             }
         }
     }
@@ -483,18 +482,20 @@ impl<'a> Ctx<'a> {
 
     /// GPP007: an array whose first access writes it and whose last
     /// access reads it lives entirely on the device, yet without a
-    /// `temporary` hint the analyzer still copies it back.
+    /// `temporary` hint the analyzer still copies it back. Only such an
+    /// array is checked for a cross-kernel flow dependence.
     fn temporary_hints(&self, diags: &mut Vec<Diagnostic>) {
-        let mut first: BTreeMap<ArrayId, AccessKind> = BTreeMap::new();
-        let mut last: BTreeMap<ArrayId, AccessKind> = BTreeMap::new();
+        let mut first = vec![None; self.p.arrays.len()];
+        let mut last = vec![None; self.p.arrays.len()];
         for s in self.sites.iter().flatten() {
-            first.entry(s.r.array).or_insert(s.r.kind);
-            last.insert(s.r.array, s.r.kind);
+            first[s.r.array.index()].get_or_insert(s.r.kind);
+            last[s.r.array.index()] = Some(s.r.kind);
         }
-        for a in device_resident_arrays(self.p) {
+        for a in self.p.arrays.iter().map(|decl| decl.id) {
             if self.is_temp(a)
-                || first.get(&a) != Some(&AccessKind::Write)
-                || last.get(&a) != Some(&AccessKind::Read)
+                || first[a.index()] != Some(AccessKind::Write)
+                || last[a.index()] != Some(AccessKind::Read)
+                || !self.flows_across_kernels(a)
             {
                 continue;
             }
@@ -525,57 +526,81 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// GPP008: coalescing notes from the synthesized characteristics,
-    /// using the default thread axis (the innermost parallel loop).
+    /// Whether a kernel reads elements of `a` that an earlier kernel
+    /// wrote: the flow dependence that makes `a` device-resident
+    /// ([`gpp_datausage::device_resident_arrays`]).
+    fn flows_across_kernels(&self, a: ArrayId) -> bool {
+        let is = |s: &Site, kind| s.r.array == a && s.r.kind == kind;
+        self.sites.iter().enumerate().any(|(ki, sites)| {
+            sites.iter().filter(|w| is(w, AccessKind::Write)).any(|w| {
+                (self.sites[ki + 1..].iter().flatten())
+                    .any(|r| is(r, AccessKind::Read) && w.section.overlaps(&r.section))
+            })
+        })
+    }
+
+    /// GPP008: coalescing notes from each reference's coalescing class
+    /// (what the synthesized characteristics would carry), using the
+    /// default thread axis (the innermost parallel loop).
     fn coalescing(&self, diags: &mut Vec<Diagnostic>) {
         for (ki, k) in self.p.kernels.iter().enumerate() {
-            let ch = k.characteristics(self.p);
-            // `accesses` is 1:1 with refs in statement order.
-            let mut n = 0usize;
-            for (si, stmt) in k.statements.iter().enumerate() {
-                for (ri, r) in stmt.refs.iter().enumerate() {
-                    let acc = &ch.accesses[n];
-                    n += 1;
-                    let decl = self.p.array(r.array);
-                    if decl.sparse {
-                        continue; // layout is a property of the format
+            let axis = k.thread_axis();
+            for &Site { si, ri, r, .. } in &self.sites[ki] {
+                let decl = self.p.array(r.array);
+                if decl.sparse {
+                    continue; // layout is a property of the format
+                }
+                let span = self.ref_span(ki, si, ri);
+                match coalesce_class(r, self.p, axis) {
+                    CoalesceClass::Strided(s) if s >= 16 => {
+                        diags.push(Diagnostic::new(
+                            Code::Uncoalesced,
+                            span,
+                            format!(
+                                "stride-{} access to `{}`: consecutive \
+                                 threads touch elements {} apart, \
+                                 fragmenting each half-warp into {} \
+                                 transactions — interchange loops so the \
+                                 thread axis sweeps the contiguous dimension",
+                                s,
+                                decl.name,
+                                s,
+                                s.min(16)
+                            ),
+                        ));
                     }
-                    let span = self.ref_span(ki, si, ri);
-                    match acc.class {
-                        CoalesceClass::Strided(s) if s >= 16 => {
-                            diags.push(Diagnostic::new(
-                                Code::Uncoalesced,
-                                span,
-                                format!(
-                                    "stride-{} access to `{}`: consecutive \
-                                     threads touch elements {} apart, \
-                                     fragmenting each half-warp into {} \
-                                     transactions — interchange loops so the \
-                                     thread axis sweeps the contiguous dimension",
-                                    s,
-                                    decl.name,
-                                    s,
-                                    s.min(16)
-                                ),
-                            ));
-                        }
-                        CoalesceClass::Irregular => {
-                            diags.push(Diagnostic::new(
-                                Code::Uncoalesced,
-                                span,
-                                format!(
-                                    "data-dependent index into `{}` scatters each \
-                                     half-warp into 16 separate transactions",
-                                    decl.name
-                                ),
-                            ));
-                        }
-                        _ => {}
+                    CoalesceClass::Irregular => {
+                        diags.push(Diagnostic::new(
+                            Code::Uncoalesced,
+                            span,
+                            format!(
+                                "data-dependent index into `{}` scatters each \
+                                 half-warp into 16 separate transactions",
+                                decl.name
+                            ),
+                        ));
                     }
+                    _ => {}
                 }
             }
         }
     }
+}
+
+/// Whether `s` lies within the union of `a` and `b`, whose parts are
+/// dense: [`SectionSet::covers`] on the union, without building it.
+fn covered(s: &Section, a: &SectionSet, b: &SectionSet) -> bool {
+    if b.is_empty() {
+        return a.covers(s);
+    }
+    if a.is_empty() {
+        return b.covers(s);
+    }
+    // `covers` widens a strided `s` to its bounding box; so does
+    // `from_section`.
+    let mut rest = SectionSet::from_section(s.clone());
+    rest.subtract(a);
+    rest.parts().iter().all(|p| b.covers(p))
 }
 
 /// Maps one [`ValidationError`] to a GPP000 diagnostic with a
@@ -933,6 +958,36 @@ mod tests {
         let p = p.build().unwrap();
         let d = lint(&p);
         assert!(d.iter().any(|d| d.code == Code::RedundantH2d), "{d:?}");
+    }
+
+    #[test]
+    fn read_produced_only_in_part_by_the_kernel_is_not_redundant_h2d() {
+        // A prior kernel writes tmp[20..=29], so this read ships 0..=19
+        // and 30..=63. The kernel produces 0..=39 first: that covers the
+        // low piece but not the high one, so the traffic is needed.
+        let mut p = ProgramBuilder::new("partly");
+        let a = p.array("a", ElemType::F32, &[64]);
+        let tmp = p.array("tmp", ElemType::F32, &[64]);
+        let b = p.array("b", ElemType::F32, &[64]);
+        let mut k1 = p.kernel("prior");
+        let i = k1.parallel_loop("i", 10);
+        k1.statement().write(tmp, &[idx(i) + 20]).finish();
+        k1.finish();
+        let mut k2 = p.kernel("k");
+        let i = k2.parallel_loop("i", 64);
+        let j = k2.parallel_loop("j", 40);
+        k2.statement()
+            .read(a, &[idx(j)])
+            .write(tmp, &[idx(j)])
+            .finish();
+        k2.statement()
+            .read(tmp, &[idx(i)])
+            .write(b, &[idx(i)])
+            .finish();
+        k2.finish();
+        let p = p.build().unwrap();
+        let d = lint(&p);
+        assert!(d.iter().all(|d| d.code != Code::RedundantH2d), "{d:?}");
     }
 
     #[test]

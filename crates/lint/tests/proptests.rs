@@ -257,3 +257,47 @@ proptest! {
         prop_assert_eq!(codes_mem, codes_src);
     }
 }
+
+/// Where [`lint_findings_on_generated_programs_match_the_golden`] keeps
+/// its findings.
+const LINT_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../fixtures/goldens/lint_generated.txt"
+);
+
+/// The findings on a fixed-seed sample of generated programs, pinned byte
+/// for byte as JSON, one line per program. Each program is linted through
+/// its `.gsk` text, so findings carry their spans and fix-its. A change
+/// to how a pass computes must leave every line as it is.
+///
+/// Regenerate (only for a deliberate change to findings) with:
+///
+/// ```text
+/// GPP_BLESS=1 cargo test -p gpp-lint --test proptests lint_findings
+/// ```
+#[test]
+fn lint_findings_on_generated_programs_match_the_golden() {
+    fn lines(family: &str, strategy: impl Strategy<Value = Program>, out: &mut String) {
+        let mut rng = proptest::TestRng::new(2013);
+        for n in 0..150 {
+            let src = gpp_skeleton::text::to_text(&strategy.generate(&mut rng));
+            let report = lint_source(&src, &format!("{family}{n}.gsk"), &LintConfig::new());
+            out.push_str(&gpp_lint::render_json(&report));
+            out.push('\n');
+        }
+    }
+    let mut actual = String::new();
+    lines("well_formed", well_formed(), &mut actual);
+    lines("any_program", any_program(), &mut actual);
+    if std::env::var_os("GPP_BLESS").is_some() {
+        std::fs::write(LINT_GOLDEN, &actual).expect("write the golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(LINT_GOLDEN).expect("read the golden file");
+    let (golden, actual): (Vec<&str>, Vec<&str>) =
+        (golden.lines().collect(), actual.lines().collect());
+    assert_eq!(golden.len(), actual.len(), "line count");
+    for (want, got) in golden.iter().zip(&actual) {
+        assert_eq!(got, want, "lint findings changed");
+    }
+}

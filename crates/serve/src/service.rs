@@ -322,17 +322,21 @@ impl ServiceState {
     /// The boolean is `true` when the result is **stale**: every fresh
     /// calibration attempt (bounded retries with exponential backoff)
     /// failed and the machine's last-good calibration is serving instead.
+    /// The machine is resolved only on a calibration miss: a cached
+    /// calibration exists only for a registered machine.
     fn projector(&self, req: &Request) -> Result<(Calibration, bool), ProtocolError> {
-        let machine = self.machine(req)?;
         let key = CalibKey {
             machine: req.machine.clone(),
             seed: req.seed,
         };
         if let Some(cal) = self.calibrations.get(&key) {
-            self.metrics
-                .bump_machine(&machine.id, |c| c.calib_hits.bump());
+            self.metrics.bump_machine(&req.machine, |c| {
+                c.requests.bump();
+                c.calib_hits.bump();
+            });
             return Ok((cal, false));
         }
+        let machine = self.machine(req)?;
         self.metrics
             .bump_machine(&machine.id, |c| c.calib_misses.bump());
         let faults = &self.config.faults;
@@ -513,7 +517,8 @@ impl ServiceState {
     ) -> Result<Json, ProtocolError> {
         self.injected_compute_stall(req);
         let text = text_key(req);
-        if let Some((rendered, parts)) = self.projections.get_text(&text) {
+        let text_hash = self.projections.text_hash(&text);
+        if let Some((rendered, parts)) = self.projections.get_text(&text, text_hash) {
             // An alias exists only for a fresh (non-stale) reply, and
             // calibrations are never evicted: the full path would hit the
             // calibration cache and then the memo entry.
@@ -563,7 +568,8 @@ impl ServiceState {
         };
         let (rendered, cached) = self.project_cached(&key, &cal, &program, &hints);
         let parts = Arc::new(parts);
-        self.projections.alias(&key, &text, parts.clone());
+        self.projections
+            .alias(&key, &text, text_hash, parts.clone());
         Ok(project_reply(req, &parts, &rendered, cached, false))
     }
 

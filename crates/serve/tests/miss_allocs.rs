@@ -1,8 +1,11 @@
 //! Heap allocations per `project` request, as budgets: a memo miss, a
-//! text-index hit, and the parse alone, for every committed skeleton.
+//! text-index hit, and three of a miss's stages alone (the parse, lint
+//! and the data-usage analysis), for every committed skeleton.
 //! Each request runs on this thread (serving never enters the pool), so a
 //! thread-local count sees all of its allocations.
 
+use gpp_datausage::{analyze, Hints};
+use gpp_lint::lint_program;
 use gpp_serve::{ServeConfig, ServiceState};
 use gpp_skeleton::text;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,36 +59,45 @@ fn count(f: impl FnOnce()) -> u64 {
 /// A program that calibrates a seed without making the measured entry.
 const WARM: &str = "program warm\narray a f32 [64]\nkernel k\n  parallel i 64\n  stmt adds=1\n    read a [i]\n    write a [i]\n";
 
-/// (skeleton, text, memo miss, text-index hit, `parse_with_spans`): the
-/// most allocations (and reallocations) each may make.
-const BUDGETS: [(&str, &str, u64, u64, u64); 4] = [
+/// (skeleton, text, memo miss, text-index hit, `parse_with_spans`,
+/// `lint_program`, `analyze`): the most allocations (and reallocations)
+/// each may make.
+const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "hotspot_1024",
         include_str!("../../../skeletons/hotspot_1024.gsk"),
-        337,
+        204,
         3,
         47,
+        24,
+        44,
     ),
     (
         "pipelined_vadd",
         include_str!("../../../skeletons/pipelined_vadd.gsk"),
-        148,
+        114,
         3,
         32,
+        31,
+        5,
     ),
     (
         "spmm_stassuij",
         include_str!("../../../skeletons/spmm_stassuij.gsk"),
-        240,
+        169,
         3,
         53,
+        22,
+        25,
     ),
     (
         "vector_add",
         include_str!("../../../skeletons/vector_add.gsk"),
-        143,
+        97,
         3,
         29,
+        19,
+        13,
     ),
 ];
 
@@ -93,7 +105,9 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 4] = [
 fn project_requests_stay_within_their_allocation_budgets() {
     gpp_par::set_threads(1);
     let mut over = Vec::new();
-    for (name, skeleton, miss_budget, hit_budget, parse_budget) in BUDGETS {
+    for (name, skeleton, miss_budget, hit_budget, parse_budget, lint_budget, analyze_budget) in
+        BUDGETS
+    {
         let s = ServiceState::new(ServeConfig::default());
         // Seed 1 warms the per-machine and per-kernel memos; seed 2's
         // calibration comes from another program, so the measured request
@@ -110,11 +124,24 @@ fn project_requests_stay_within_their_allocation_budgets() {
         let parse = count(|| {
             black_box(text::parse_with_spans(skeleton).unwrap());
         });
-        println!("{name}: miss {miss}, text-index hit {hit}, parse_with_spans {parse}");
+        let (program, map) = text::parse_with_spans(skeleton).unwrap();
+        let hints = Hints::for_program(&program);
+        let lint = count(|| {
+            black_box(lint_program(&program, Some(&map), &hints));
+        });
+        let analysis = count(|| {
+            black_box(analyze(&program, &hints));
+        });
+        println!(
+            "{name}: miss {miss}, text-index hit {hit}, parse_with_spans {parse}, \
+             lint_program {lint}, analyze {analysis}"
+        );
         for (what, n, budget) in [
             ("memo miss", miss, miss_budget),
             ("text-index hit", hit, hit_budget),
             ("parse_with_spans", parse, parse_budget),
+            ("lint_program", lint, lint_budget),
+            ("analyze", analysis, analyze_budget),
         ] {
             if n > budget {
                 over.push(format!("{name} {what}: {n} > {budget}"));

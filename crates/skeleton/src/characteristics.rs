@@ -9,7 +9,7 @@
 //! (`gpp-gpu-sim`) consume this summary.
 
 use crate::expr::IndexExpr;
-use crate::ir::{Kernel, Program};
+use crate::ir::{ArrayRef, Kernel, Program};
 use gpp_brs::{AccessKind, ArrayId};
 use serde::{Deserialize, Serialize};
 
@@ -196,7 +196,7 @@ pub fn synthesize_with_axis(
 
         for r in &stmt.refs {
             let decl = program.array(r.array);
-            let class = classify(r.index.iter(), thread_axis, decl.ndims(), &decl.extents);
+            let class = coalesce_class(r, program, thread_axis);
             // Half-warp alignment: the constant offset of the innermost
             // index must be a multiple of 16 elements (64 B segments of
             // 4 B elements). Non-affine innermost indices are treated as
@@ -284,14 +284,17 @@ pub fn synthesize_with_axis(
     }
 }
 
-/// Classifies how a reference's address varies across consecutive threads
-/// (i.e. consecutive values of the innermost parallel loop).
-fn classify<'a>(
-    index: impl Iterator<Item = &'a IndexExpr>,
+/// How `r`'s address varies across consecutive threads when
+/// `thread_axis` maps to consecutive GPU thread IDs: the
+/// [`MemAccessChar::class`] that [`synthesize_with_axis`] gives it, without
+/// synthesizing the rest of the kernel's characteristics.
+pub fn coalesce_class(
+    r: &ArrayRef,
+    program: &Program,
     thread_axis: Option<crate::expr::LoopId>,
-    ndims: usize,
-    extents: &[usize],
 ) -> CoalesceClass {
+    let decl = program.array(r.array);
+    let (ndims, extents) = (decl.ndims(), &decl.extents);
     let Some(axis) = thread_axis else {
         return CoalesceClass::Broadcast;
     };
@@ -308,7 +311,7 @@ fn classify<'a>(
     // fully irregular.
     let mut irregular_span: Option<u32> = None;
     let mut irregular_innermost = false;
-    for (d, ix) in index.enumerate() {
+    for (d, ix) in r.index.iter().enumerate() {
         let row_stride: i64 = extents[d + 1..ndims].iter().map(|&e| e as i64).product();
         match ix {
             IndexExpr::Irregular => {

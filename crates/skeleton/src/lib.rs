@@ -61,7 +61,7 @@ pub mod validate;
 
 pub use builder::ProgramBuilder;
 pub use characteristics::{
-    synthesize_with_axis, CoalesceClass, KernelCharacteristics, MemAccessChar,
+    coalesce_class, synthesize_with_axis, CoalesceClass, KernelCharacteristics, MemAccessChar,
 };
 pub use expr::{AffineExpr, IndexExpr, LoopId};
 pub use gpp_brs::{AccessKind, ArrayId};
