@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The golden tests rewrite their files instead of comparing them whenever
+# GPP_BLESS is set, to any value (even 0 or empty), so a check run must
+# not inherit it.
+if [ -n "${GPP_BLESS+set}" ]; then
+    echo "ci.sh: GPP_BLESS is set, so the golden tests would re-bless their files instead of checking them; unset GPP_BLESS and re-run" >&2
+    exit 1
+fi
+
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
 
 # Scratch files of the smoke, gateway-log and perf-regression steps.

@@ -5,8 +5,8 @@
 ///
 /// Invariants (enforced by constructors and maintained by all operations):
 ///
-/// * `lo <= hi` — empty intervals are represented by [`Interval::empty`],
-///   a canonical sentinel, never by `lo > hi`.
+/// * `lo <= hi`, except in the one empty interval, the canonical sentinel
+///   [`Interval::empty`] (`lo = 0`, `hi = -1`).
 /// * `stride >= 1`.
 /// * `hi` is *aligned*: `(hi - lo) % stride == 0`, so `hi` is the actual
 ///   last element, not just an upper bound.
@@ -16,7 +16,6 @@ pub struct Interval {
     lo: i64,
     hi: i64,
     stride: i64,
-    empty: bool,
 }
 
 impl Interval {
@@ -26,7 +25,6 @@ impl Interval {
             lo: 0,
             hi: -1,
             stride: 1,
-            empty: true,
         }
     }
 
@@ -55,21 +53,8 @@ impl Interval {
         }
         let span = hi - lo;
         let hi = lo + (span / stride) * stride;
-        if lo == hi {
-            Interval {
-                lo,
-                hi,
-                stride: 1,
-                empty: false,
-            }
-        } else {
-            Interval {
-                lo,
-                hi,
-                stride,
-                empty: false,
-            }
-        }
+        let stride = if lo == hi { 1 } else { stride };
+        Interval { lo, hi, stride }
     }
 
     /// Lower bound (meaningless for empty intervals).
@@ -93,18 +78,18 @@ impl Interval {
     /// True if the interval contains no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.empty
+        self.hi < self.lo
     }
 
     /// True if the interval is dense (stride 1) or empty.
     #[inline]
     pub fn is_dense(&self) -> bool {
-        self.empty || self.stride == 1
+        self.is_empty() || self.stride == 1
     }
 
     /// Number of elements in the interval.
     pub fn count(&self) -> u64 {
-        if self.empty {
+        if self.is_empty() {
             0
         } else {
             ((self.hi - self.lo) / self.stride + 1) as u64
@@ -113,17 +98,17 @@ impl Interval {
 
     /// True if `x` is a member of the interval.
     pub fn contains(&self, x: i64) -> bool {
-        !self.empty && x >= self.lo && x <= self.hi && (x - self.lo) % self.stride == 0
+        !self.is_empty() && x >= self.lo && x <= self.hi && (x - self.lo) % self.stride == 0
     }
 
     /// True if every element of `other` is an element of `self`.
     ///
     /// Exact for all stride combinations.
     pub fn contains_interval(&self, other: &Interval) -> bool {
-        if other.empty {
+        if other.is_empty() {
             return true;
         }
-        if self.empty {
+        if self.is_empty() {
             return false;
         }
         // Endpoints must be members.
@@ -144,7 +129,7 @@ impl Interval {
     /// arithmetic progression (with stride `lcm(s1, s2)`), so this is always
     /// exact.
     pub fn intersect(&self, other: &Interval) -> Interval {
-        if self.empty || other.empty {
+        if self.is_empty() || other.is_empty() {
             return Interval::empty();
         }
         let lo = self.lo.max(other.lo);
@@ -194,10 +179,10 @@ impl Interval {
     /// the classic Havlak–Kennedy merge and is safe (superset) for transfer
     /// sizing.
     pub fn hull(&self, other: &Interval) -> Interval {
-        if self.empty {
+        if self.is_empty() {
             return *other;
         }
-        if other.empty {
+        if other.is_empty() {
             return *self;
         }
         let lo = self.lo.min(other.lo);
@@ -223,10 +208,10 @@ impl Interval {
             self.is_dense() && other.is_dense(),
             "subtract_dense requires stride-1 intervals"
         );
-        if self.empty {
+        if self.is_empty() {
             return (Interval::empty(), Interval::empty());
         }
-        if other.empty || other.hi < self.lo || other.lo > self.hi {
+        if other.is_empty() || other.hi < self.lo || other.lo > self.hi {
             return (*self, Interval::empty());
         }
         let left = if other.lo > self.lo {
@@ -244,7 +229,7 @@ impl Interval {
 
     /// Iterate over the members (for tests and small sections only).
     pub fn iter(&self) -> impl Iterator<Item = i64> + 'static {
-        let (lo, hi, stride, empty) = (self.lo, self.hi, self.stride, self.empty);
+        let (lo, hi, stride, empty) = (self.lo, self.hi, self.stride, self.is_empty());
         (0..)
             .map(move |k| lo + k * stride)
             .take_while(move |&x| !empty && x <= hi)
@@ -253,7 +238,7 @@ impl Interval {
 
 impl std::fmt::Display for Interval {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.empty {
+        if self.is_empty() {
             write!(f, "∅")
         } else if self.stride == 1 {
             write!(f, "[{}:{}]", self.lo, self.hi)

@@ -2,6 +2,56 @@
 //! strided intervals.
 
 use crate::interval::Interval;
+use std::ops::{Deref, DerefMut};
+
+/// How many dimensions a [`Section`] keeps inline: sections of arrays up
+/// to this rank are built and cloned without touching the heap.
+const INLINE_DIMS: usize = 2;
+
+/// A section's per-dimension intervals, inline up to [`INLINE_DIMS`] and on
+/// the heap beyond. The form is canonical (a rank never changes form, and
+/// unused inline slots stay empty), so the derived comparisons hold.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Dims {
+    Inline(u8, [Interval; INLINE_DIMS]),
+    Heap(Vec<Interval>),
+}
+
+impl FromIterator<Interval> for Dims {
+    fn from_iter<I: IntoIterator<Item = Interval>>(iter: I) -> Dims {
+        let mut iter = iter.into_iter();
+        let mut buf = [Interval::empty(); INLINE_DIMS];
+        for (len, slot) in buf.iter_mut().enumerate() {
+            match iter.next() {
+                Some(d) => *slot = d,
+                None => return Dims::Inline(len as u8, buf),
+            }
+        }
+        match iter.next() {
+            None => Dims::Inline(INLINE_DIMS as u8, buf),
+            Some(d) => Dims::Heap(buf.into_iter().chain([d]).chain(iter).collect()),
+        }
+    }
+}
+
+impl Deref for Dims {
+    type Target = [Interval];
+    fn deref(&self) -> &[Interval] {
+        match self {
+            Dims::Inline(len, buf) => &buf[..*len as usize],
+            Dims::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Dims {
+    fn deref_mut(&mut self) -> &mut [Interval] {
+        match self {
+            Dims::Inline(len, buf) => &mut buf[..*len as usize],
+            Dims::Heap(v) => v,
+        }
+    }
+}
 
 /// A multi-dimensional bounded regular section: one [`Interval`] per array
 /// dimension, denoting their cartesian product.
@@ -11,59 +61,45 @@ use crate::interval::Interval;
 /// are canonicalized so that *all* dimensions are the empty interval.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Section {
-    dims: Vec<Interval>,
+    dims: Dims,
 }
 
 impl Section {
     /// Builds a section from per-dimension intervals, canonicalizing
     /// emptiness.
-    pub fn new(dims: Vec<Interval>) -> Self {
+    pub fn new(dims: impl IntoIterator<Item = Interval>) -> Self {
+        let mut dims: Dims = dims.into_iter().collect();
         if dims.iter().any(Interval::is_empty) {
-            let n = dims.len();
-            return Section {
-                dims: vec![Interval::empty(); n],
-            };
+            dims.fill(Interval::empty());
         }
         Section { dims }
     }
 
     /// A dense section from `(lo, hi)` bounds per dimension.
     pub fn dense(bounds: &[(i64, i64)]) -> Self {
-        Section::new(
-            bounds
-                .iter()
-                .map(|&(lo, hi)| Interval::dense(lo, hi))
-                .collect(),
-        )
+        Section::new(bounds.iter().map(|&(lo, hi)| Interval::dense(lo, hi)))
     }
 
     /// The section covering an entire array of the given extents
     /// (`0 ..= extent-1` per dimension).
     pub fn whole(extents: &[usize]) -> Self {
-        Section::new(
-            extents
-                .iter()
-                .map(|&e| {
-                    if e == 0 {
-                        Interval::empty()
-                    } else {
-                        Interval::dense(0, e as i64 - 1)
-                    }
-                })
-                .collect(),
-        )
+        Section::new(extents.iter().map(|&e| {
+            if e == 0 {
+                Interval::empty()
+            } else {
+                Interval::dense(0, e as i64 - 1)
+            }
+        }))
     }
 
     /// A scalar section (zero dimensions, one element).
     pub fn scalar() -> Self {
-        Section { dims: Vec::new() }
+        Section::new([])
     }
 
     /// An empty section of the given dimensionality.
     pub fn empty(ndims: usize) -> Self {
-        Section {
-            dims: vec![Interval::empty(); ndims],
-        }
+        Section::new((0..ndims).map(|_| Interval::empty()))
     }
 
     /// The per-dimension intervals.
@@ -127,7 +163,7 @@ impl Section {
         }
         self.dims
             .iter()
-            .zip(&other.dims)
+            .zip(other.dims())
             .all(|(a, b)| a.contains_interval(b))
     }
 
@@ -145,9 +181,8 @@ impl Section {
         Section::new(
             self.dims
                 .iter()
-                .zip(&other.dims)
-                .map(|(a, b)| a.intersect(b))
-                .collect(),
+                .zip(other.dims())
+                .map(|(a, b)| a.intersect(b)),
         )
     }
 
@@ -161,7 +196,7 @@ impl Section {
         // The intersection is empty exactly when one dimension's is.
         self.dims
             .iter()
-            .zip(&other.dims)
+            .zip(other.dims())
             .all(|(a, b)| a.overlaps(b))
     }
 
@@ -182,13 +217,7 @@ impl Section {
         if other.is_empty() {
             return self.clone();
         }
-        Section::new(
-            self.dims
-                .iter()
-                .zip(&other.dims)
-                .map(|(a, b)| a.hull(b))
-                .collect(),
-        )
+        Section::new(self.dims.iter().zip(other.dims()).map(|(a, b)| a.hull(b)))
     }
 
     /// Exact subtraction `self \ other` for **dense** sections, returned as
@@ -228,7 +257,7 @@ impl Section {
                 if !part.is_empty() {
                     let mut dims = remaining.clone();
                     dims[d] = part;
-                    pieces.push(Section::new(dims));
+                    pieces.push(Section::new(dims.iter().copied()));
                 }
             }
             remaining[d] = overlap;
@@ -245,9 +274,7 @@ impl Section {
             return Box::new(std::iter::once(Vec::new()));
         }
         let head = self.dims[0];
-        let tail = Section {
-            dims: self.dims[1..].to_vec(),
-        };
+        let tail = Section::new(self.dims[1..].iter().copied());
         Box::new(head.iter().flat_map(move |x| {
             let tail = tail.clone();
             tail.iter_points()

@@ -231,18 +231,13 @@ fn subtract_each(pieces: &mut Vec<Section>, cut: &Section) {
 
 /// Dense bounding box of a (possibly strided) section.
 fn densify(s: &Section) -> Section {
-    Section::new(
-        s.dims()
-            .iter()
-            .map(|d| {
-                if d.is_empty() {
-                    crate::Interval::empty()
-                } else {
-                    crate::Interval::dense(d.lo(), d.hi())
-                }
-            })
-            .collect(),
-    )
+    Section::new(s.dims().iter().map(|d| {
+        if d.is_empty() {
+            crate::Interval::empty()
+        } else {
+            crate::Interval::dense(d.lo(), d.hi())
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -1,19 +1,19 @@
 //! The dataflow analysis over kernel sequences.
 
+use crate::dataflow::Dataflow;
 use crate::hints::Hints;
 use crate::plan::{Transfer, TransferDir, TransferPlan};
-use gpp_brs::{ArrayId, SectionSet};
-use gpp_skeleton::sections::ref_section;
+use gpp_brs::SectionSet;
 use gpp_skeleton::{ArrayDecl, Program, TransferKind};
 
 /// Runs the data usage analysis on a program (a sequence of kernels), in
 /// kernel order, producing the transfer plan.
 ///
-/// Algorithm (paper §III-B): walk kernels in order, maintaining the union
-/// of device-written sections per array. For each kernel, any read section
-/// not covered by prior device writes must be transferred host→device.
-/// The union of all written sections, minus hinted temporaries, must come
-/// back device→host.
+/// Algorithm (paper §III-B), walking the kernels with [`Dataflow`]: in kernel
+/// order, keep the union of device-written sections per array. For each
+/// kernel, any read section not covered by prior device writes must be
+/// transferred host→device. The union of all written sections, minus
+/// hinted temporaries, must come back device→host.
 ///
 /// Skeletons that pin an **explicit** transfer schedule (`h2d`/`d2h`
 /// directives; [`Program::has_explicit_transfers`]) are priced *as
@@ -25,83 +25,36 @@ pub fn analyze(program: &Program, hints: &Hints) -> TransferPlan {
     if program.has_explicit_transfers() {
         return explicit_plan(program, hints);
     }
-    let mut usage: Vec<Usage> = program.arrays.iter().map(Usage::new).collect();
-    let mut trips = Vec::new();
-    for kernel in &program.kernels {
-        trips.clear();
-        trips.extend(kernel.loops.iter().map(|l| l.trip));
-        for r in kernel.statements.iter().flat_map(|s| &s.refs) {
-            let (section, _) = ref_section(r, program.array(r.array), &trips);
-            let u = &mut usage[r.array.index()];
-            if r.kind.is_read() {
-                u.read.insert(section);
-            } else {
-                u.write.insert(section);
-                u.writes = true;
+    // Per array: the current kernel's reads, and the union of reads no
+    // earlier kernel wrote (the host-to-device set; `None` while empty).
+    let mut reads: Vec<(SectionSet, Option<SectionSet>)> = (program.arrays.iter())
+        .map(|a| (SectionSet::empty(a.ndims()), None))
+        .collect();
+    let mut flow = Dataflow::new(program);
+    for ki in 0..program.kernels.len() {
+        for s in flow.kernel_sites(ki).iter().filter(|s| s.r.kind.is_read()) {
+            reads[s.r.array.index()].0.insert(s.section.clone());
+        }
+        for (a, (read, inbound)) in program.arrays.iter().zip(&mut reads) {
+            if let Some(w) = flow.written(a.id) {
+                read.subtract(w);
             }
+            if !read.is_empty() {
+                fold(inbound, read);
+            }
+            read.clear();
         }
-        for u in &mut usage {
-            u.end_kernel();
-        }
+        flow.fold(ki);
     }
-
-    let arrays = || (program.arrays.iter().map(|a| a.id)).zip(&usage);
-    let h2d = arrays()
-        .filter_map(|(array, u)| Some((array, u.inbound.as_ref()?)))
-        .map(|(array, set)| make_transfer(program, hints, array, set, TransferDir::ToDevice))
+    let derived = |a: &ArrayDecl, set, dir| transfer(a, dir, transfer_bytes(a, hints, set));
+    let h2d = (program.arrays.iter().zip(&reads))
+        .filter_map(|(a, (_, inbound))| Some(derived(a, inbound.as_ref()?, TransferDir::ToDevice)))
         .collect();
-    let d2h = arrays()
-        .filter(|(array, _)| !hints.is_temporary(*array))
-        .filter_map(|(array, u)| Some((array, u.written.as_ref()?)))
-        .map(|(array, set)| make_transfer(program, hints, array, set, TransferDir::FromDevice))
+    let d2h = (program.arrays.iter())
+        .filter(|a| !hints.is_temporary(a.id))
+        .filter_map(|a| Some(derived(a, flow.written(a.id)?, TransferDir::FromDevice)))
         .collect();
-
     TransferPlan { h2d, d2h }
-}
-
-/// One array's sections in [`analyze`]'s walk over the kernels.
-struct Usage {
-    /// What the current kernel reads.
-    read: SectionSet,
-    /// What the current kernel writes, and whether it writes the array at
-    /// all (a write may touch no element).
-    write: SectionSet,
-    writes: bool,
-    /// The union of what earlier kernels wrote; `None` until one writes.
-    written: Option<SectionSet>,
-    /// The union of what kernels read before any kernel wrote it: the
-    /// host-to-device traffic. `None` until some is needed.
-    inbound: Option<SectionSet>,
-}
-
-impl Usage {
-    fn new(decl: &ArrayDecl) -> Usage {
-        Usage {
-            read: SectionSet::empty(decl.ndims()),
-            write: SectionSet::empty(decl.ndims()),
-            writes: false,
-            written: None,
-            inbound: None,
-        }
-    }
-
-    /// Folds the kernel just walked into the running unions. Its reads see
-    /// only earlier kernels' writes, and it leaves `read` and `write` empty
-    /// for the next kernel.
-    fn end_kernel(&mut self) {
-        if let Some(w) = &self.written {
-            self.read.subtract(w);
-        }
-        if !self.read.is_empty() {
-            fold(&mut self.inbound, &mut self.read);
-        }
-        self.read.clear();
-        if self.writes {
-            fold(&mut self.written, &mut self.write);
-            self.write.clear();
-            self.writes = false;
-        }
-    }
 }
 
 /// Unions `part` into `total`, or moves it there while `total` is `None`.
@@ -120,59 +73,30 @@ fn fold(total: &mut Option<SectionSet>, part: &mut SectionSet) {
 /// conservative-fallback / hint rules of the derived path; everything
 /// else is exact (the directive names the whole allocation).
 fn explicit_plan(program: &Program, hints: &Hints) -> TransferPlan {
-    let mut h2d = Vec::new();
-    let mut d2h = Vec::new();
+    let mut plan = TransferPlan::default();
     for t in &program.transfers {
         let decl = program.array(t.array);
-        let (bytes, exact) = if decl.sparse {
-            match hints.sparse_bytes(t.array) {
-                Some(b) => (b.min(decl.byte_count()), true),
-                None => (decl.byte_count(), false),
-            }
-        } else {
-            (decl.byte_count(), true)
+        let (dir, list) = match t.kind {
+            TransferKind::HostToDevice => (TransferDir::ToDevice, &mut plan.h2d),
+            TransferKind::DeviceToHost => (TransferDir::FromDevice, &mut plan.d2h),
         };
-        let dir = match t.kind {
-            TransferKind::HostToDevice => TransferDir::ToDevice,
-            TransferKind::DeviceToHost => TransferDir::FromDevice,
-        };
-        let rec = Transfer {
-            array: t.array,
-            name: decl.name.clone(),
-            bytes,
+        let whole = (decl.byte_count(), true);
+        list.push(transfer(
+            decl,
             dir,
-            exact,
-        };
-        match dir {
-            TransferDir::ToDevice => h2d.push(rec),
-            TransferDir::FromDevice => d2h.push(rec),
-        }
+            if decl.sparse {
+                sparse_bytes(decl, hints)
+            } else {
+                whole
+            },
+        ));
     }
-    TransferPlan { h2d, d2h }
+    plan
 }
 
-/// Builds one transfer record, applying the sparse fallback / hint rules.
-fn make_transfer(
-    program: &Program,
-    hints: &Hints,
-    array: ArrayId,
-    set: &SectionSet,
-    dir: TransferDir,
-) -> Transfer {
-    let decl = program.array(array);
-    let (bytes, exact) = if decl.sparse {
-        match hints.sparse_bytes(array) {
-            // The user bounded the useful contents.
-            Some(b) => (b.min(decl.byte_count()), true),
-            // Conservative: the whole allocation may be referenced.
-            None => (decl.byte_count(), false),
-        }
-    } else {
-        let b = set.byte_count(decl.elem.bytes()).min(decl.byte_count());
-        (b, set.is_exact())
-    };
+fn transfer(decl: &ArrayDecl, dir: TransferDir, (bytes, exact): (u64, bool)) -> Transfer {
     Transfer {
-        array,
+        array: decl.id,
         name: decl.name.clone(),
         bytes,
         dir,
@@ -180,9 +104,31 @@ fn make_transfer(
     }
 }
 
+/// The bytes, and whether they are exact, of moving `set` of `decl`
+/// across the bus in a derived plan: the set's size clamped to the
+/// allocation, or for a sparse array the rule of [`sparse_bytes`].
+pub fn transfer_bytes(decl: &ArrayDecl, hints: &Hints, set: &SectionSet) -> (u64, bool) {
+    if decl.sparse {
+        return sparse_bytes(decl, hints);
+    }
+    let b = set.byte_count(decl.elem.bytes()).min(decl.byte_count());
+    (b, set.is_exact())
+}
+
+/// A sparse array moves its hinted bound on the useful contents, clamped
+/// to the allocation; without a hint, conservatively the whole
+/// allocation, inexact.
+fn sparse_bytes(decl: &ArrayDecl, hints: &Hints) -> (u64, bool) {
+    match hints.sparse_bytes(decl.id) {
+        Some(b) => (b.min(decl.byte_count()), true),
+        None => (decl.byte_count(), false),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpp_brs::ArrayId;
     use gpp_skeleton::builder::{idx, irr, ProgramBuilder};
     use gpp_skeleton::{ElemType, Flops};
 

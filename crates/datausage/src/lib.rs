@@ -16,6 +16,12 @@
 //!   referenced, and therefore must be transferred, unless users provide
 //!   additional hints."
 //!
+//! One engine computes that dataflow: [`Dataflow`] derives each
+//! reference's section once and walks the kernels in order, keeping per
+//! array what earlier kernels wrote. [`analyze`] builds the plan as it
+//! walks, subtracting that union from each kernel's reads, and `gpp lint`
+//! walks the same engine, so every byte a finding quotes is the plan's.
+//!
 //! Each array is assumed to be transferred separately (one `cudaMemcpy`
 //! per array); [`plan::TransferPlan::batched`] models the alternative for
 //! the ablation study (DESIGN.md D3).
@@ -52,11 +58,13 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod dataflow;
 pub mod dependence;
 pub mod hints;
 pub mod plan;
 
-pub use analyze::analyze;
+pub use analyze::{analyze, transfer_bytes};
+pub use dataflow::{Dataflow, Site};
 pub use dependence::{dependences, device_resident_arrays, Dependence};
 pub use hints::Hints;
 pub use plan::{Transfer, TransferDir, TransferPlan};

@@ -1,5 +1,6 @@
 //! Diagnostic vocabulary: stable codes, severities, and lint configuration.
 
+use crate::fixit::{Edit, FixIt};
 use gpp_skeleton::Span;
 use std::collections::BTreeSet;
 
@@ -171,7 +172,7 @@ pub struct Diagnostic {
     pub span: Span,
     /// A machine-applicable rewrite that resolves the finding, when one
     /// exists (`gpp lint --fix` applies these).
-    pub fix: Option<crate::fixit::FixIt>,
+    pub fix: Option<FixIt>,
 }
 
 impl Diagnostic {
@@ -203,9 +204,18 @@ impl Diagnostic {
     }
 
     /// Attaches a machine-applicable fix-it.
-    pub fn with_fix(mut self, fix: crate::fixit::FixIt) -> Diagnostic {
+    pub fn with_fix(mut self, fix: FixIt) -> Diagnostic {
         self.fix = Some(fix);
         self
+    }
+
+    /// Attaches the fix-it `edits(line)` if the finding has a source line.
+    pub fn with_line_fix(self, summary: String, edits: impl FnOnce(usize) -> Vec<Edit>) -> Self {
+        if !self.span.is_real() {
+            return self;
+        }
+        let fix = FixIt::new(summary, edits(self.span.line));
+        self.with_fix(fix)
     }
 }
 

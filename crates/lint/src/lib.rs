@@ -9,9 +9,9 @@
 //! crate catches them before any projection runs.
 //!
 //! The analyzer layers on the existing semantic infrastructure:
-//! [`gpp_skeleton::validate`] for structural integrity,
-//! [`gpp_skeleton::sections`] for per-reference bounded regular sections,
-//! and [`gpp_datausage`] for the transfer plan the lints reason about.
+//! [`gpp_skeleton::validate`] for structural integrity, and
+//! [`gpp_datausage`]'s dataflow walk for per-reference bounded regular
+//! sections and the transfer plan the lints reason about.
 //! Each finding carries a stable code (`GPP000`–`GPP014`; GPP009 is
 //! reserved), a severity, and — when the program came from `.gsk`
 //! text — a source span. Skeletons with an explicit `h2d`/`d2h`

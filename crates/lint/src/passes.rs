@@ -1,18 +1,18 @@
 //! The analysis passes behind `gpp lint`.
 //!
-//! All passes share one precomputed view of the program: every array
-//! reference with its clamped section (via
-//! [`gpp_skeleton::sections::ref_section`]), in program order. On top of
-//! that they run:
+//! All passes share one view of the program: the data-usage analyzer's
+//! [`Dataflow`] walk, which holds every array reference with its clamped
+//! section, in program order, and the per-array unions the transfer plan
+//! is built from. On top of that they run:
 //!
 //! * **interval analysis** of affine indices against array extents
 //!   (GPP001),
 //! * **liveness** over the kernel sequence — uninitialized temporary
 //!   reads (GPP002), dead writes (GPP003), unused arrays (GPP004),
 //! * a **race detector** over parallel loop nests (GPP005),
-//! * **transfer-plan lints** layered on `gpp_datausage` — redundant
-//!   host-to-device traffic (GPP006) and missing `temporary` hints
-//!   (GPP007), and
+//! * **transfer-plan lints** that quote the plan's own bytes —
+//!   redundant host-to-device traffic (GPP006) and missing `temporary`
+//!   hints (GPP007), and
 //! * **coalescing notes** from the synthesized kernel characteristics
 //!   (GPP008).
 //!
@@ -23,9 +23,8 @@
 use crate::diag::{Code, Diagnostic, Severity};
 use gpp_brs::{AccessKind, ArrayId, Section, SectionSet};
 use gpp_datausage::plan::human_bytes;
-use gpp_datausage::Hints;
+use gpp_datausage::{transfer_bytes, Dataflow, Hints, Site};
 use gpp_skeleton::expr::LoopId;
-use gpp_skeleton::sections::ref_section;
 use gpp_skeleton::{
     coalesce_class, ArrayRef, CoalesceClass, IndexExpr, Program, SourceMap, Span, ValidationError,
 };
@@ -45,84 +44,34 @@ pub fn lint_program(program: &Program, map: Option<&SourceMap>, hints: &Hints) -
             .map(|e| structural_diag(program, map, e))
             .collect();
     }
-    let ctx = Ctx::new(program, map, hints);
+    let mut ctx = Ctx {
+        p: program,
+        map,
+        hints,
+        flow: Dataflow::new(program),
+    };
     let mut diags = Vec::new();
     ctx.out_of_bounds(&mut diags); // GPP001
-    ctx.liveness(&mut diags); // GPP002 + GPP006
+    ctx.liveness(&mut diags); // GPP002 + GPP006; folds every kernel
     ctx.dead_writes(&mut diags); // GPP003
     ctx.unused_arrays(&mut diags); // GPP004
     ctx.races(&mut diags); // GPP005
     ctx.temporary_hints(&mut diags); // GPP007
     ctx.coalescing(&mut diags); // GPP008
-    crate::program::transfer_dataflow(program, map, &mut diags); // GPP010–GPP013
+    crate::program::transfer_dataflow(program, map, &ctx.flow, &mut diags); // GPP010–GPP014
     diags
-}
-
-/// One array reference with its precomputed section.
-struct Site<'a> {
-    /// Statement index within the kernel.
-    si: usize,
-    /// Reference index within the statement.
-    ri: usize,
-    r: &'a ArrayRef,
-    section: Section,
-    /// False if `section` over-approximates (irregular index or sparse
-    /// array).
-    exact: bool,
-    /// True if the statement executes unconditionally
-    /// (`active_fraction >= 1`), so its writes are guaranteed to cover
-    /// their section.
-    full: bool,
 }
 
 struct Ctx<'a> {
     p: &'a Program,
     map: Option<&'a SourceMap>,
     hints: &'a Hints,
-    /// Per-kernel loop trip counts.
-    trips: Vec<Vec<u64>>,
-    /// Per-kernel reference sites in program order.
-    sites: Vec<Vec<Site<'a>>>,
+    /// The analyzer's walk: [`Ctx::liveness`] folds every kernel; GPP007
+    /// then reads the whole program's unions.
+    flow: Dataflow<'a>,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(p: &'a Program, map: Option<&'a SourceMap>, hints: &'a Hints) -> Ctx<'a> {
-        let trips: Vec<Vec<u64>> = p
-            .kernels
-            .iter()
-            .map(|k| k.loops.iter().map(|l| l.trip).collect())
-            .collect();
-        let sites = p
-            .kernels
-            .iter()
-            .enumerate()
-            .map(|(ki, k)| {
-                let mut v = Vec::new();
-                for (si, stmt) in k.statements.iter().enumerate() {
-                    for (ri, r) in stmt.refs.iter().enumerate() {
-                        let (section, exact) = ref_section(r, p.array(r.array), &trips[ki]);
-                        v.push(Site {
-                            si,
-                            ri,
-                            r,
-                            section,
-                            exact,
-                            full: stmt.active_fraction >= 1.0,
-                        });
-                    }
-                }
-                v
-            })
-            .collect();
-        Ctx {
-            p,
-            map,
-            hints,
-            trips,
-            sites,
-        }
-    }
-
     fn ref_span(&self, ki: usize, si: usize, ri: usize) -> Span {
         self.map.map(|m| m.ref_span(ki, si, ri)).unwrap_or_default()
     }
@@ -140,15 +89,18 @@ impl<'a> Ctx<'a> {
     /// machinery deliberately clamps (guarded-stencil convention), so
     /// this is the only place out-of-bounds lattice points surface.
     fn out_of_bounds(&self, diags: &mut Vec<Diagnostic>) {
-        for (ki, sites) in self.sites.iter().enumerate() {
-            for s in sites {
+        let mut trips = Vec::new();
+        for (ki, k) in self.p.kernels.iter().enumerate() {
+            trips.clear();
+            trips.extend(k.loops.iter().map(|l| l.trip));
+            for s in self.flow.kernel_sites(ki) {
                 let decl = self.p.array(s.r.array);
                 if decl.sparse {
                     continue; // data-dependent contents; extents are capacity
                 }
                 for (d, ix) in s.r.index.iter().enumerate() {
                     let IndexExpr::Affine(e) = ix else { continue };
-                    let (lo, hi) = e.bounds(&self.trips[ki]);
+                    let (lo, hi) = e.bounds(&trips);
                     let extent = decl.extents[d] as i64;
                     if lo < 0 || hi >= extent {
                         diags.push(Diagnostic::new(
@@ -170,28 +122,26 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// GPP002 + GPP006: one forward walk over the kernel sequence,
-    /// tracking which sections have been written by *prior kernels* and
-    /// by *earlier statements of the current kernel* separately — the
-    /// transfer analysis (`gpp_datausage::analyze`) only subtracts the
-    /// former, which is exactly what GPP006 reports.
-    fn liveness(&self, diags: &mut Vec<Diagnostic>) {
-        // Both indexed by array id; `cur` is emptied into `prior` after
-        // each kernel.
-        let mut prior: Vec<SectionSet> = (self.p.arrays.iter())
+    /// GPP002 + GPP006: walks the analyzer's dataflow, which holds what
+    /// *earlier kernels* wrote; this pass adds what *earlier statements of
+    /// the kernel* wrote for certain. The plan subtracts only the former
+    /// from a read; GPP006 reports what is left when the latter covers it.
+    fn liveness(&mut self, diags: &mut Vec<Diagnostic>) {
+        // Indexed by array id; emptied after each kernel.
+        let mut cur: Vec<SectionSet> = (self.p.arrays.iter())
             .map(|a| SectionSet::empty(a.ndims()))
             .collect();
-        let mut cur = prior.clone();
-        for (ki, k) in self.p.kernels.iter().enumerate() {
+        for ki in 0..self.p.kernels.len() {
+            let flow = &self.flow;
             // Sites are in program order, so each statement's are a run.
-            for stmt in self.sites[ki].chunk_by(|a, b| a.si == b.si) {
+            for stmt in flow.kernel_sites(ki).chunk_by(|a, b| a.si == b.si) {
                 // Reads observe writes of *earlier* statements only.
                 for s in stmt.iter().filter(|s| s.r.kind == AccessKind::Read) {
                     let a = s.r.array;
                     let decl = self.p.array(a);
-                    let (pset, cset) = (&prior[a.index()], &cur[a.index()]);
+                    let cset = &cur[a.index()];
                     if self.is_temp(a) {
-                        if !covered(&s.section, pset, cset) {
+                        if !covered(&s.section, flow.guaranteed(a), cset) {
                             diags.push(Diagnostic::new(
                                 Code::UninitializedRead,
                                 self.ref_span(ki, s.si, s.ri),
@@ -204,10 +154,12 @@ impl<'a> Ctx<'a> {
                             ));
                         }
                     } else if s.exact && !cset.is_empty() {
-                        // What the transfer analysis ships for this read,
-                        // when earlier statements produce all of it.
+                        // What the plan ships for this read, when earlier
+                        // statements produce all of it.
                         let mut need = SectionSet::from_section(s.section.clone());
-                        need.subtract(pset);
+                        if let Some(w) = flow.written(a) {
+                            need.subtract(w);
+                        }
                         if !need.is_empty() && need.parts().iter().all(|p| cset.covers(p)) {
                             diags.push(Diagnostic::new(
                                 Code::RedundantH2d,
@@ -219,7 +171,7 @@ impl<'a> Ctx<'a> {
                                      this read; hoist the producer into its own \
                                      kernel to keep the data device-resident",
                                     decl.name,
-                                    k.name,
+                                    self.p.kernels[ki].name,
                                     human_bytes(need.byte_count(decl.elem.bytes())),
                                 ),
                             ));
@@ -227,21 +179,12 @@ impl<'a> Ctx<'a> {
                     }
                 }
                 // Then record this statement's guaranteed writes.
-                for s in stmt
-                    .iter()
-                    .filter(|s| s.r.kind == AccessKind::Write && s.exact && s.full)
-                {
+                for s in stmt.iter().filter(|s| s.is_guaranteed_write()) {
                     cur[s.r.array.index()].insert(s.section.clone());
                 }
             }
-            for (p, c) in prior.iter_mut().zip(&mut cur) {
-                if p.is_empty() {
-                    std::mem::swap(p, c);
-                } else if !c.is_empty() {
-                    p.union_with(c);
-                    *c = SectionSet::empty(c.ndims());
-                }
-            }
+            cur.iter_mut().for_each(SectionSet::clear);
+            self.flow.fold(ki);
         }
     }
 
@@ -249,85 +192,72 @@ impl<'a> Ctx<'a> {
     /// any later read observes it — or, for a temporary (which is never
     /// copied back to the host), if nothing ever reads it at all.
     fn dead_writes(&self, diags: &mut Vec<Diagnostic>) {
-        for (ki, sites) in self.sites.iter().enumerate() {
-            for w in sites
-                .iter()
-                .filter(|s| s.r.kind == AccessKind::Write && s.exact && s.full)
-            {
-                let a = w.r.array;
-                let decl = self.p.array(a);
-                // Self-accumulation (`x[i] = x[i] + …`, possibly under a
-                // serial loop) keeps the write live: the same statement
-                // re-reads it on the next iteration.
-                let accumulates = sites.iter().any(|s| {
-                    s.si == w.si
-                        && s.r.kind == AccessKind::Read
-                        && s.r.array == a
-                        && s.section.overlaps(&w.section)
-                });
-                if accumulates {
-                    continue;
-                }
-                let mut remaining = SectionSet::from_section(w.section.clone());
-                let mut verdict = None; // None = scan ran to program end
-                'scan: for kj in ki..self.p.kernels.len() {
-                    for s in &self.sites[kj] {
-                        if (kj == ki && s.si <= w.si) || s.r.array != a {
-                            continue;
-                        }
-                        if s.r.kind == AccessKind::Read {
-                            let touches = if s.exact {
-                                remaining.overlaps(&s.section)
-                            } else {
-                                !remaining.is_empty()
-                            };
-                            if touches {
-                                verdict = Some(true); // live
-                                break 'scan;
-                            }
-                        } else if s.exact && s.full {
-                            remaining.subtract_section(&s.section);
-                            if remaining.is_empty() {
-                                verdict = Some(false); // overwritten
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                match verdict {
-                    Some(true) => {}
-                    Some(false) => diags.push(Diagnostic::new(
-                        Code::DeadWrite,
-                        self.ref_span(ki, w.si, w.ri),
-                        format!(
-                            "dead write to `{}`: every element is overwritten \
-                             before it is ever read",
-                            decl.name
-                        ),
-                    )),
-                    // Never read and never fully overwritten: live for
-                    // host outputs (the final D2H copy observes it), dead
-                    // for temporaries.
-                    None if self.is_temp(a) => diags.push(Diagnostic::new(
-                        Code::DeadWrite,
-                        self.ref_span(ki, w.si, w.ri),
-                        format!(
-                            "write to temporary `{}` is never read — its \
-                             traffic is wasted",
-                            decl.name
-                        ),
-                    )),
-                    None => {}
-                }
+        let sites = self.flow.sites();
+        for (wi, w) in sites.iter().enumerate() {
+            if !w.is_guaranteed_write() {
+                continue;
             }
+            let (a, ki) = (w.r.array, w.ki);
+            let decl = self.p.array(a);
+            let same_stmt = |s: &Site| s.ki == ki && s.si == w.si;
+            // Self-accumulation (`x[i] = x[i] + …`, possibly under a
+            // serial loop) keeps the write live: the same statement
+            // re-reads it on the next iteration.
+            let accumulates = self.flow.kernel_sites(ki).iter().any(|s| {
+                same_stmt(s)
+                    && s.r.kind == AccessKind::Read
+                    && s.r.array == a
+                    && s.section.overlaps(&w.section)
+            });
+            if accumulates {
+                continue;
+            }
+            // Some(true): a later read observes it; Some(false): it is
+            // overwritten first; None: the scan runs to program end.
+            let mut remaining = SectionSet::from_section(w.section.clone());
+            let mut later = sites[wi + 1..]
+                .iter()
+                .filter(|s| !same_stmt(s) && s.r.array == a);
+            let verdict = later.find_map(|s| {
+                if s.r.kind == AccessKind::Read {
+                    let touches = if s.exact {
+                        remaining.overlaps(&s.section)
+                    } else {
+                        !remaining.is_empty()
+                    };
+                    touches.then_some(true)
+                } else if s.is_guaranteed_write() {
+                    remaining.subtract_section(&s.section);
+                    remaining.is_empty().then_some(false)
+                } else {
+                    None
+                }
+            });
+            let message = match verdict {
+                Some(true) => continue,
+                Some(false) => format!(
+                    "dead write to `{}`: every element is overwritten before it \
+                     is ever read",
+                    decl.name
+                ),
+                // Never read and never fully overwritten: live for host
+                // outputs (the final D2H copy observes it), dead for
+                // temporaries.
+                None if self.is_temp(a) => format!(
+                    "write to temporary `{}` is never read — its traffic is wasted",
+                    decl.name
+                ),
+                None => continue,
+            };
+            let span = self.ref_span(ki, w.si, w.ri);
+            diags.push(Diagnostic::new(Code::DeadWrite, span, message));
         }
     }
 
     /// GPP004: declared, never referenced.
     fn unused_arrays(&self, diags: &mut Vec<Diagnostic>) {
-        let used: BTreeSet<ArrayId> = self.sites.iter().flatten().map(|s| s.r.array).collect();
         for a in &self.p.arrays {
-            if !used.contains(&a.id) {
+            if !(0..self.p.kernels.len()).any(|ki| self.flow.touch(ki, a.id).is_some()) {
                 diags.push(Diagnostic::new(
                     Code::UnusedArray,
                     self.array_span(a.id),
@@ -358,10 +288,8 @@ impl<'a> Ctx<'a> {
             if par.is_empty() {
                 continue; // single-iteration nest cannot race
             }
-            for w in self.sites[ki]
-                .iter()
-                .filter(|s| s.r.kind == AccessKind::Write)
-            {
+            let sites = self.flow.kernel_sites(ki);
+            for w in sites.iter().filter(|s| s.r.kind == AccessKind::Write) {
                 let decl = self.p.array(w.r.array);
                 if decl.sparse {
                     continue; // contents and index sets are data-dependent
@@ -442,15 +370,12 @@ impl<'a> Ctx<'a> {
             // concurrent write through a *different* index pattern sees
             // either old or new values depending on thread order.
             let mut flagged: BTreeSet<ArrayId> = BTreeSet::new();
-            for r in self.sites[ki]
-                .iter()
-                .filter(|s| s.r.kind == AccessKind::Read)
-            {
+            for r in sites.iter().filter(|s| s.r.kind == AccessKind::Read) {
                 let a = r.r.array;
                 if flagged.contains(&a) || self.p.array(a).sparse {
                     continue;
                 }
-                let conflicting = self.sites[ki].iter().any(|w| {
+                let conflicting = sites.iter().any(|w| {
                     w.r.kind == AccessKind::Write
                         && w.r.array == a
                         && !w.r.is_irregular()
@@ -481,30 +406,42 @@ impl<'a> Ctx<'a> {
     }
 
     /// GPP007: an array whose first access writes it and whose last
-    /// access reads it lives entirely on the device, yet without a
-    /// `temporary` hint the analyzer still copies it back. Only such an
-    /// array is checked for a cross-kernel flow dependence.
+    /// access reads it, with a read served by an earlier kernel's write,
+    /// lives entirely on the device, yet without a `temporary` hint the
+    /// plan still copies it back. The finding quotes the plan's
+    /// device-to-host bytes for it. An explicit schedule is priced as
+    /// written, hints or not, so there a hint would save nothing.
     fn temporary_hints(&self, diags: &mut Vec<Diagnostic>) {
+        if self.p.has_explicit_transfers() {
+            return;
+        }
+        debug_assert_eq!(
+            self.flow.folded(),
+            self.p.kernels.len(),
+            "GPP007 quotes the whole walk"
+        );
         let mut first = vec![None; self.p.arrays.len()];
         let mut last = vec![None; self.p.arrays.len()];
-        for s in self.sites.iter().flatten() {
+        for s in self.flow.sites() {
             first[s.r.array.index()].get_or_insert(s.r.kind);
             last[s.r.array.index()] = Some(s.r.kind);
         }
-        for a in self.p.arrays.iter().map(|decl| decl.id) {
+        for decl in &self.p.arrays {
+            let a = decl.id;
             if self.is_temp(a)
                 || first[a.index()] != Some(AccessKind::Write)
                 || last[a.index()] != Some(AccessKind::Read)
-                || !self.flows_across_kernels(a)
+                || !(0..self.p.kernels.len()).any(|ki| self.flow.served(ki, a))
             {
                 continue;
             }
-            let decl = self.p.array(a);
-            let bytes = decl.extents.iter().product::<usize>() as u64 * decl.elem.bytes() as u64;
-            let span = self.array_span(a);
-            let mut d = Diagnostic::new(
+            let bytes = (self.flow.written(a)).map_or(0, |w| transfer_bytes(decl, self.hints, w).0);
+            if bytes == 0 {
+                continue;
+            }
+            let d = Diagnostic::new(
                 Code::MissingTemporary,
-                span,
+                self.array_span(a),
                 format!(
                     "`{}` is produced and last consumed on the device but is \
                      not declared `temporary`; marking it would drop {} of \
@@ -513,30 +450,13 @@ impl<'a> Ctx<'a> {
                     human_bytes(bytes)
                 ),
             );
-            if span.is_real() {
-                d = d.with_fix(crate::fixit::FixIt::new(
-                    format!("declare `{}` temporary", decl.name),
-                    vec![crate::fixit::Edit::Append {
-                        line: span.line,
-                        text: " temporary".into(),
-                    }],
-                ));
-            }
-            diags.push(d);
+            diags.push(
+                d.with_line_fix(format!("declare `{}` temporary", decl.name), |line| {
+                    let text = " temporary".into();
+                    vec![crate::fixit::Edit::Append { line, text }]
+                }),
+            );
         }
-    }
-
-    /// Whether a kernel reads elements of `a` that an earlier kernel
-    /// wrote: the flow dependence that makes `a` device-resident
-    /// ([`gpp_datausage::device_resident_arrays`]).
-    fn flows_across_kernels(&self, a: ArrayId) -> bool {
-        let is = |s: &Site, kind| s.r.array == a && s.r.kind == kind;
-        self.sites.iter().enumerate().any(|(ki, sites)| {
-            sites.iter().filter(|w| is(w, AccessKind::Write)).any(|w| {
-                (self.sites[ki + 1..].iter().flatten())
-                    .any(|r| is(r, AccessKind::Read) && w.section.overlaps(&r.section))
-            })
-        })
     }
 
     /// GPP008: coalescing notes from each reference's coalescing class
@@ -545,7 +465,7 @@ impl<'a> Ctx<'a> {
     fn coalescing(&self, diags: &mut Vec<Diagnostic>) {
         for (ki, k) in self.p.kernels.iter().enumerate() {
             let axis = k.thread_axis();
-            for &Site { si, ri, r, .. } in &self.sites[ki] {
+            for &Site { si, ri, r, .. } in self.flow.kernel_sites(ki) {
                 let decl = self.p.array(r.array);
                 if decl.sparse {
                     continue; // layout is a property of the format
@@ -1024,6 +944,62 @@ mod tests {
         let hinted = Hints::new().temporary(coeff_id);
         let d2 = lint_program(&p, None, &hinted);
         assert!(!d2.iter().any(|d| d.code == Code::MissingTemporary));
+    }
+
+    #[test]
+    fn read_between_strided_writes_is_no_flow_for_gpp007() {
+        // `produce` writes the even elements of x, `consume` reads the odd
+        // ones: no element flows between them, so x is not device-produced.
+        let mut p = ProgramBuilder::new("interleaved");
+        let x = p.array("x", ElemType::F32, &[64]);
+        let y = p.array("y", ElemType::F32, &[32]);
+        let mut k1 = p.kernel("produce");
+        let i = k1.parallel_loop("i", 32);
+        k1.statement().write(x, &[idx(i) * 2]).finish();
+        k1.finish();
+        let mut k2 = p.kernel("consume");
+        let i = k2.parallel_loop("i", 32);
+        k2.statement()
+            .read(x, &[idx(i) * 2 + 1])
+            .write(y, &[idx(i)])
+            .finish();
+        k2.finish();
+        let p = p.build().unwrap();
+        assert!(gpp_datausage::dependences(&p).is_empty());
+        let d = lint(&p);
+        assert!(d.iter().all(|d| d.code != Code::MissingTemporary), "{d:?}");
+    }
+
+    #[test]
+    fn read_the_plan_serves_from_an_earlier_kernel_is_not_redundant_h2d() {
+        // `prior` writes x only now and then, but the plan subtracts all
+        // it may write from k's read: it ships `a` alone.
+        let p = gpp_skeleton::text::parse(
+            "\
+program p
+array a f32 [64]
+array x f32 [64]
+array b f32 [64]
+kernel prior
+  parallel i 64
+  stmt active=0.5
+    write x [i]
+kernel k
+  parallel i 64
+  stmt
+    read  a [i]
+    write x [i]
+  stmt
+    read  x [i]
+    write b [i]
+",
+        )
+        .unwrap();
+        let plan = gpp_datausage::analyze(&p, &Hints::for_program(&p));
+        let h2d: Vec<&str> = plan.h2d.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(h2d, ["a"]);
+        let d = lint(&p);
+        assert!(d.iter().all(|d| d.code != Code::RedundantH2d), "{d:?}");
     }
 
     #[test]

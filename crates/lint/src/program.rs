@@ -3,21 +3,15 @@
 //! These lints only run when the skeleton spells out its transfer
 //! schedule with explicit `h2d`/`d2h` directives
 //! ([`Program::has_explicit_transfers`]); derived schedules are optimal
-//! by construction, so there is nothing to critique. The pass tracks a
-//! per-array *residency lattice* over the interleaved kernel/transfer
-//! sequence:
+//! by construction, so there is nothing to critique. Over the
+//! interleaved kernel/transfer sequence the pass tracks, per array,
+//! whether host and device copies agree (*synced*): an `h2d` or `d2h`
+//! syncs them, a kernel that writes the array puts the device ahead.
+//! Transfers that cannot change the visible state are redundant:
 //!
-//! * `HostOnly` — the array has never been uploaded,
-//! * `Synced` — host and device copies agree,
-//! * `DeviceAhead` — a kernel wrote the device copy since the last sync.
-//!
-//! Kernels that write an array move it to `DeviceAhead`; an `h2d` or
-//! `d2h` moves it to `Synced`. Transfers that cannot change the visible
-//! state are redundant:
-//!
-//! * **GPP010** — `h2d` while `Synced`: the device already holds these
+//! * **GPP010** — `h2d` while synced: the device already holds these
 //!   exact bytes.
-//! * **GPP011** — `d2h` while `Synced`, or a `d2h` whose host copy is
+//! * **GPP011** — `d2h` while synced, or a `d2h` whose host copy is
 //!   overwritten by a later `d2h` before any `h2d` could observe it.
 //! * **GPP012** — a `d2h` immediately followed (in the array's own
 //!   event stream) by an `h2d` of the same array: a round-trip through
@@ -42,18 +36,10 @@
 //! required); `gpp lint --fix` applies them.
 
 use crate::diag::{Code, Diagnostic};
-use crate::fixit::{Edit, FixIt};
-use gpp_brs::{AccessKind, ArrayId};
+use crate::fixit::Edit;
+use gpp_datausage::plan::human_bytes;
+use gpp_datausage::Dataflow;
 use gpp_skeleton::{Program, SourceMap, Span, TransferKind};
-use std::collections::BTreeSet;
-
-/// Device-residency state of one array at one program point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Residency {
-    HostOnly,
-    Synced,
-    DeviceAhead,
-}
 
 /// One event in a single array's timeline.
 #[derive(Debug, Clone, Copy)]
@@ -64,29 +50,18 @@ enum Ev {
     Kernel(bool),
 }
 
-/// Runs the GPP010–GPP013 family. No-op unless the program carries an
-/// explicit transfer schedule.
-pub(crate) fn transfer_dataflow(p: &Program, map: Option<&SourceMap>, diags: &mut Vec<Diagnostic>) {
+/// Runs the GPP010–GPP014 family. No-op unless the program carries an
+/// explicit transfer schedule. `flow` says which kernels touch which
+/// arrays.
+pub(crate) fn transfer_dataflow(
+    p: &Program,
+    map: Option<&SourceMap>,
+    flow: &Dataflow,
+    diags: &mut Vec<Diagnostic>,
+) {
     if !p.has_explicit_transfers() {
         return;
     }
-    // Which arrays each kernel reads/writes.
-    let touches: Vec<Vec<(ArrayId, bool)>> = p
-        .kernels
-        .iter()
-        .map(|k| {
-            let mut v: Vec<(ArrayId, bool)> = Vec::new();
-            for r in k.statements.iter().flat_map(|s| s.refs.iter()) {
-                let w = r.kind == AccessKind::Write;
-                match v.iter_mut().find(|(a, _)| *a == r.array) {
-                    Some(e) => e.1 |= w,
-                    None => v.push((r.array, w)),
-                }
-            }
-            v
-        })
-        .collect();
-
     let t_span = |ti: usize| -> Span { map.map(|m| m.transfer_span(ti)).unwrap_or_default() };
     // Two transfer directives are concurrent — no defined order between
     // them — when they sit at the same schedule position on distinct
@@ -100,293 +75,200 @@ pub(crate) fn transfer_dataflow(p: &Program, map: Option<&SourceMap>, diags: &mu
         .filter(|_| !p.kernels.is_empty())
         .map(|m| m.kernel_span(0).line)
         .unwrap_or(0);
+    let delete = |line| vec![Edit::DeleteLine { line }];
 
-    // Per-array event streams in program order (transfer at pos q comes
-    // before kernel q).
-    let streams: Vec<(ArrayId, Vec<Ev>)> = p
-        .arrays
-        .iter()
-        .map(|decl| {
-            let a = decl.id;
-            let mut evs = Vec::new();
-            let mut ti = 0;
-            for (ki, t) in touches.iter().enumerate() {
-                while ti < p.transfers.len() && p.transfers[ti].pos <= ki {
-                    if p.transfers[ti].array == a {
-                        evs.push(Ev::Xfer(ti, p.transfers[ti].kind));
-                    }
-                    ti += 1;
-                }
-                if let Some(&(_, w)) = t.iter().find(|(id, _)| *id == a) {
-                    evs.push(Ev::Kernel(w));
-                }
+    // Transfers that already have a finding: each gets one, the first
+    // check below that claims it.
+    let mut claimed = vec![false; p.transfers.len()];
+    let mut evs = Vec::new();
+    // One walk finds GPP012, GPP010 with the synced GPP011, and the
+    // overwritten GPP011 interleaved; each family is reported in turn.
+    let (mut round_trips, mut synced_xfers, mut overwritten) = (Vec::new(), Vec::new(), Vec::new());
+    for decl in &p.arrays {
+        // The array's events in program order (transfer at pos q comes
+        // before kernel q).
+        evs.clear();
+        let mut xfers = (p.transfers.iter().enumerate())
+            .filter(|(_, t)| t.array == decl.id)
+            .peekable();
+        for ki in 0..p.kernels.len() {
+            while let Some((ti, t)) = xfers.next_if(|(_, t)| t.pos <= ki) {
+                evs.push(Ev::Xfer(ti, t.kind));
             }
-            while ti < p.transfers.len() {
-                if p.transfers[ti].array == a {
-                    evs.push(Ev::Xfer(ti, p.transfers[ti].kind));
-                }
-                ti += 1;
-            }
-            (a, evs)
-        })
-        .collect();
-
-    // GPP012 first: round-trip pairs suppress GPP010/GPP011 on their
-    // members (the pair fix already deletes both lines).
-    let mut paired: BTreeSet<usize> = BTreeSet::new();
-    for (a, evs) in &streams {
-        let name = &p.array(*a).name;
-        let mut i = 0;
-        while i + 1 < evs.len() {
-            if let (
-                Ev::Xfer(ti, TransferKind::DeviceToHost),
-                Ev::Xfer(tj, TransferKind::HostToDevice),
-            ) = (evs[i], evs[i + 1])
-            {
-                if concurrent(ti, tj) {
-                    // Unordered pair: not a round-trip, just two copies
-                    // in flight at once.
-                    i += 1;
-                    continue;
-                }
-                paired.insert(ti);
-                paired.insert(tj);
-                let (da, ha) = (t_span(ti), t_span(tj));
-                let mut d = Diagnostic::new(
-                    Code::MissingResidency,
-                    da,
-                    format!(
-                        "`{name}` makes a round-trip through the host: downloaded \
-                         here and re-uploaded with no kernel touching it in \
-                         between — keep it device-resident",
-                    ),
-                );
-                if da.is_real() && ha.is_real() {
-                    d = d.with_fix(FixIt::new(
-                        format!("keep `{name}` device-resident: delete the d2h/h2d round-trip"),
-                        vec![
-                            Edit::DeleteLine { line: da.line },
-                            Edit::DeleteLine { line: ha.line },
-                        ],
-                    ));
-                }
-                diags.push(d);
-                i += 2;
-            } else {
-                i += 1;
+            if let Some(writes) = flow.touch(ki, decl.id) {
+                evs.push(Ev::Kernel(writes));
             }
         }
-    }
+        evs.extend(xfers.map(|(ti, t)| Ev::Xfer(ti, t.kind)));
 
-    // Residency walk: GPP010 and the synced form of GPP011.
-    let mut flagged: BTreeSet<usize> = BTreeSet::new();
-    for (a, evs) in &streams {
-        let decl = p.array(*a);
-        let mut state = Residency::HostOnly;
+        let name = &decl.name;
+        let mut synced = false;
         // The transfer that last touched this array's residency: when
         // the current directive is concurrent with it, their order is
         // undefined and no redundancy conclusion holds.
-        let mut last_xfer: Option<usize> = None;
-        for ev in evs {
-            match *ev {
-                Ev::Kernel(true) => state = Residency::DeviceAhead,
-                Ev::Kernel(false) => {}
-                Ev::Xfer(ti, TransferKind::HostToDevice) => {
-                    let racy = last_xfer.is_some_and(|tj| concurrent(ti, tj));
-                    if state == Residency::Synced && !racy && !paired.contains(&ti) {
-                        flagged.insert(ti);
-                        let span = t_span(ti);
-                        let mut d = Diagnostic::new(
-                            Code::CrossKernelH2d,
-                            span,
-                            format!(
-                                "redundant h2d of `{}`: the device copy is already \
-                                 in sync and no kernel modified it since the last \
-                                 upload — this re-sends {}",
-                                decl.name,
-                                gpp_datausage::plan::human_bytes(decl.byte_count()),
-                            ),
-                        );
-                        if span.is_real() {
-                            d = d.with_fix(FixIt::new(
-                                format!("delete the redundant `h2d {}`", decl.name),
-                                vec![Edit::DeleteLine { line: span.line }],
-                            ));
-                        }
-                        diags.push(d);
-                    }
-                    state = Residency::Synced;
-                    last_xfer = Some(ti);
+        let mut last_xfer: Option<(usize, TransferKind)> = None;
+        for (i, ev) in evs.iter().enumerate() {
+            let Ev::Xfer(ti, kind) = *ev else {
+                if let Ev::Kernel(true) = ev {
+                    synced = false; // the device is ahead
                 }
-                Ev::Xfer(ti, TransferKind::DeviceToHost) => {
-                    let racy = last_xfer.is_some_and(|tj| concurrent(ti, tj));
-                    if state == Residency::Synced && !racy && !paired.contains(&ti) {
-                        flagged.insert(ti);
-                        let span = t_span(ti);
-                        let mut d = Diagnostic::new(
-                            Code::DeadD2h,
-                            span,
-                            format!(
-                                "dead d2h of `{}`: host and device copies already \
-                                 agree, so this downloads nothing new",
-                                decl.name
-                            ),
-                        );
-                        if span.is_real() {
-                            d = d.with_fix(FixIt::new(
-                                format!("delete the dead `d2h {}`", decl.name),
-                                vec![Edit::DeleteLine { line: span.line }],
-                            ));
-                        }
-                        diags.push(d);
-                    }
-                    state = Residency::Synced;
-                    last_xfer = Some(ti);
-                }
-            }
-        }
-    }
-
-    // GPP011, overwritten form: a d2h whose host copy is clobbered by
-    // the array's next transfer (another d2h) before any h2d could
-    // consume it. The final d2h of an array is always live — program
-    // end observes the host copy.
-    for (a, evs) in &streams {
-        let decl = p.array(*a);
-        let xfers: Vec<(usize, TransferKind)> = evs
-            .iter()
-            .filter_map(|e| match *e {
-                Ev::Xfer(ti, k) => Some((ti, k)),
-                _ => None,
-            })
-            .collect();
-        for w in xfers.windows(2) {
-            let ((ti, k0), (tj, k1)) = (w[0], w[1]);
-            if k0 == TransferKind::DeviceToHost
-                && k1 == TransferKind::DeviceToHost
-                && !concurrent(ti, tj)
-                && !paired.contains(&ti)
-                && !flagged.contains(&ti)
+                continue;
+            };
+            // GPP012: a d2h straight followed by an h2d of the array is a
+            // round-trip through the host. The pair's fix deletes both
+            // lines, so neither gets another finding. On distinct
+            // streams at one position the two copies are merely in
+            // flight at once.
+            if let (TransferKind::DeviceToHost, Some(&Ev::Xfer(tj, TransferKind::HostToDevice))) =
+                (kind, evs.get(i + 1))
             {
-                flagged.insert(ti);
-                let span = t_span(ti);
-                let mut d = Diagnostic::new(
-                    Code::DeadD2h,
-                    span,
-                    format!(
-                        "dead d2h of `{}`: the downloaded bytes are overwritten \
-                         by a later d2h before anything re-uploads them",
-                        decl.name
-                    ),
-                );
-                if span.is_real() {
-                    d = d.with_fix(FixIt::new(
-                        format!("delete the dead `d2h {}`", decl.name),
-                        vec![Edit::DeleteLine { line: span.line }],
-                    ));
+                if !concurrent(ti, tj) {
+                    (claimed[ti], claimed[tj]) = (true, true);
+                    // Spans come from one source map: both real or neither.
+                    let ha = t_span(tj);
+                    let d = Diagnostic::new(
+                        Code::MissingResidency,
+                        t_span(ti),
+                        format!(
+                            "`{name}` makes a round-trip through the host: downloaded \
+                             here and re-uploaded with no kernel touching it in \
+                             between — keep it device-resident",
+                        ),
+                    )
+                    .with_line_fix(
+                        format!("keep `{name}` device-resident: delete the d2h/h2d round-trip"),
+                        |line| [delete(line), delete(ha.line)].concat(),
+                    );
+                    round_trips.push(d);
                 }
-                diags.push(d);
             }
+            // A transfer while host and device agree is redundant: GPP010
+            // for an h2d, GPP011 for a d2h.
+            let racy = last_xfer.is_some_and(|(tj, _)| concurrent(ti, tj));
+            if synced && !racy && !claimed[ti] {
+                claimed[ti] = true;
+                let (code, message, summary) = match kind {
+                    TransferKind::HostToDevice => (
+                        Code::CrossKernelH2d,
+                        format!(
+                            "redundant h2d of `{name}`: the device copy is already \
+                             in sync and no kernel modified it since the last \
+                             upload — this re-sends {}",
+                            human_bytes(decl.byte_count()),
+                        ),
+                        format!("delete the redundant `h2d {name}`"),
+                    ),
+                    TransferKind::DeviceToHost => (
+                        Code::DeadD2h,
+                        format!(
+                            "dead d2h of `{name}`: host and device copies already \
+                             agree, so this downloads nothing new"
+                        ),
+                        format!("delete the dead `d2h {name}`"),
+                    ),
+                };
+                let d = Diagnostic::new(code, t_span(ti), message);
+                synced_xfers.push(d.with_line_fix(summary, delete));
+            }
+            // GPP011 too: a d2h whose host copy this d2h clobbers before
+            // any h2d could consume it. The final d2h of an array is
+            // always live, as program end observes the host copy.
+            if let Some((tj, TransferKind::DeviceToHost)) = last_xfer {
+                if kind == TransferKind::DeviceToHost && !racy && !claimed[tj] {
+                    claimed[tj] = true;
+                    let message = format!(
+                        "dead d2h of `{name}`: the downloaded bytes are overwritten \
+                         by a later d2h before anything re-uploads them"
+                    );
+                    let d = Diagnostic::new(Code::DeadD2h, t_span(tj), message);
+                    let summary = format!("delete the dead `d2h {name}`");
+                    overwritten.push(d.with_line_fix(summary, delete));
+                }
+            }
+            synced = true;
+            last_xfer = Some((ti, kind));
         }
     }
+    diags.append(&mut round_trips);
+    diags.append(&mut synced_xfers);
+    diags.append(&mut overwritten);
 
-    // GPP013: an h2d after kernels that never reference the array — it
-    // can be hoisted to the top of the program without changing what
-    // any kernel observes.
-    let mut hoisted: BTreeSet<usize> = BTreeSet::new();
+    // What the residency walk left alone, if synchronous (a
+    // stream-annotated upload is a deliberate prefetch that already
+    // overlaps its neighbour in place). GPP013: an h2d after kernels that
+    // never reference the array can be hoisted to the top of the program
+    // without changing what any kernel observes.
     for (ti, t) in p.transfers.iter().enumerate() {
-        // A stream-annotated upload is a deliberate prefetch: it already
-        // overlaps the adjacent kernel in place, so moving it is not an
-        // improvement.
-        if t.kind != TransferKind::HostToDevice
-            || t.pos == 0
-            || t.stream != 0
-            || paired.contains(&ti)
-            || flagged.contains(&ti)
-        {
+        let hoistable = t.kind == TransferKind::HostToDevice
+            && t.pos > 0
+            && t.stream == 0
+            && !claimed[ti]
+            && !p.transfers[..ti].iter().any(|u| u.array == t.array)
+            && !(0..t.pos.min(p.kernels.len())).any(|ki| flow.touch(ki, t.array).is_some());
+        if !hoistable {
             continue;
         }
-        let earlier_xfer = p.transfers[..ti].iter().any(|u| u.array == t.array);
-        let referenced_before = touches[..t.pos.min(touches.len())]
-            .iter()
-            .any(|k| k.iter().any(|(a, _)| *a == t.array));
-        if earlier_xfer || referenced_before {
-            continue;
-        }
-        hoisted.insert(ti);
-        let decl = p.array(t.array);
-        let span = t_span(ti);
+        claimed[ti] = true;
+        let name = &p.array(t.array).name;
         let mut d = Diagnostic::new(
             Code::HoistableTransfer,
-            span,
+            t_span(ti),
             format!(
-                "`h2d {}` runs after {} kernel(s) that never touch `{}` — \
+                "`h2d {name}` runs after {} kernel(s) that never touch `{name}` — \
                  hoist the upload before the first kernel",
-                decl.name, t.pos, decl.name
+                t.pos
             ),
         );
-        if span.is_real() && first_kernel_line > 0 {
-            d = d.with_fix(FixIt::new(
-                format!("hoist `h2d {}` before the first kernel", decl.name),
-                vec![Edit::MoveLine {
-                    line: span.line,
-                    before: first_kernel_line,
-                }],
-            ));
+        if first_kernel_line > 0 {
+            d = d.with_line_fix(
+                format!("hoist `h2d {name}` before the first kernel"),
+                |line| {
+                    let before = first_kernel_line;
+                    vec![Edit::MoveLine { line, before }]
+                },
+            );
         }
         diags.push(d);
     }
 
-    // GPP014 (note): a large synchronous, unchunked transfer sitting
-    // next to a kernel it could overlap — an `h2d` before its consumer
-    // or a `d2h` after its producer. Annotating `stream 1 chunks=4`
-    // pipelines the copy against that kernel; copies under 1 MB are
-    // latency-bound and not worth the note. Transfers already flagged
-    // (or hoisted) get one actionable finding, not two.
+    // GPP014 (note): a large synchronous, unchunked transfer no other
+    // check claimed, next to a kernel it could overlap — an `h2d` before
+    // its consumer or a `d2h` after its producer. Annotating `stream 1
+    // chunks=4` pipelines the copy against that kernel; copies under 1 MB
+    // are latency-bound and not worth the note.
     const OVERLAP_WORTHWHILE_BYTES: u64 = 1 << 20;
     for (ti, t) in p.transfers.iter().enumerate() {
+        let decl = p.array(t.array);
+        let (dir, neighbor, overlappable) = match t.kind {
+            TransferKind::HostToDevice => ("h2d", "next", t.pos < p.kernels.len()),
+            TransferKind::DeviceToHost => ("d2h", "previous", t.pos > 0),
+        };
         if t.stream != 0
             || t.chunks > 1
-            || paired.contains(&ti)
-            || flagged.contains(&ti)
-            || hoisted.contains(&ti)
+            || claimed[ti]
+            || !overlappable
+            || decl.byte_count() < OVERLAP_WORTHWHILE_BYTES
         {
             continue;
         }
-        let overlappable = match t.kind {
-            TransferKind::HostToDevice => t.pos < p.kernels.len(),
-            TransferKind::DeviceToHost => t.pos > 0,
-        };
-        let decl = p.array(t.array);
-        if !overlappable || decl.byte_count() < OVERLAP_WORTHWHILE_BYTES {
-            continue;
-        }
-        let (dir, neighbor) = match t.kind {
-            TransferKind::HostToDevice => ("h2d", "next"),
-            TransferKind::DeviceToHost => ("d2h", "previous"),
-        };
-        let span = t_span(ti);
-        let mut d = Diagnostic::new(
+        let name = &decl.name;
+        let d = Diagnostic::new(
             Code::SerializedTransfer,
-            span,
+            t_span(ti),
             format!(
-                "synchronous `{dir} {}` ({}) serializes with the {neighbor} \
+                "synchronous `{dir} {name}` ({}) serializes with the {neighbor} \
                  kernel — `stream 1 chunks=4` would overlap the copy with \
                  that compute",
-                decl.name,
-                gpp_datausage::plan::human_bytes(decl.byte_count()),
+                human_bytes(decl.byte_count()),
             ),
         );
-        if span.is_real() {
-            d = d.with_fix(FixIt::new(
-                format!("pipeline `{dir} {}` on a concurrent stream", decl.name),
-                vec![Edit::Append {
-                    line: span.line,
-                    text: " stream 1 chunks=4".into(),
-                }],
-            ));
-        }
-        diags.push(d);
+        diags.push(d.with_line_fix(
+            format!("pipeline `{dir} {name}` on a concurrent stream"),
+            |line| {
+                let text = " stream 1 chunks=4".into();
+                vec![Edit::Append { line, text }]
+            },
+        ));
     }
 }
 

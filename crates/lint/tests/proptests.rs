@@ -6,9 +6,12 @@
 //!    diagnostics.
 //! 2. *Totality*: the linter never panics, even on adversarial (but
 //!    structurally valid) random programs, and is deterministic.
+//! 3. *Agreement with the plan*: every byte a transfer-plan lint quotes
+//!    is the data-usage analyzer's.
 
-use gpp_datausage::Hints;
-use gpp_lint::{lint_program, lint_source, LintConfig, Severity};
+use gpp_datausage::plan::human_bytes;
+use gpp_datausage::{analyze, Hints};
+use gpp_lint::{lint_program, lint_source, Code, Diagnostic, LintConfig, Severity};
 use gpp_skeleton::builder::ProgramBuilder;
 use gpp_skeleton::expr::AffineExpr;
 use gpp_skeleton::{ElemType, Flops, IndexExpr, Program};
@@ -256,6 +259,129 @@ proptest! {
         codes_src.sort_unstable();
         prop_assert_eq!(codes_mem, codes_src);
     }
+}
+
+/// The array a finding names first, in backticks.
+fn named_array<'p>(p: &'p Program, d: &Diagnostic) -> &'p gpp_skeleton::ArrayDecl {
+    let name = d.message.split('`').nth(1).expect("a named array");
+    p.array_by_name(name).expect("a declared array")
+}
+
+/// The size a finding quotes after `after`, read back from
+/// [`human_bytes`]' text, with how far that text may round it.
+fn quoted_bytes(d: &Diagnostic, after: &str) -> (f64, f64) {
+    let at = d.message.find(after).expect("a quoted size") + after.len();
+    let mut words = d.message[at..].split(' ');
+    let n: f64 = words.next().unwrap().parse().unwrap();
+    let scale = match words.next().unwrap() {
+        "B" => return (n, 0.0),
+        "KB" => 1024.0,
+        "MB" => 1024.0 * 1024.0,
+        unit => panic!("unit `{unit}`"),
+    };
+    (n * scale, 0.05 * scale)
+}
+
+/// Checks GPP006 and GPP007 on `p` against the plan `analyze` derives.
+fn lints_quote_the_plan(p: &Program) {
+    let hints = Hints::for_program(p);
+    let plan = analyze(p, &hints);
+    for d in lint_program(p, None, &hints) {
+        match d.code {
+            // The hint's saving: what the plan copies back, less what it
+            // copies back with the array temporary.
+            Code::MissingTemporary => {
+                let id = named_array(p, &d).id;
+                let hinted = analyze(p, &hints.clone().temporary(id));
+                let saved = plan.d2h_bytes() - hinted.d2h_bytes();
+                let want = format!("drop {} of", human_bytes(saved));
+                assert!(d.message.contains(&want), "{want:?} in {}", d.message);
+            }
+            // At most what the plan uploads of the array.
+            Code::RedundantH2d => {
+                let id = named_array(p, &d).id;
+                let (bytes, slack) = quoted_bytes(&d, "schedules ");
+                let shipped: u64 = plan
+                    .h2d
+                    .iter()
+                    .filter(|t| t.array == id)
+                    .map(|t| t.bytes)
+                    .sum();
+                assert!(
+                    bytes <= shipped as f64 + slack,
+                    "{} vs {shipped} B",
+                    d.message
+                );
+            }
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every byte GPP006 and GPP007 quote is the plan's.
+    #[test]
+    fn transfer_lints_quote_the_plans_bytes(wf in well_formed(), adv in any_program()) {
+        lints_quote_the_plan(&wf);
+        lints_quote_the_plan(&adv);
+    }
+}
+
+/// `prep` writes only the first half of `coeff`; `update` reads it.
+const HALF_COEFF: &str = "\
+program p
+array img f32 [256]
+array coeff f32 [256]
+kernel prep
+  parallel i 128
+  stmt
+    read  img [i]
+    write coeff [i]
+kernel update
+  parallel i 256
+  stmt
+    read  coeff [i]
+    read  img [i]
+    write img [i]
+";
+
+/// Parses `.gsk` text and lints it without spans.
+fn lint_text(src: &str) -> (Program, Vec<Diagnostic>) {
+    let p = gpp_skeleton::text::parse(src).unwrap();
+    let d = lint_program(&p, None, &Hints::for_program(&p));
+    (p, d)
+}
+
+#[test]
+fn missing_temporary_quotes_the_plans_copy_back() {
+    let (p, d) = lint_text(HALF_COEFF);
+    let coeff = p.array_by_name("coeff").unwrap().id;
+    let plan = analyze(&p, &Hints::new());
+    let back = plan.d2h.iter().find(|t| t.array == coeff).unwrap();
+    assert_eq!(back.bytes, 512);
+    let hint: Vec<_> = d
+        .iter()
+        .filter(|d| d.code == Code::MissingTemporary)
+        .collect();
+    assert_eq!(hint.len(), 1, "{d:?}");
+    assert!(
+        hint[0].message.contains("drop 512 B"),
+        "{}",
+        hint[0].message
+    );
+}
+
+#[test]
+fn missing_temporary_is_silent_under_an_explicit_schedule() {
+    // The schedule is priced as written: a hint saves nothing.
+    let src = HALF_COEFF.replace("kernel prep", "h2d img\nkernel prep") + "d2h img\nd2h coeff\n";
+    let (p, d) = lint_text(&src);
+    let coeff = p.array_by_name("coeff").unwrap().id;
+    let hinted = analyze(&p, &Hints::new().temporary(coeff));
+    assert_eq!(hinted.d2h_bytes(), analyze(&p, &Hints::new()).d2h_bytes());
+    assert!(d.iter().all(|d| d.code != Code::MissingTemporary), "{d:?}");
 }
 
 /// Where [`lint_findings_on_generated_programs_match_the_golden`] keeps

@@ -84,3 +84,65 @@ fn measure_command_is_gated_too() {
     assert!(response.contains("\"kind\":\"lint\""), "{response}");
     assert!(response.contains("\"code\":\"GPP001\""), "{response}");
 }
+
+/// An explicit schedule with one finding from each of GPP010–GPP014.
+/// The arrays are declared, and the transfers written, in an order other
+/// than the families', so the reply shows which order the findings keep.
+const WASTEFUL_SCHEDULE: &str = "\
+program wasteful
+array o f32 [64]
+array a f32 [64]
+array t f32 [64]
+array late f32 [64]
+array big f32 [1048576]
+h2d a
+h2d big
+kernel k1
+  parallel i 64
+  stmt adds=1
+    read  a [i]
+    read  big [i]
+    write t [i]
+    write o [i]
+d2h o
+d2h t
+h2d t
+h2d a
+h2d late
+kernel k2
+  parallel i 64
+  stmt adds=1
+    read  t [i]
+    read  a [i]
+    read  late [i]
+    read  o [i]
+    write o [i]
+d2h o
+";
+
+#[test]
+fn schedule_findings_reply_in_family_order() {
+    let state = ServiceState::new(ServeConfig::default());
+    let response = state.handle(&project_request(WASTEFUL_SCHEDULE).encode(), 0);
+    assert!(response.contains("\"ok\":true"), "{response}");
+    // (code, line) of each schedule finding, in reply order.
+    let found: Vec<(&str, &str)> = response
+        .split("{\"code\":\"")
+        .skip(1)
+        .filter(|d| d.starts_with("GPP01"))
+        .map(|d| {
+            let line = d.split("\"line\":").nth(1).unwrap();
+            (&d[..6], line.split(',').next().unwrap())
+        })
+        .collect();
+    // Round trips, then redundant transfers, then overwritten downloads,
+    // then hoistable uploads, then unpipelined large copies.
+    let want = [
+        ("GPP012", "17"),
+        ("GPP010", "19"),
+        ("GPP011", "16"),
+        ("GPP013", "20"),
+        ("GPP014", "8"),
+    ];
+    assert_eq!(found, want, "{response}");
+}

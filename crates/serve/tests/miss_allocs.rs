@@ -66,37 +66,37 @@ const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "hotspot_1024",
         include_str!("../../../skeletons/hotspot_1024.gsk"),
-        204,
+        175,
         3,
         47,
-        24,
-        44,
+        13,
+        26,
     ),
     (
         "pipelined_vadd",
         include_str!("../../../skeletons/pipelined_vadd.gsk"),
-        114,
+        99,
         3,
         32,
-        31,
+        16,
         5,
     ),
     (
         "spmm_stassuij",
         include_str!("../../../skeletons/spmm_stassuij.gsk"),
-        169,
+        155,
         3,
         53,
-        22,
-        25,
+        12,
+        21,
     ),
     (
         "vector_add",
         include_str!("../../../skeletons/vector_add.gsk"),
-        97,
+        91,
         3,
         29,
-        19,
+        13,
         13,
     ),
 ];

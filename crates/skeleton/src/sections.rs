@@ -55,32 +55,28 @@ pub fn kernel_accesses(kernel: &Kernel, program: &Program) -> Vec<KernelAccess> 
 /// directly for statement-granular dataflow.
 pub fn ref_section(r: &ArrayRef, decl: &ArrayDecl, trips: &[u64]) -> (Section, bool) {
     let mut exact = !decl.sparse;
-    let dims: Vec<Interval> = r
-        .index
-        .iter()
-        .zip(&decl.extents)
-        .map(|(ix, &extent)| {
-            let whole = Interval::dense(0, extent as i64 - 1);
-            match ix {
-                IndexExpr::Irregular | IndexExpr::IrregularBounded(_) => {
-                    exact = false;
-                    whole
-                }
-                IndexExpr::Affine(e) => {
-                    if decl.sparse {
-                        // Sparse arrays: contents are data-dependent
-                        // even when the index looks affine.
-                        return whole;
-                    }
-                    let (lo, hi) = e.bounds(trips);
-                    let lo = lo.max(0);
-                    let hi = hi.min(extent as i64 - 1);
-                    Interval::new(lo, hi.max(lo.min(hi)), e.stride().max(1))
-                }
+    let dims = r.index.iter().zip(&decl.extents).map(|(ix, &extent)| {
+        let whole = Interval::dense(0, extent as i64 - 1);
+        match ix {
+            IndexExpr::Irregular | IndexExpr::IrregularBounded(_) => {
+                exact = false;
+                whole
             }
-        })
-        .collect();
-    (Section::new(dims), exact)
+            IndexExpr::Affine(e) => {
+                if decl.sparse {
+                    // Sparse arrays: contents are data-dependent
+                    // even when the index looks affine.
+                    return whole;
+                }
+                let (lo, hi) = e.bounds(trips);
+                let lo = lo.max(0);
+                let hi = hi.min(extent as i64 - 1);
+                Interval::new(lo, hi.max(lo.min(hi)), e.stride().max(1))
+            }
+        }
+    });
+    let section = Section::new(dims);
+    (section, exact)
 }
 
 /// Union of all sections the kernel may **read**, per array.
