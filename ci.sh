@@ -4,9 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# The golden tests rewrite their files instead of comparing them whenever
-# GPP_BLESS is set, to any value (even 0 or empty), so a check run must
-# not inherit it.
+# The golden tests rewrite their files instead of comparing them when
+# GPP_BLESS=1. A check run refuses the variable at any value, so a bless
+# meant for one test run cannot leak into it.
 if [ -n "${GPP_BLESS+set}" ]; then
     echo "ci.sh: GPP_BLESS is set, so the golden tests would re-bless their files instead of checking them; unset GPP_BLESS and re-run" >&2
     exit 1
@@ -37,7 +37,11 @@ RUSTFLAGS="-D warnings" cargo build $CARGO_FLAGS --workspace
 
 echo "== tier-1: build + tests"
 cargo build $CARGO_FLAGS --release
+# No test may rewrite a golden: the files must hash the same afterwards.
+sha256sum fixtures/goldens/* >"$PERF_TMP/goldens.sha256"
 cargo test $CARGO_FLAGS -q
+sha256sum --quiet -c "$PERF_TMP/goldens.sha256" \
+    || { echo "the tier-1 tests rewrote a file under fixtures/goldens/"; exit 1; }
 
 echo "== gpp lint (committed skeletons, deny warnings)"
 cargo build $CARGO_FLAGS --release -p gpp-cli

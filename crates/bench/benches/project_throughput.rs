@@ -177,7 +177,7 @@ d2h d stream 2 chunks=8
     results.push(("overlap", min, mean));
 
     let serial_min = results[0].1;
-    let (hits, misses) = gpp_gpu_model::synth_memo_stats();
+    let (hits, misses) = gpp_gpu_model::search_memo_stats();
     let json = Json::obj([
         ("bench", Json::Str("project_throughput".to_string())),
         ("workload", Json::Str(format!("CFD {}", case.dataset))),

@@ -137,23 +137,6 @@ pub fn cross_machine(seed: u64) -> String {
     cross_fleet(&MachineRegistry::builtin(), seed)
 }
 
-/// Mirrors `gpp lint --fix`: apply the linter's fix-its until quiescent.
-fn lint_fixpoint(src: &str) -> (String, usize) {
-    let cfg = gpp_lint::LintConfig::new();
-    let mut cur = src.to_string();
-    let mut total = 0usize;
-    for _ in 0..16 {
-        let report = gpp_lint::lint_source(&cur, "case.gsk", &cfg);
-        let (next, n) = gpp_lint::apply_fixes(&cur, &report.diagnostics);
-        if n == 0 {
-            break;
-        }
-        cur = next;
-        total += n;
-    }
-    (cur, total)
-}
-
 /// [`cross_machine`] over an arbitrary fleet: one column per registered
 /// machine, in registry (name) order. Each cell also reports `hr` — the
 /// transfer headroom the linter's fix-its would recover on that machine
@@ -170,7 +153,9 @@ pub fn cross_fleet(registry: &MachineRegistry, seed: u64) -> String {
     let optimized: Vec<_> = cases
         .iter()
         .map(|c| {
-            let (fixed, n) = lint_fixpoint(&gpp_skeleton::text::to_text(&c.program));
+            let src = gpp_skeleton::text::to_text(&c.program);
+            let cfg = gpp_lint::LintConfig::new();
+            let (fixed, n) = gpp_lint::fix_until_stable(&src, "case.gsk", &cfg).ok()?;
             if n == 0 {
                 return None;
             }

@@ -550,33 +550,6 @@ fn with_program(opt: &Options, f: impl FnOnce(&Program, &Hints, &Options) -> Exi
     f(&program, &hints, opt)
 }
 
-/// Applies fix-its to `src` until a fixpoint (each round re-lints the
-/// rewritten text; conflicting fixes resolve across rounds). Returns
-/// the final text and how many fixes were applied in total, or an
-/// error if a rewrite ever stops parsing (a fix-engine bug — the
-/// original file is left untouched).
-fn lint_fixpoint(
-    src: &str,
-    path: &str,
-    cfg: &gpp_lint::LintConfig,
-) -> Result<(String, usize), String> {
-    let mut cur = src.to_string();
-    let mut total = 0usize;
-    for _ in 0..16 {
-        let report = gpp_lint::lint_source(&cur, path, cfg);
-        let (next, n) = gpp_lint::apply_fixes(&cur, &report.diagnostics);
-        if n == 0 {
-            break;
-        }
-        if let Err(e) = text::parse(&next) {
-            return Err(format!("{path}: fixed source no longer parses: {e}"));
-        }
-        cur = next;
-        total += n;
-    }
-    Ok((cur, total))
-}
-
 /// Prices `src` against its fix-it-optimized form on every registered
 /// machine. `None` when there are no applicable fixes (or the fixed
 /// text fails to parse — already reported by `--fix`).
@@ -587,7 +560,7 @@ fn lint_headroom(
     registry: &MachineRegistry,
     seed: u64,
 ) -> Option<Vec<grophecy::MachineHeadroom>> {
-    let (fixed, n) = lint_fixpoint(src, path, cfg).ok()?;
+    let (fixed, n) = gpp_lint::fix_until_stable(src, path, cfg).ok()?;
     if n == 0 {
         return None;
     }
@@ -669,7 +642,7 @@ fn cmd_lint(opt: &Options) -> ExitCode {
             .as_ref()
             .and_then(|r| lint_headroom(&src, path, &cfg, r, opt.seed));
         let effective = if opt.fix {
-            match lint_fixpoint(&src, path, &cfg) {
+            match gpp_lint::fix_until_stable(&src, path, &cfg) {
                 Ok((fixed, n)) => {
                     if n > 0 && fixed != src {
                         if let Err(e) = std::fs::write(path, &fixed) {
@@ -682,7 +655,7 @@ fn cmd_lint(opt: &Options) -> ExitCode {
                     fixed
                 }
                 Err(e) => {
-                    eprintln!("{e}");
+                    eprintln!("{path}: fixed source no longer parses: {e}");
                     worst = worst.max(2);
                     continue;
                 }
@@ -813,7 +786,9 @@ fn cmd_project(program: &Program, hints: &Hints, opt: &Options) -> ExitCode {
         );
     }
     if opt.stats {
-        let (hits, misses) = gpp_gpu_model::synth_memo_stats();
+        // The line keeps its historical "synthesis memo" wording; it
+        // counts the transformation search memo's lookups.
+        let (hits, misses) = gpp_gpu_model::search_memo_stats();
         println!();
         println!("search stats: synthesis memo {hits} hit(s) / {misses} miss(es)");
     }

@@ -8,7 +8,7 @@ use gpp_gpu_model::{project_best, GpuSpec, KernelProjection};
 use gpp_pcie::model::DirectionalModel;
 use gpp_pcie::overlap::DEFAULT_STAGING_LATENCY;
 use gpp_pcie::{
-    AllocModel, Bus, CalibrationError, Calibrator, ChunkedModel, Direction, FaultyBus, MemType,
+    AllocModel, CalibrationError, Calibrator, ChunkedModel, Direction, FaultyBus, MemType,
 };
 use gpp_skeleton::Program;
 use std::sync::Arc;
@@ -21,7 +21,6 @@ use std::sync::Arc;
 pub struct Grophecy {
     spec: GpuSpec,
     pcie: DirectionalModel,
-    mem: MemType,
     alloc: Option<AllocModel>,
     /// Per-chunk pinned-staging latency σ for chunked transfer pricing:
     /// derived from the machine's mechanistic bus parameters when it has
@@ -31,15 +30,6 @@ pub struct Grophecy {
     devices: Vec<DeviceLink>,
     /// Root-complex contention shared by all device links.
     root_complex: Option<RootComplex>,
-}
-
-/// Staging latency for a machine: mechanistic buses derive it from their
-/// parameters, replay traces use the default.
-fn staging_latency_of(machine: &MachineConfig) -> f64 {
-    match &machine.bus {
-        BusSpec::Sim(p) => p.staging_overhead * (1.0 - p.staging_overlap),
-        BusSpec::Replay(_) => DEFAULT_STAGING_LATENCY,
-    }
 }
 
 /// A complete application projection.
@@ -115,20 +105,25 @@ impl AppProjection {
 }
 
 impl Grophecy {
-    /// Calibrates GROPHECY++ against a machine: runs the synthetic PCIe
-    /// benchmark on its bus, then keeps only the datasheet + fitted model.
-    pub fn calibrate(machine: &MachineConfig, node: &mut SimulatedNode) -> Self {
-        let calibrator = Calibrator::default();
-        let pcie = calibrator.calibrate(&mut node.bus);
+    /// The projector for `machine` with its fitted PCIe model.
+    fn new(machine: &MachineConfig, pcie: DirectionalModel) -> Self {
         Grophecy {
             spec: machine.gpu_spec.clone(),
             pcie,
-            mem: MemType::Pinned,
             alloc: None,
-            staging_latency: staging_latency_of(machine),
+            staging_latency: match &machine.bus {
+                BusSpec::Sim(p) => ChunkedModel::from_params(pcie.h2d, p).staging_latency,
+                BusSpec::Replay(_) => DEFAULT_STAGING_LATENCY,
+            },
             devices: machine.devices.clone(),
             root_complex: machine.root_complex.clone(),
         }
+    }
+
+    /// Calibrates GROPHECY++ against a machine: runs the synthetic PCIe
+    /// benchmark on its bus, then keeps only the datasheet + fitted model.
+    pub fn calibrate(machine: &MachineConfig, node: &mut SimulatedNode) -> Self {
+        Self::new(machine, Calibrator::default().calibrate(&mut node.bus))
     }
 
     /// Fault-aware calibration: like [`Grophecy::calibrate`], but wires a
@@ -152,43 +147,7 @@ impl Grophecy {
         node.gpu.arm_faults(faults.clone());
         let mut bus = FaultyBus::new(&mut node.bus, faults).with_machine(&machine.id);
         let pcie = Calibrator::default().calibrate_checked(&mut bus)?;
-        Ok(Grophecy {
-            spec: machine.gpu_spec.clone(),
-            pcie,
-            mem: MemType::Pinned,
-            alloc: None,
-            staging_latency: staging_latency_of(machine),
-            devices: machine.devices.clone(),
-            root_complex: machine.root_complex.clone(),
-        })
-    }
-
-    /// Builds a projector from an already-fitted PCIe model (used by
-    /// ablations that want to inject specific α/β values).
-    pub fn with_model(spec: GpuSpec, pcie: DirectionalModel) -> Self {
-        Grophecy {
-            spec,
-            pcie,
-            mem: MemType::Pinned,
-            alloc: None,
-            staging_latency: DEFAULT_STAGING_LATENCY,
-            devices: Vec::new(),
-            root_complex: None,
-        }
-    }
-
-    /// Calibrates against any [`Bus`] implementation.
-    pub fn calibrate_on_bus(spec: GpuSpec, bus: &mut dyn Bus) -> Self {
-        let pcie = Calibrator::default().calibrate(bus);
-        Grophecy {
-            spec,
-            pcie,
-            mem: MemType::Pinned,
-            alloc: None,
-            staging_latency: DEFAULT_STAGING_LATENCY,
-            devices: Vec::new(),
-            root_complex: None,
-        }
+        Ok(Self::new(machine, pcie))
     }
 
     /// Enables the allocation-overhead term (paper future work, §VII).
@@ -224,54 +183,31 @@ impl Grophecy {
     /// every parallel loop is tried as the thread axis, since the mapping
     /// determines every coalescing class.
     ///
-    /// The kernel × axis × transformation search is flattened into one
-    /// task list and run serially on the calling thread: one search takes
-    /// about a microsecond, less than handing it to a pool thread costs,
-    /// and a server is already parallel across requests. Offline sweeps
-    /// parallelize across whole projections instead.
+    /// The kernel × axis searches run serially on the calling thread: one
+    /// search takes about a microsecond, less than handing it to a pool
+    /// thread costs, and a server is already parallel across requests.
+    /// Offline sweeps parallelize across whole projections instead.
     pub fn project(&self, program: &Program, hints: &Hints) -> AppProjection {
-        // One task per (kernel, axis-candidate) pair.
-        let tasks: Vec<(usize, usize, gpp_skeleton::LoopId)> = program
+        let kernels: Vec<KernelProjection> = program
             .kernels
             .iter()
-            .enumerate()
-            .flat_map(|(ki, k)| {
-                k.axis_candidates()
-                    .into_iter()
-                    .enumerate()
-                    .map(move |(ai, axis)| (ki, ai, axis))
-            })
-            .collect();
-        let searched: Vec<KernelProjection> = tasks
-            .iter()
-            .map(|&(ki, ai, axis)| {
-                let k = &program.kernels[ki];
-                let chars = k.characteristics_with_axis(program, axis);
-                let mut proj = project_best(&k.name, &chars, &self.spec);
-                // Record non-default axis choices so the lowering (and
-                // reports) reproduce the same mapping. Index 0 is the
-                // innermost parallel loop — the default.
-                proj.config.thread_axis = (ai > 0).then_some(axis);
-                proj
-            })
-            .collect();
-
-        // Serial reduction, kernel by kernel in axis-candidate order:
-        // strict `<` keeps the earliest axis on ties, exactly like the
-        // serial loop.
-        let mut kernels: Vec<KernelProjection> = Vec::with_capacity(program.kernels.len());
-        for (ki, _) in program.kernels.iter().enumerate() {
-            let mut best: Option<&KernelProjection> = None;
-            for ((tki, _, _), proj) in tasks.iter().zip(&searched) {
-                if *tki == ki && best.is_none_or(|b| proj.time < b.time) {
-                    best = Some(proj);
+            .map(|k| {
+                let mut best: Option<KernelProjection> = None;
+                for (ai, axis) in k.axis_candidates().into_iter().enumerate() {
+                    let chars = k.characteristics_with_axis(program, axis);
+                    let mut proj = project_best(&k.name, &chars, &self.spec);
+                    // Record non-default axis choices so the lowering (and
+                    // reports) reproduce the same mapping. Index 0 is the
+                    // innermost parallel loop — the default.
+                    proj.config.thread_axis = (ai > 0).then_some(axis);
+                    // Strict `<` keeps the earliest axis on ties.
+                    if best.as_ref().is_none_or(|b| proj.time < b.time) {
+                        best = Some(proj);
+                    }
                 }
-            }
-            kernels.push(
                 best.expect("kernel has at least one parallel loop (validated)")
-                    .clone(),
-            );
-        }
+            })
+            .collect();
         let kernel_time = kernels.iter().map(|k| k.time).sum();
 
         let plan = analyze(program, hints);
@@ -317,10 +253,7 @@ impl Grophecy {
             a.offload_setup(
                 device_bytes,
                 plan.h2d_bytes().max(plan.d2h_bytes()),
-                match self.mem {
-                    MemType::Pinned => MemType::Pinned,
-                    MemType::Pageable => MemType::Pageable,
-                },
+                MemType::Pinned,
             )
         });
 

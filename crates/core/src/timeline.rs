@@ -38,7 +38,7 @@
 use crate::machine::{DeviceLink, RootComplex};
 use gpp_datausage::{TransferDir, TransferPlan};
 use gpp_pcie::model::DirectionalModel;
-use gpp_pcie::{pipelined_window, Direction, LinearModel};
+use gpp_pcie::{pipelined_window, LinearModel};
 use gpp_skeleton::{Program, TransferKind};
 
 /// One scheduled transfer on the projection timeline.
@@ -285,15 +285,6 @@ impl MultiGpuProjection {
             })
             .collect();
         MultiGpuProjection { devices }
-    }
-}
-
-/// Maps the analyzer's direction to the bus direction (the core crate owns
-/// this mapping; the analyzer has no bus dependency).
-pub fn bus_direction(dir: TransferDir) -> Direction {
-    match dir {
-        TransferDir::ToDevice => Direction::HostToDevice,
-        TransferDir::FromDevice => Direction::DeviceToHost,
     }
 }
 

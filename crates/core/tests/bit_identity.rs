@@ -103,7 +103,7 @@ fn render_current() -> String {
 fn annotation_free_projections_are_bit_identical_to_the_goldens() {
     let path = repo_path("fixtures/goldens/projection_bits.txt");
     let current = render_current();
-    if std::env::var("GPP_BLESS").is_ok() {
+    if std::env::var_os("GPP_BLESS").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(repo_path("fixtures/goldens")).unwrap();
         std::fs::write(&path, &current).unwrap();
         eprintln!("blessed {path}");

@@ -24,7 +24,7 @@ fn projecting_cfd_at_eight_threads_starts_no_thread() {
     }
     .case();
     gpp_par::set_threads(8);
-    // Warm the synthesis memo and the setup cache outside the count.
+    // Warm the search memo outside the count.
     gro.project(&case.program, &case.hints);
 
     let regions = gpp_par::Pool::global().stats().parallel_regions;

@@ -19,9 +19,9 @@
 //!    that performance" (paper §II-C).
 //!
 //! [`project_best`] is the one search engine: it synthesizes once per
-//! shared-memory staging class through a process-wide memo, evaluates the
-//! candidates as structure-of-arrays lanes from a per-thread setup cache,
-//! and splits large spaces over the `gpp-par` global pool. Its answer is
+//! shared-memory staging class, evaluates the candidates as
+//! structure-of-arrays lanes from a process-wide search memo keyed by
+//! (kernel, spec), and runs serially on the calling thread. Its answer is
 //! bit-identical to the exhaustive, unmemoized [`project_all`] — the
 //! oracle the tests compare against — at any `GPP_THREADS`.
 //!
@@ -44,9 +44,9 @@ pub mod transform;
 
 pub use occupancy::ModelOccupancy;
 pub use project::{project, project_all, project_best, KernelProjection, ProjectionBound};
+pub use soa::search_memo_stats;
 pub use spec::GpuSpec;
 pub use transform::{
-    candidate_space, program_fingerprint, synth_memo_stats, synthesize_cached_keyed,
-    synthesize_transformed, CharsKey, SynthesizedKernel, Transformation, BASE_REGS,
-    MIN_BLOCK_THREADS,
+    candidate_space, program_fingerprint, synthesize_transformed, CharsKey, SynthesizedKernel,
+    Transformation, BASE_REGS, MIN_BLOCK_THREADS,
 };

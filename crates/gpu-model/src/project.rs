@@ -138,7 +138,7 @@ fn project_inner(spec: &GpuSpec, kernel: &SynthesizedKernel) -> Option<Eval> {
 /// Explores the transformation space and returns only the best
 /// projection — the hot path (the core projector calls this once per
 /// kernel × axis). The search runs on the SoA batch engine with its
-/// per-thread setup cache; it is bit-identical to [`project_all`]'s best
+/// process-wide search memo; it is bit-identical to [`project_all`]'s best
 /// at any thread count.
 pub fn project_best(name: &str, chars: &KernelCharacteristics, spec: &GpuSpec) -> KernelProjection {
     crate::soa::project_best_soa(name, chars, spec)

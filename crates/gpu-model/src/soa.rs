@@ -6,15 +6,16 @@
 //! traffic, barriers, and DRAM roofline depend *only* on whether reusable
 //! loads are staged (see [`crate::transform::synthesize_transformed`]).
 //! This module therefore synthesizes **once per staging class** (at most
-//! twice per search, through the process-wide synthesis memo), folds each
-//! class into a small [`StagingAgg`] of plain `f64`/integer aggregates,
-//! and precomputes the integer occupancy and issue-cycle lanes of the
-//! whole candidate space. A search then runs one pure-`f64` roofline
-//! pass and a masked index-ordered reduction over those lanes.
+//! twice per setup), folds each class into a small [`StagingAgg`] of
+//! plain `f64`/integer aggregates, and precomputes the integer occupancy
+//! and issue-cycle lanes of the whole candidate space. A search then runs
+//! one pure-`f64` roofline pass and a masked index-ordered reduction over
+//! those lanes.
 //!
-//! The precomputed setup lives in a small per-thread cache keyed by
-//! (characteristics fingerprint, spec fingerprint), so the steady-state
-//! hot path allocates nothing but the winner's name `String`.
+//! The precomputed setup lives in one process-wide search memo keyed by
+//! (characteristics fingerprint, spec fingerprint), shared by every
+//! thread, so a repeated search allocates nothing but the winner's name
+//! `String`.
 //!
 //! # Bit-identity
 //!
@@ -30,54 +31,93 @@ use crate::occupancy::ModelOccupancy;
 use crate::project::{KernelProjection, ProjectionBound, BARRIER_CYCLES};
 use crate::spec::GpuSpec;
 use crate::transform::{
-    candidate_space, synthesize_cached_keyed, CharsKey, SynthesizedKernel, Transformation,
-    BASE_REGS,
+    candidate_space, synthesize_transformed, CharsKey, SynthesizedKernel, Transformation, BASE_REGS,
 };
 use gpp_skeleton::KernelCharacteristics;
-use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-thread_local! {
-    static ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::default());
+/// Entries the search memo holds before it is wiped (a safety valve for
+/// unbounded what-if streams, not a tuning knob).
+const MEMO_CAP: usize = 8192;
+
+type MemoKey = (CharsKey, u64);
+type Memo = Mutex<HashMap<MemoKey, Arc<SetupEntry>, BuildFnv>>;
+
+/// FNV-1a for the memo map. The key is already two high-entropy
+/// fingerprints, so SipHash's DoS resistance buys nothing here and costs
+/// ~100 ns on every search.
+struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
 }
 
-/// Checks the calling thread's arena out of thread-local storage for the
-/// duration of `f`. Take-and-restore (instead of holding a `RefCell`
-/// borrow) lets the caller participate as a pool worker: a re-entrant
-/// checkout on the same thread sees a fresh default arena, not a borrow
-/// panic.
-fn with_arena<R>(f: impl FnOnce(&mut SearchArena) -> R) -> R {
-    ARENA.with(|cell| {
-        let mut arena = cell.take();
-        let r = f(&mut arena);
-        cell.replace(arena);
-        r
-    })
+impl std::hash::Hasher for FnvHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
+    }
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
 }
 
-/// Per-thread state of the SoA search: the per-(kernel, spec) setup
-/// cache and its round-robin eviction cursor.
-#[derive(Default)]
-pub(crate) struct SearchArena {
-    cache: Vec<SetupEntry>,
-    next_evict: usize,
+type BuildFnv = std::hash::BuildHasherDefault<FnvHasher>;
+
+static MEMO: OnceLock<Memo> = OnceLock::new();
+static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
+
+/// `(hits, misses)` of the search memo since process start: one lookup
+/// per [`crate::project::project_best`] call.
+pub fn search_memo_stats() -> (u64, u64) {
+    (
+        MEMO_HITS.load(Ordering::Relaxed),
+        MEMO_MISSES.load(Ordering::Relaxed),
+    )
 }
 
-/// Most entries the per-thread setup cache holds; replacement is
-/// round-robin. A serve deployment cycles over a handful of hot kernels
-/// per machine, so a small cache hits nearly always, and a miss costs
-/// only what every search paid before the cache existed.
-const SETUP_CACHE_CAP: usize = 8;
+/// The memoized setup for `(chars, spec)`, built on a miss. The setup is
+/// a pure function of the key, so a hit returns exactly what a miss
+/// would build; two threads missing on one key both build it and the
+/// later insert wins.
+fn setup(chars: &KernelCharacteristics, spec: &GpuSpec, consts: &KernelConsts) -> Arc<SetupEntry> {
+    let key = (CharsKey::of(chars), spec_fingerprint(spec));
+    let memo = MEMO.get_or_init(Default::default);
+    if let Some(hit) = memo.lock().expect("search memo lock poisoned").get(&key) {
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        return hit.clone();
+    }
+    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
+    let entry = Arc::new(build_entry(chars, spec, consts));
+    let mut guard = memo.lock().expect("search memo lock poisoned");
+    if guard.len() >= MEMO_CAP {
+        guard.clear();
+    }
+    guard.insert(key, entry.clone());
+    entry
+}
 
-/// One cached search setup: everything `project_best_soa` derives from
+/// One memoized search setup: everything `project_best_soa` derives from
 /// `(chars, spec)` before the roofline arithmetic — the candidate space,
 /// the per-staging-class aggregates, and the **static lanes**: per-
 /// candidate issue cycles and occupancy, which depend only on the key.
-/// All of it is a pure function of `(chars, spec)`, so a hit replays the
-/// integer passes from the arena and the search runs only the pure-`f64`
+/// All of it is a pure function of `(chars, spec)`, so a hit skips the
+/// synthesis and integer passes and the search runs only the pure-`f64`
 /// roofline lanes and the reduction.
 struct SetupEntry {
-    chars_key: CharsKey,
-    spec_key: u64,
     candidates: Vec<Transformation>,
     aggs: [Option<StagingAgg>; 2],
     /// Per-candidate `(slots + shared) * cpi * divergence + syncs *
@@ -89,8 +129,8 @@ struct SetupEntry {
 }
 
 /// FNV-1a over every field of the spec (the name included): any spec
-/// that differs anywhere hashes differently, so a cache hit implies the
-/// cached setup was computed from an identical spec.
+/// that differs anywhere hashes differently, so a memo hit implies the
+/// setup was computed from an identical spec.
 fn spec_fingerprint(spec: &GpuSpec) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut push = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
@@ -190,7 +230,6 @@ fn build_aggs(
     chars: &KernelCharacteristics,
     spec: &GpuSpec,
     candidates: &[Transformation],
-    chars_key: CharsKey,
 ) -> [Option<StagingAgg>; 2] {
     let mut aggs: [Option<StagingAgg>; 2] = [None, None];
     for use_shared in [false, true] {
@@ -201,26 +240,20 @@ fn build_aggs(
                 thread_axis: None,
                 ..candidates[0]
             };
-            let synth = synthesize_cached_keyed(chars_key, chars, probe);
+            let synth = synthesize_transformed(chars, probe);
             aggs[use_shared as usize] = Some(StagingAgg::of(&synth, spec));
         }
     }
     aggs
 }
 
-/// Builds the full cached setup for `(chars, spec)`: candidate space,
+/// Builds the full search setup for `(chars, spec)`: candidate space,
 /// per-class aggregates, and the static lanes — the per-lane resource and
 /// occupancy rules `synthesize_transformed` + `ModelOccupancy::compute`
 /// apply, derived from the class aggregates without re-synthesizing.
-fn build_entry(
-    chars: &KernelCharacteristics,
-    spec: &GpuSpec,
-    chars_key: CharsKey,
-    spec_key: u64,
-    consts: &KernelConsts,
-) -> SetupEntry {
+fn build_entry(chars: &KernelCharacteristics, spec: &GpuSpec, consts: &KernelConsts) -> SetupEntry {
     let candidates = candidate_space(chars, spec);
-    let aggs = build_aggs(chars, spec, &candidates, chars_key);
+    let aggs = build_aggs(chars, spec, &candidates);
     let n = candidates.len();
     let mut warp_cycles = vec![0.0; n];
     let mut blocks_per_sm = vec![0u32; n];
@@ -252,8 +285,6 @@ fn build_entry(
         }
     }
     SetupEntry {
-        chars_key,
-        spec_key,
         candidates,
         aggs,
         warp_cycles,
@@ -303,8 +334,8 @@ fn eval_entry(entry: &SetupEntry, consts: &KernelConsts) -> Best {
     best
 }
 
-/// The SoA search. The setup cache supplies the static lanes (built on a
-/// miss) and only the roofline arithmetic runs, serially on the calling
+/// The SoA search. The search memo supplies the static lanes (built on
+/// a miss) and only the roofline arithmetic runs, serially on the calling
 /// thread: one search takes about a microsecond, less than a hand-off to
 /// another thread costs.
 pub(crate) fn project_best_soa(
@@ -312,47 +343,26 @@ pub(crate) fn project_best_soa(
     chars: &KernelCharacteristics,
     spec: &GpuSpec,
 ) -> KernelProjection {
-    with_arena(|arena| {
-        let chars_key = CharsKey::of(chars);
-        let spec_key = spec_fingerprint(spec);
-        let consts = KernelConsts::of(chars, spec);
-        let slot = arena
-            .cache
-            .iter()
-            .position(|e| e.chars_key == chars_key && e.spec_key == spec_key)
-            .unwrap_or_else(|| {
-                let entry = build_entry(chars, spec, chars_key, spec_key, &consts);
-                if arena.cache.len() < SETUP_CACHE_CAP {
-                    arena.cache.push(entry);
-                    arena.cache.len() - 1
-                } else {
-                    let slot = arena.next_evict % SETUP_CACHE_CAP;
-                    arena.next_evict = arena.next_evict.wrapping_add(1);
-                    arena.cache[slot] = entry;
-                    slot
-                }
-            });
-        let entry = &arena.cache[slot];
-        let best = eval_entry(entry, &consts);
-        let (i, time, bound) = best.unwrap_or_else(|| {
-            panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
-        });
-        let config = entry.candidates[i];
-        let agg = entry.aggs[config.use_shared as usize]
-            .as_ref()
-            .expect("class present");
-        KernelProjection {
-            name: name.to_string(),
-            config,
-            time,
-            bound,
-            occupancy: ModelOccupancy {
-                blocks_per_sm: entry.blocks_per_sm[i],
-                warps_per_sm: entry.warps_per_sm[i],
-            },
-            dram_bytes: agg.dram_bytes,
-        }
-    })
+    let consts = KernelConsts::of(chars, spec);
+    let entry = setup(chars, spec, &consts);
+    let (i, time, bound) = eval_entry(&entry, &consts).unwrap_or_else(|| {
+        panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
+    });
+    let config = entry.candidates[i];
+    let agg = entry.aggs[config.use_shared as usize]
+        .as_ref()
+        .expect("class present");
+    KernelProjection {
+        name: name.to_string(),
+        config,
+        time,
+        bound,
+        occupancy: ModelOccupancy {
+            blocks_per_sm: entry.blocks_per_sm[i],
+            warps_per_sm: entry.warps_per_sm[i],
+        },
+        dram_bytes: agg.dram_bytes,
+    }
 }
 
 #[cfg(test)]
@@ -389,11 +399,12 @@ mod tests {
         );
     }
 
-    /// Two specs that differ in one field must not share a cache entry,
-    /// in either lookup order, and cycling more distinct kernels than the
-    /// cache holds must evict and rebuild without changing any answer.
+    /// The search memo keys on the whole spec, is shared across threads,
+    /// and a clear at the cap changes no answer.
     #[test]
-    fn setup_cache_keys_on_the_whole_spec_and_evicts_round_robin() {
+    fn search_memo_keys_on_the_whole_spec_is_shared_and_survives_a_clear() {
+        // Two specs that differ in one field never share an entry, in
+        // either lookup order.
         let chars = vadd_chars(1 << 20);
         let base = GpuSpec::quadro_fx_5600();
         let derated = GpuSpec {
@@ -404,14 +415,44 @@ mod tests {
             assert_matches_oracle(&chars, spec);
         }
 
-        let kernels: Vec<_> = (0..SETUP_CACHE_CAP as u64 + 3)
-            .map(|k| vadd_chars((1 << 12) + 1000 * k))
-            .collect();
-        for _ in 0..2 {
-            for chars in &kernels {
-                assert_matches_oracle(chars, &base);
-            }
+        // A search on another thread hits the entry this thread built.
+        let chars = vadd_chars((1 << 20) + 4096);
+        let consts = KernelConsts::of(&chars, &base);
+        let built = setup(&chars, &base, &consts);
+        let (hits_before, _) = search_memo_stats();
+        let seen = std::thread::scope(|s| {
+            s.spawn(|| {
+                project_best("add", &chars, &base);
+                setup(&chars, &base, &consts)
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(
+            Arc::ptr_eq(&built, &seen),
+            "the other thread rebuilt the setup"
+        );
+        assert!(search_memo_stats().0 >= hits_before + 2);
+
+        // Fill the memo to its cap with distinct specs; the next insert
+        // clears it, and answers still equal the oracle's.
+        let memo = MEMO.get().expect("memo in use");
+        let mut k = 0u32;
+        while memo.lock().unwrap().len() < MEMO_CAP {
+            let spec = GpuSpec {
+                launch_overhead: base.launch_overhead + f64::from(k) * 1e-9,
+                ..base.clone()
+            };
+            project_best("add", &chars, &spec);
+            k += 1;
         }
-        ARENA.with(|cell| assert_eq!(cell.borrow().cache.len(), SETUP_CACHE_CAP));
+        let fresh = vadd_chars((1 << 20) + 8192);
+        assert_matches_oracle(&fresh, &base);
+        assert!(
+            memo.lock().unwrap().len() < MEMO_CAP / 2,
+            "no clear at the cap"
+        );
+        assert_matches_oracle(&chars, &base);
+        assert_matches_oracle(&chars, &derated);
     }
 }

@@ -17,9 +17,6 @@
 
 use crate::spec::GpuSpec;
 use gpp_skeleton::{CoalesceClass, KernelCharacteristics, MemAccessChar};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// One candidate code transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,18 +33,6 @@ pub struct Transformation {
     /// [`synthesize_transformed`] must have been synthesized with this
     /// same axis.
     pub thread_axis: Option<gpp_skeleton::LoopId>,
-}
-
-impl Transformation {
-    /// A default-mapped transformation with the given block size.
-    pub fn with_block(block_threads: u32) -> Self {
-        Transformation {
-            block_threads,
-            use_shared: false,
-            unroll: 1,
-            thread_axis: None,
-        }
-    }
 }
 
 impl std::fmt::Display for Transformation {
@@ -243,69 +228,10 @@ pub fn synthesize_transformed(
     }
 }
 
-/// Entries the synthesis memo holds before it is wiped (a safety valve
-/// for unbounded what-if streams, not a tuning knob — entries are tiny).
-const MEMO_CAP: usize = 8192;
-
-type MemoKey = (u128, Transformation);
-type Memo = Mutex<HashMap<MemoKey, Arc<SynthesizedKernel>, BuildFnv>>;
-
-/// FNV-1a for the memo map. The key's first component is already a
-/// high-entropy fingerprint, so SipHash's DoS resistance buys nothing
-/// here and costs ~100 ns on every probe of the search hot loop.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
-    }
-    fn write_u128(&mut self, v: u128) {
-        self.write_u64(v as u64);
-        self.write_u64((v >> 64) as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-type BuildFnv = std::hash::BuildHasherDefault<FnvHasher>;
-
-static MEMO: OnceLock<Memo> = OnceLock::new();
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the synthesis memo since process start.
-pub fn synth_memo_stats() -> (u64, u64) {
-    (
-        MEMO_HITS.load(Ordering::Relaxed),
-        MEMO_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// A precomputed memo key for one kernel's characteristics. Computing
-/// the fingerprint walks every access, so the search computes it once
-/// per kernel and reuses it across the whole candidate space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A kernel's characteristics fingerprint: half of the search memo's
+/// key. Computing it walks every access, so the search computes it once
+/// per kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CharsKey(u128);
 
 impl CharsKey {
@@ -341,37 +267,10 @@ pub fn program_fingerprint(program: &gpp_skeleton::Program) -> u128 {
     h
 }
 
-/// [`synthesize_transformed`] behind a process-wide memo keyed by
-/// (characteristics fingerprint, config). Synthesis is a pure function
-/// of that key, so a hit returns exactly the value a miss would compute
-/// — repeated projections of the same kernels (iteration sweeps, served
-/// what-if streams) skip the synthesis work entirely. The caller computes
-/// `key` once per search, not per candidate.
-pub fn synthesize_cached_keyed(
-    key: CharsKey,
-    chars: &KernelCharacteristics,
-    config: Transformation,
-) -> Arc<SynthesizedKernel> {
-    let key = (key.0, config);
-    let memo = MEMO.get_or_init(Default::default);
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return hit.clone();
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let value = Arc::new(synthesize_transformed(chars, config));
-    let mut guard = memo.lock().unwrap();
-    if guard.len() >= MEMO_CAP {
-        guard.clear();
-    }
-    guard.insert(key, value.clone());
-    value
-}
-
 /// A 128-bit structural fingerprint of the characteristics (two FNV-1a
 /// streams over a canonical field encoding; the kernel name is excluded
 /// so same-shape kernels share entries). Collisions would need both
-/// 64-bit halves to collide on the same `Transformation`.
+/// 64-bit halves to collide on the same spec.
 fn chars_fingerprint(chars: &KernelCharacteristics) -> u128 {
     // FNV-1a over whole 64-bit words, both streams folded in one pass
     // with no staging buffer — this runs once per transformation search,

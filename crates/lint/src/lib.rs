@@ -55,6 +55,7 @@ pub use passes::lint_program;
 pub use render::{render_human, render_json};
 
 use gpp_datausage::Hints;
+use gpp_skeleton::text::ParseError;
 use gpp_skeleton::Span;
 
 /// Lints `.gsk` source text end to end: parse (with spans), validate,
@@ -81,6 +82,31 @@ pub fn lint_source(src: &str, file: &str, cfg: &LintConfig) -> LintReport {
         file: file.to_string(),
         diagnostics: cfg.apply(diagnostics),
     }
+}
+
+/// Applies fix-its to `src` until none applies, for at most 16 rounds:
+/// each round re-lints the rewritten text, so conflicting fixes resolve
+/// across rounds. Returns the final text and how many fixes were applied
+/// in total, or the parse error of the first rewrite that no longer
+/// parses (a fix-engine bug).
+pub fn fix_until_stable(
+    src: &str,
+    file: &str,
+    cfg: &LintConfig,
+) -> Result<(String, usize), ParseError> {
+    let mut cur = src.to_string();
+    let mut total = 0;
+    for _ in 0..16 {
+        let report = lint_source(&cur, file, cfg);
+        let (next, n) = apply_fixes(&cur, &report.diagnostics);
+        if n == 0 {
+            break;
+        }
+        gpp_skeleton::text::parse(&next)?;
+        cur = next;
+        total += n;
+    }
+    Ok((cur, total))
 }
 
 #[cfg(test)]

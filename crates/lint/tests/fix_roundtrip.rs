@@ -12,7 +12,7 @@
 //!    projector-measured delta exactly.
 
 use gpp_datausage::Hints;
-use gpp_lint::{apply_fixes, lint_source, Code, LintConfig};
+use gpp_lint::{fix_until_stable, lint_source, Code, LintConfig};
 use grophecy::projector::Grophecy;
 use grophecy::{transfer_headroom, MachineRegistry};
 use proptest::prelude::*;
@@ -25,21 +25,9 @@ const FAMILY: [Code; 4] = [
     Code::HoistableTransfer,
 ];
 
-/// Mirrors `gpp lint --fix`: apply, re-lint, repeat until quiescent.
+/// What `gpp lint --fix` runs: apply, re-lint, repeat until quiescent.
 fn fixpoint(src: &str) -> (String, usize) {
-    let cfg = LintConfig::new();
-    let mut cur = src.to_string();
-    let mut total = 0usize;
-    for _ in 0..16 {
-        let report = lint_source(&cur, "p.gsk", &cfg);
-        let (next, n) = apply_fixes(&cur, &report.diagnostics);
-        if n == 0 {
-            break;
-        }
-        cur = next;
-        total += n;
-    }
-    (cur, total)
+    fix_until_stable(src, "p.gsk", &LintConfig::new()).expect("every rewrite parses")
 }
 
 fn repo_root() -> PathBuf {

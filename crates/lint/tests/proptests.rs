@@ -415,7 +415,7 @@ fn lint_findings_on_generated_programs_match_the_golden() {
     let mut actual = String::new();
     lines("well_formed", well_formed(), &mut actual);
     lines("any_program", any_program(), &mut actual);
-    if std::env::var_os("GPP_BLESS").is_some() {
+    if std::env::var_os("GPP_BLESS").is_some_and(|v| v == "1") {
         std::fs::write(LINT_GOLDEN, &actual).expect("write the golden file");
         return;
     }

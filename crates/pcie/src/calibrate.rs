@@ -10,8 +10,6 @@
 use crate::model::{DirectionalModel, LinearModel};
 use crate::params::{Direction, MemType};
 use crate::Bus;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// Configuration of the calibration benchmark. The defaults are the
 /// paper's choices; the footnote notes 512 MB "is chosen rather
@@ -202,193 +200,6 @@ impl Calibrator {
     }
 }
 
-/// A reusable slab of probe timings for batched calibration.
-///
-/// [`Calibrator::calibrate`] allocates a fresh `Vec` per fit point (four
-/// per directional model). On the serve hot path — where every new
-/// machine triggers a calibration — that churn is avoidable: a
-/// `ProbeBatch` owns one flat buffer laid out as four contiguous
-/// segments (h2d-small, h2d-large, d2h-small, d2h-large, each
-/// `runs` samples long) and is reused across calibrations, so steady
-/// state performs zero allocations.
-#[derive(Debug, Default)]
-pub struct ProbeBatch {
-    times: Vec<f64>,
-    runs: usize,
-}
-
-impl ProbeBatch {
-    /// An empty batch; the first calibration sizes the buffer.
-    pub fn new() -> Self {
-        ProbeBatch::default()
-    }
-
-    /// The raw samples of the most recent calibration, in draw order
-    /// (four segments of `runs` samples each, sorted ascending within
-    /// each segment by the reduction).
-    pub fn samples(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Runs per segment in the most recent calibration.
-    pub fn runs(&self) -> usize {
-        self.runs
-    }
-
-    /// Current buffer capacity (for asserting reuse in tests/benches).
-    pub fn capacity(&self) -> usize {
-        self.times.capacity()
-    }
-
-    /// Sorts one segment in place and reduces it with the same trimmed
-    /// mean as [`Calibrator::calibrate`]: sort ascending, drop the max
-    /// and the min when at least three samples exist, then sum the
-    /// survivors in ascending order — the identical float expression,
-    /// so the batched path is bit-for-bit the per-probe path.
-    fn segment_mean(&mut self, seg: usize) -> f64 {
-        let s = &mut self.times[seg * self.runs..(seg + 1) * self.runs];
-        s.sort_by(f64::total_cmp);
-        let kept = if s.len() >= 3 {
-            &s[1..s.len() - 1]
-        } else {
-            &s[..]
-        };
-        kept.iter().sum::<f64>() / kept.len() as f64
-    }
-}
-
-impl Calibrator {
-    /// Batched calibration: draws every probe for both directions into
-    /// one reusable slab, then reduces the four segments in a single
-    /// pass. Sample draw order and the trimmed-mean reduction match
-    /// [`Calibrator::calibrate`] exactly, so on the same bus state the
-    /// result is bit-identical — this is purely an allocation-count
-    /// optimization for hot calibration paths.
-    pub fn calibrate_batched(&self, bus: &mut dyn Bus, batch: &mut ProbeBatch) -> DirectionalModel {
-        let runs = self.runs.max(1) as usize;
-        batch.runs = runs;
-        batch.times.clear();
-        let plan = [
-            (self.small_bytes, Direction::HostToDevice),
-            (self.large_bytes, Direction::HostToDevice),
-            (self.small_bytes, Direction::DeviceToHost),
-            (self.large_bytes, Direction::DeviceToHost),
-        ];
-        for (bytes, dir) in plan {
-            for _ in 0..runs {
-                batch.times.push(bus.transfer(bytes, dir, self.mem));
-            }
-        }
-        let means = [
-            batch.segment_mean(0),
-            batch.segment_mean(1),
-            batch.segment_mean(2),
-            batch.segment_mean(3),
-        ];
-        DirectionalModel {
-            h2d: LinearModel::from_two_points(means[0], means[1], self.large_bytes),
-            d2h: LinearModel::from_two_points(means[2], means[3], self.large_bytes),
-        }
-    }
-
-    /// Multi-size streaming fit for one direction: probes each size with
-    /// the trimmed-mean reduction and folds every (size, time) point
-    /// through a [`StreamingFit`], yielding the least-squares α/β line
-    /// over the whole probe batch instead of the paper's two-point
-    /// construction. Returns `None` when the probe set is degenerate
-    /// (fewer than two distinct sizes).
-    pub fn calibrate_fit(
-        &self,
-        bus: &mut dyn Bus,
-        dir: Direction,
-        sizes: &[u64],
-        batch: &mut ProbeBatch,
-    ) -> Option<LinearModel> {
-        let runs = self.runs.max(1) as usize;
-        batch.runs = runs;
-        let mut fit = StreamingFit::new();
-        for &bytes in sizes {
-            batch.times.clear();
-            for _ in 0..runs {
-                batch.times.push(bus.transfer(bytes, dir, self.mem));
-            }
-            fit.push(bytes, batch.segment_mean(0));
-        }
-        fit.fit()
-    }
-}
-
-/// One-pass least-squares accumulator for Equation 1.
-///
-/// Feeds on (size, seconds) probe points and keeps only the five running
-/// sums (`n`, Σs, Σt, Σs², Σs·t) needed for the closed-form line fit —
-/// O(1) memory regardless of batch size, so whole probe batches stream
-/// through without per-probe allocation. The fitted parameters are
-/// clamped non-negative (a noisy batch can place the intercept slightly
-/// below zero; a negative α or β is physically meaningless and would
-/// panic [`LinearModel::new`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StreamingFit {
-    n: f64,
-    sum_s: f64,
-    sum_t: f64,
-    sum_ss: f64,
-    sum_st: f64,
-}
-
-impl StreamingFit {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        StreamingFit::default()
-    }
-
-    /// Folds one probe point (transfer of `bytes` took `seconds`).
-    pub fn push(&mut self, bytes: u64, seconds: f64) {
-        let s = bytes as f64;
-        self.n += 1.0;
-        self.sum_s += s;
-        self.sum_t += seconds;
-        self.sum_ss += s * s;
-        self.sum_st += s * seconds;
-    }
-
-    /// Folds a whole batch of probe points.
-    pub fn push_batch<I: IntoIterator<Item = (u64, f64)>>(&mut self, points: I) {
-        for (bytes, seconds) in points {
-            self.push(bytes, seconds);
-        }
-    }
-
-    /// Number of points accumulated so far.
-    pub fn len(&self) -> usize {
-        self.n as usize
-    }
-
-    /// True when no points have been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0.0
-    }
-
-    /// Closed-form least-squares solution over everything pushed so far.
-    /// `None` until at least two points with distinct sizes exist (the
-    /// denominator `n·Σs² − (Σs)²` vanishes otherwise).
-    pub fn fit(&self) -> Option<LinearModel> {
-        if self.n < 2.0 {
-            return None;
-        }
-        let denom = self.n * self.sum_ss - self.sum_s * self.sum_s;
-        if denom <= 0.0 || !denom.is_finite() {
-            return None;
-        }
-        let beta = (self.n * self.sum_st - self.sum_s * self.sum_t) / denom;
-        let alpha = (self.sum_t - beta * self.sum_s) / self.n;
-        if !(alpha.is_finite() && beta.is_finite()) {
-            return None;
-        }
-        Some(LinearModel::new(alpha.max(0.0), beta.max(0.0)))
-    }
-}
-
 /// Fit/validate rounds before [`Calibrator::calibrate_checked`] gives up.
 pub const MAX_FIT_ATTEMPTS: u32 = 3;
 
@@ -424,52 +235,6 @@ impl std::fmt::Display for CalibrationError {
 }
 
 impl std::error::Error for CalibrationError {}
-
-/// A bus wrapper that lazily calibrates on first use and caches the model —
-/// mirroring GROPHECY++'s "automatically invoked when run on a new system"
-/// behaviour. Thread-safe so concurrent projections share one calibration.
-pub struct CalibratedBus<B: Bus> {
-    bus: Mutex<B>,
-    calibrator: Calibrator,
-    cache: Mutex<HashMap<MemTypeKey, DirectionalModel>>,
-}
-
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
-struct MemTypeKey(MemType);
-
-impl<B: Bus> CalibratedBus<B> {
-    /// Wraps a bus with a calibrator.
-    pub fn new(bus: B, calibrator: Calibrator) -> Self {
-        CalibratedBus {
-            bus: Mutex::new(bus),
-            calibrator,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The calibrated model for a memory type, measuring it on first
-    /// request.
-    pub fn model(&self, mem: MemType) -> DirectionalModel {
-        if let Some(m) = self.cache.lock().get(&MemTypeKey(mem)) {
-            return *m;
-        }
-        let mut cal = self.calibrator.clone();
-        cal.mem = mem;
-        let model = cal.calibrate(&mut *self.bus.lock());
-        self.cache.lock().insert(MemTypeKey(mem), model);
-        model
-    }
-
-    /// Predicted transfer time for `bytes` in `dir` with memory type `mem`.
-    pub fn predict(&self, bytes: u64, dir: Direction, mem: MemType) -> f64 {
-        self.model(mem).predict(bytes, dir)
-    }
-
-    /// Access the underlying bus (e.g. to take "real" measurements).
-    pub fn bus(&self) -> parking_lot::MutexGuard<'_, B> {
-        self.bus.lock()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -508,38 +273,6 @@ mod tests {
         let db = (m1.h2d.beta - m2.h2d.beta).abs() / m1.h2d.beta;
         assert!(da < 0.15, "alpha drift {da}");
         assert!(db < 0.05, "beta drift {db}");
-    }
-
-    #[test]
-    fn calibrated_bus_caches_model() {
-        let bus = BusSimulator::new(BusParams::pcie_v1_x16().quiet(), 5);
-        let cb = CalibratedBus::new(bus, Calibrator::default());
-        let before = cb.bus().transfer_count();
-        let m1 = cb.model(MemType::Pinned);
-        let mid = cb.bus().transfer_count();
-        let m2 = cb.model(MemType::Pinned);
-        let after = cb.bus().transfer_count();
-        assert_eq!(m1.h2d, m2.h2d);
-        assert!(mid > before, "first call measures");
-        assert_eq!(mid, after, "second call cached");
-    }
-
-    #[test]
-    fn calibrated_bus_separates_mem_types() {
-        let bus = BusSimulator::new(BusParams::pcie_v1_x16().quiet(), 5);
-        let cb = CalibratedBus::new(bus, Calibrator::default());
-        let pin = cb.model(MemType::Pinned);
-        let page = cb.model(MemType::Pageable);
-        // Pageable asymptotic bandwidth is lower.
-        assert!(page.h2d.bandwidth() < pin.h2d.bandwidth());
-    }
-
-    #[test]
-    fn predict_through_wrapper() {
-        let bus = BusSimulator::new(BusParams::pcie_v1_x16().quiet(), 5);
-        let cb = CalibratedBus::new(bus, Calibrator::default());
-        let t = cb.predict(8 << 20, Direction::HostToDevice, MemType::Pinned);
-        assert!((2.5e-3..4.5e-3).contains(&t), "t = {t}");
     }
 
     #[test]
@@ -607,115 +340,6 @@ mod tests {
         assert!(err.message.contains("retry budget"), "{}", err.message);
         let shown = err.to_string();
         assert!(shown.contains("calibration failed"), "{shown}");
-    }
-
-    #[test]
-    fn batched_calibration_is_bit_identical_to_plain() {
-        // Same seed, same draw order, same reduction: the batched slab
-        // path must reproduce the per-probe path bit for bit, noisy bus
-        // included.
-        for seed in [1, 7, 99, 2013] {
-            let cal = Calibrator::default();
-            let mut plain_bus = BusSimulator::new(BusParams::pcie_v1_x16(), seed);
-            let plain = cal.calibrate(&mut plain_bus);
-            let mut batch_bus = BusSimulator::new(BusParams::pcie_v1_x16(), seed);
-            let mut batch = ProbeBatch::new();
-            let batched = cal.calibrate_batched(&mut batch_bus, &mut batch);
-            assert_eq!(plain.h2d, batched.h2d, "seed {seed}");
-            assert_eq!(plain.d2h, batched.d2h, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn probe_batch_buffer_is_reused_across_calibrations() {
-        let mut bus = BusSimulator::new(BusParams::pcie_v1_x16(), 4);
-        let cal = Calibrator::default();
-        let mut batch = ProbeBatch::new();
-        cal.calibrate_batched(&mut bus, &mut batch);
-        assert_eq!(batch.samples().len(), 4 * cal.runs as usize);
-        assert_eq!(batch.runs(), cal.runs as usize);
-        let cap = batch.capacity();
-        for _ in 0..5 {
-            cal.calibrate_batched(&mut bus, &mut batch);
-        }
-        assert_eq!(batch.capacity(), cap, "steady state must not reallocate");
-    }
-
-    #[test]
-    fn streaming_fit_batch_equals_sequential_pushes() {
-        let points: Vec<(u64, f64)> = (0..20)
-            .map(|i| (1u64 << i, 1e-5 + (1u64 << i) as f64 * 4e-10))
-            .collect();
-        let mut seq = StreamingFit::new();
-        for &(s, t) in &points {
-            seq.push(s, t);
-        }
-        let mut bat = StreamingFit::new();
-        bat.push_batch(points.iter().copied());
-        assert_eq!(seq, bat, "accumulators diverged");
-        assert_eq!(seq.fit(), bat.fit());
-        assert_eq!(seq.len(), 20);
-        assert!(!seq.is_empty());
-    }
-
-    #[test]
-    fn streaming_fit_recovers_known_line() {
-        // Points drawn exactly from T(d) = 10 µs + d / 2.5 GB/s: the
-        // least-squares solution must recover the generating line.
-        let (alpha, beta) = (10e-6, 4e-10);
-        let mut fit = StreamingFit::new();
-        fit.push_batch((10..28).map(|i| {
-            let s = 1u64 << i;
-            (s, alpha + beta * s as f64)
-        }));
-        let m = fit.fit().expect("line fit");
-        assert!((m.alpha - alpha).abs() / alpha < 1e-6, "alpha {}", m.alpha);
-        assert!((m.beta - beta).abs() / beta < 1e-9, "beta {}", m.beta);
-    }
-
-    #[test]
-    fn streaming_fit_degenerate_batches_yield_none() {
-        let mut fit = StreamingFit::new();
-        assert!(fit.is_empty());
-        assert_eq!(fit.fit(), None, "empty");
-        fit.push(1 << 20, 1e-3);
-        assert_eq!(fit.fit(), None, "single point");
-        fit.push(1 << 20, 2e-3); // same size again: vertical line
-        assert_eq!(fit.fit(), None, "no size spread");
-    }
-
-    #[test]
-    fn streaming_fit_clamps_negative_intercept() {
-        // A descending artifact (large transfer "faster" than small)
-        // drives the intercept negative; the fit clamps to a valid model
-        // instead of panicking LinearModel::new.
-        let mut fit = StreamingFit::new();
-        fit.push_batch([(1, 5e-3), (1 << 10, 4e-3), (1 << 20, 1e-1)]);
-        let m = fit.fit().expect("fit");
-        assert!(m.alpha >= 0.0 && m.beta >= 0.0);
-    }
-
-    #[test]
-    fn multi_size_fit_agrees_with_two_point_calibration() {
-        let cal = Calibrator::default();
-        let mut bus = BusSimulator::new(BusParams::pcie_v1_x16().quiet(), 1);
-        let two_point = cal.calibrate(&mut bus);
-        let mut bus = BusSimulator::new(BusParams::pcie_v1_x16().quiet(), 1);
-        let mut batch = ProbeBatch::new();
-        // Bandwidth-dominated sizes: the least-squares slope must agree
-        // with the two-point β; the intercept is noisier (the linear
-        // model is least accurate at small sizes — paper Fig. 2) so only
-        // β gets a tight bound.
-        let sizes: Vec<u64> = (20..=29).map(|i| 1u64 << i).collect();
-        let fitted = cal
-            .calibrate_fit(&mut bus, Direction::HostToDevice, &sizes, &mut batch)
-            .expect("fit");
-        let rel = (fitted.beta - two_point.h2d.beta).abs() / two_point.h2d.beta;
-        assert!(
-            rel < 0.05,
-            "beta drift {rel}: {fitted} vs {}",
-            two_point.h2d
-        );
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl<B: Bus> FaultyBus<B> {
         &self.faults
     }
 
-    /// The wrapped bus.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
     /// Unwraps, returning the inner bus.
     pub fn into_inner(self) -> B {
         self.inner

@@ -57,7 +57,7 @@ pub mod sim;
 
 pub use alloc::AllocModel;
 pub use backend::BusBackend;
-pub use calibrate::{CalibratedBus, CalibrationError, Calibrator, ProbeBatch, StreamingFit};
+pub use calibrate::{CalibrationError, Calibrator};
 pub use error::{error_magnitude, mean_error_magnitude, SweepValidation};
 pub use faulty::FaultyBus;
 pub use model::LinearModel;

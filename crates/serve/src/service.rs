@@ -578,24 +578,12 @@ impl ServiceState {
     /// `None` when no fix applies or a rewrite fails to re-parse.
     fn transfer_headroom_json(&self, req: &Request, program: &Program) -> Option<Json> {
         let cfg = gpp_lint::LintConfig::new();
-        let mut cur = req.skeleton.clone();
-        let mut applied = 0usize;
-        for _ in 0..16 {
-            let report = gpp_lint::lint_source(&cur, "request.gsk", &cfg);
-            let (next, n) = gpp_lint::apply_fixes(&cur, &report.diagnostics);
-            if n == 0 {
-                break;
-            }
-            if text::parse(&next).is_err() {
-                return None;
-            }
-            cur = next;
-            applied += n;
-        }
+        let (fixed, applied) =
+            gpp_lint::fix_until_stable(&req.skeleton, "request.gsk", &cfg).ok()?;
         if applied == 0 {
             return None;
         }
-        let optimized = text::parse(&cur).ok()?;
+        let optimized = text::parse(&fixed).ok()?;
         let rows =
             grophecy::transfer_headroom(&self.config.machines, req.seed, program, &optimized);
         Some(Json::Arr(
@@ -743,7 +731,7 @@ impl ServiceState {
     pub fn stats_json(&self, queue_depth: usize) -> Json {
         let m = &self.metrics;
         let totals = m.totals();
-        let (synth_hits, synth_misses) = gpp_gpu_model::synth_memo_stats();
+        let (search_hits, search_misses) = gpp_gpu_model::search_memo_stats();
         let num = Json::U64;
         let memo = self.projections.keys().into_iter().map(|k| {
             Json::obj([
@@ -773,9 +761,11 @@ impl ServiceState {
                     num(self.calibrations.len() as u64),
                 ),
                 ("projection_memo", Json::Arr(memo.collect())),
+                // Kept under its historical name: it counts the
+                // transformation search memo's lookups.
                 (
                     "synthesis_memo",
-                    Json::obj([("hits", num(synth_hits)), ("misses", num(synth_misses))]),
+                    Json::obj([("hits", num(search_hits)), ("misses", num(search_misses))]),
                 ),
                 (
                     "resilience",

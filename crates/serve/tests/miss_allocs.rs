@@ -66,7 +66,7 @@ const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "hotspot_1024",
         include_str!("../../../skeletons/hotspot_1024.gsk"),
-        175,
+        172,
         3,
         47,
         13,
@@ -75,7 +75,7 @@ const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "pipelined_vadd",
         include_str!("../../../skeletons/pipelined_vadd.gsk"),
-        99,
+        96,
         3,
         32,
         16,
@@ -84,7 +84,7 @@ const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "spmm_stassuij",
         include_str!("../../../skeletons/spmm_stassuij.gsk"),
-        155,
+        152,
         3,
         53,
         12,
@@ -93,7 +93,7 @@ const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "vector_add",
         include_str!("../../../skeletons/vector_add.gsk"),
-        91,
+        88,
         3,
         29,
         13,

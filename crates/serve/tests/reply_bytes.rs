@@ -121,7 +121,7 @@ fn project_replies_match_the_golden_bytes() {
     let stale = &replies.last().unwrap().1;
     assert!(stale.contains("\"stale\":true"), "{stale}");
     let actual = render(&replies);
-    if std::env::var_os("GPP_BLESS").is_some() {
+    if std::env::var_os("GPP_BLESS").is_some_and(|v| v == "1") {
         std::fs::write(GOLDEN, &actual).expect("write the golden file");
         return;
     }

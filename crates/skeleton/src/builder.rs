@@ -186,11 +186,6 @@ impl ProgramBuilder {
             transfers: self.transfers,
         }
     }
-
-    /// Number of kernels added so far.
-    pub fn kernel_count(&self) -> usize {
-        self.kernels.len()
-    }
 }
 
 /// Builds one [`Kernel`]; created by [`ProgramBuilder::kernel`].
