@@ -35,6 +35,10 @@ cargo check $CARGO_FLAGS --locked --manifest-path perfbench/Cargo.toml
 echo "== workspace builds warning-free"
 RUSTFLAGS="-D warnings" cargo build $CARGO_FLAGS --workspace
 
+echo "== docs build warning-free"
+# A doc link to a renamed or deleted item fails here instead of going stale.
+RUSTDOCFLAGS="-D warnings" cargo doc $CARGO_FLAGS --no-deps --workspace
+
 echo "== tier-1: build + tests"
 cargo build $CARGO_FLAGS --release
 # No test may rewrite a golden: the files must hash the same afterwards.

@@ -10,6 +10,7 @@ use grophecy::speedup::SpeedupReport;
 use grophecy::MachineRegistry;
 use std::process::ExitCode;
 
+#[derive(Default)]
 struct Options {
     machine: String,
     machines_dir: Option<String>,
@@ -136,248 +137,10 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let mut opt = Options {
-        machine: "eureka".into(),
-        machines_dir: None,
-        check: false,
-        export: None,
-        seed: 2013,
-        iters: 1,
-        temporaries: Vec::new(),
-        sparse: Vec::new(),
-        file: None,
-        files: Vec::new(),
-        format_json: false,
-        deny: Vec::new(),
-        allow: Vec::new(),
-        fix: false,
-        explain: None,
-        lint: true,
-        profile: false,
-        stats: false,
-        addr: "127.0.0.1:4513".into(),
-        workers: 4,
-        queue_depth: 64,
-        timeout_secs: 30,
-        timeout_ms: None,
-        retries: 0,
-        retry_budget: None,
-        deadline_ms: None,
-        no_hedge: false,
-        shards: 0,
-        shard_addrs: Vec::new(),
-        remote_command: "project".into(),
-        fault_plan: None,
+    let opt = match parse_options(args) {
+        Ok(opt) => opt,
+        Err(code) => return code,
     };
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--machine" => opt.machine = args.next().unwrap_or_default(),
-            "--machines" => match args.next() {
-                Some(d) => opt.machines_dir = Some(d),
-                None => {
-                    eprintln!("--machines needs a directory of .gmach files");
-                    return ExitCode::from(2);
-                }
-            },
-            "--check" => opt.check = true,
-            "--export" => match args.next() {
-                Some(n) => opt.export = Some(n),
-                None => {
-                    eprintln!("--export needs a machine name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => {
-                opt.seed = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--seed needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--iters" => {
-                opt.iters = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--iters needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--profile" => opt.profile = true,
-            "--stats" => opt.stats = true,
-            "--temporary" => match args.next() {
-                Some(n) => opt.temporaries.push(n),
-                None => {
-                    eprintln!("--temporary needs an array name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--sparse" => {
-                let Some(spec) = args.next() else {
-                    eprintln!("--sparse needs NAME=BYTES");
-                    return ExitCode::from(2);
-                };
-                let Some((name, bytes)) = spec.split_once('=') else {
-                    eprintln!("--sparse needs NAME=BYTES, got `{spec}`");
-                    return ExitCode::from(2);
-                };
-                let Ok(bytes) = bytes.parse() else {
-                    eprintln!("bad byte count in `{spec}`");
-                    return ExitCode::from(2);
-                };
-                opt.sparse.push((name.to_string(), bytes));
-            }
-            "--addr" => match args.next() {
-                Some(a) => opt.addr = a,
-                None => {
-                    eprintln!("--addr needs HOST:PORT");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => {
-                opt.workers = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--workers needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--queue-depth" => {
-                opt.queue_depth = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--queue-depth needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--timeout" => {
-                opt.timeout_secs = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--timeout needs an integer (seconds)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--timeout-ms" => {
-                opt.timeout_ms = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => Some(v),
-                    None => {
-                        eprintln!("--timeout-ms needs an integer (milliseconds)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--retries" => {
-                opt.retries = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--retries needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--retry-budget" => {
-                opt.retry_budget = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => Some(v),
-                    None => {
-                        eprintln!("--retry-budget needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--deadline-ms" => {
-                opt.deadline_ms = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => Some(v),
-                    None => {
-                        eprintln!("--deadline-ms needs an integer (milliseconds)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--no-hedge" => opt.no_hedge = true,
-            "--shards" => {
-                opt.shards = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--shards needs an integer");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--shard" => match args.next() {
-                Some(a) => opt.shard_addrs.push(a),
-                None => {
-                    eprintln!("--shard needs HOST:PORT");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fault-plan" => match args.next() {
-                Some(p) => opt.fault_plan = Some(p),
-                None => {
-                    eprintln!("--fault-plan needs a plan string");
-                    return ExitCode::from(2);
-                }
-            },
-            "--command" => match args.next() {
-                Some(c) => opt.remote_command = c,
-                None => {
-                    eprintln!("--command needs a command name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("json") => opt.format_json = true,
-                Some("human") => opt.format_json = false,
-                _ => {
-                    eprintln!("--format needs `human` or `json`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--deny" => match args.next() {
-                Some(c) => opt.deny.push(c),
-                None => {
-                    eprintln!("--deny needs a lint code or `warnings`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--allow" => match args.next() {
-                Some(c) => opt.allow.push(c),
-                None => {
-                    eprintln!("--allow needs a lint code");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fix" => opt.fix = true,
-            "--explain" => match args.next() {
-                Some(c) => opt.explain = Some(c),
-                None => {
-                    eprintln!("--explain needs a lint code (e.g. GPP012)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-lint" => opt.lint = false,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with("--") => {
-                if opt.file.is_none() {
-                    opt.file = Some(other.to_string());
-                }
-                opt.files.push(other.to_string());
-            }
-            other => {
-                eprintln!("unknown option `{other}`");
-                return usage();
-            }
-        }
-    }
 
     if cmd != "lint" && cmd != "machines" && opt.files.len() > 1 {
         eprintln!("`gpp {cmd}` takes a single skeleton file");
@@ -416,6 +179,145 @@ fn main() -> ExitCode {
             usage()
         }
     }
+}
+
+/// The value after `flag`, converted by `parse`. A missing or rejected
+/// value prints `<flag> needs <what>` and ends the run with exit code 2.
+fn value_of<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+    parse: impl FnOnce(String) -> Option<T>,
+) -> Result<T, ExitCode> {
+    args.next().and_then(parse).ok_or_else(|| {
+        eprintln!("{flag} needs {what}");
+        ExitCode::from(2)
+    })
+}
+
+/// [`value_of`]'s conversion for numeric flags.
+fn parsed<T: std::str::FromStr>(v: String) -> Option<T> {
+    v.parse().ok()
+}
+
+/// The flags and files after the command. `Err` holds the exit code of a
+/// run that ends while parsing: `--help`, or a flag that cannot be used.
+fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCode> {
+    let mut opt = Options {
+        machine: "eureka".into(),
+        seed: 2013,
+        iters: 1,
+        lint: true,
+        addr: "127.0.0.1:4513".into(),
+        workers: 4,
+        queue_depth: 64,
+        timeout_secs: 30,
+        remote_command: "project".into(),
+        ..Options::default()
+    };
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--machine" => opt.machine = value_of(&mut args, &a, "a machine name", Some)?,
+            "--machines" => {
+                opt.machines_dir = Some(value_of(
+                    &mut args,
+                    &a,
+                    "a directory of .gmach files",
+                    Some,
+                )?)
+            }
+            "--check" => opt.check = true,
+            "--export" => opt.export = Some(value_of(&mut args, &a, "a machine name", Some)?),
+            "--seed" => opt.seed = value_of(&mut args, &a, "an integer", parsed)?,
+            "--iters" => opt.iters = value_of(&mut args, &a, "an integer", parsed)?,
+            "--profile" => opt.profile = true,
+            "--stats" => opt.stats = true,
+            "--temporary" => opt
+                .temporaries
+                .push(value_of(&mut args, &a, "an array name", Some)?),
+            "--sparse" => {
+                let spec = value_of(&mut args, &a, "NAME=BYTES", Some)?;
+                let Some((name, bytes)) = spec.split_once('=') else {
+                    eprintln!("--sparse needs NAME=BYTES, got `{spec}`");
+                    return Err(ExitCode::from(2));
+                };
+                let Ok(bytes) = bytes.parse() else {
+                    eprintln!("bad byte count in `{spec}`");
+                    return Err(ExitCode::from(2));
+                };
+                opt.sparse.push((name.to_string(), bytes));
+            }
+            "--addr" => opt.addr = value_of(&mut args, &a, "HOST:PORT", Some)?,
+            "--workers" => opt.workers = value_of(&mut args, &a, "an integer", parsed)?,
+            "--queue-depth" => opt.queue_depth = value_of(&mut args, &a, "an integer", parsed)?,
+            "--timeout" => {
+                opt.timeout_secs = value_of(&mut args, &a, "an integer (seconds)", parsed)?
+            }
+            "--timeout-ms" => {
+                opt.timeout_ms = Some(value_of(
+                    &mut args,
+                    &a,
+                    "an integer (milliseconds)",
+                    parsed,
+                )?)
+            }
+            "--retries" => opt.retries = value_of(&mut args, &a, "an integer", parsed)?,
+            "--retry-budget" => {
+                opt.retry_budget = Some(value_of(&mut args, &a, "an integer", parsed)?)
+            }
+            "--deadline-ms" => {
+                opt.deadline_ms = Some(value_of(
+                    &mut args,
+                    &a,
+                    "an integer (milliseconds)",
+                    parsed,
+                )?)
+            }
+            "--no-hedge" => opt.no_hedge = true,
+            "--shards" => opt.shards = value_of(&mut args, &a, "an integer", parsed)?,
+            "--shard" => opt
+                .shard_addrs
+                .push(value_of(&mut args, &a, "HOST:PORT", Some)?),
+            "--fault-plan" => {
+                opt.fault_plan = Some(value_of(&mut args, &a, "a plan string", Some)?)
+            }
+            "--command" => opt.remote_command = value_of(&mut args, &a, "a command name", Some)?,
+            "--format" => {
+                opt.format_json =
+                    value_of(&mut args, &a, "`human` or `json`", |v| match v.as_str() {
+                        "json" => Some(true),
+                        "human" => Some(false),
+                        _ => None,
+                    })?
+            }
+            "--deny" => opt
+                .deny
+                .push(value_of(&mut args, &a, "a lint code or `warnings`", Some)?),
+            "--allow" => opt
+                .allow
+                .push(value_of(&mut args, &a, "a lint code", Some)?),
+            "--fix" => opt.fix = true,
+            "--explain" => {
+                opt.explain = Some(value_of(&mut args, &a, "a lint code (e.g. GPP012)", Some)?)
+            }
+            "--no-lint" => opt.lint = false,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return Err(ExitCode::SUCCESS);
+            }
+            other if !other.starts_with("--") => {
+                if opt.file.is_none() {
+                    opt.file = Some(other.to_string());
+                }
+                opt.files.push(other.to_string());
+            }
+            other => {
+                eprintln!("unknown option `{other}`");
+                return Err(usage());
+            }
+        }
+    }
+    Ok(opt)
 }
 
 /// The built-in registry, extended with `--machines DIR` datasheets.
@@ -669,20 +571,9 @@ fn cmd_lint(opt: &Options) -> ExitCode {
             if let Some(rows) = &headroom {
                 // Splice the per-machine headroom into the object.
                 line.pop();
-                line.push_str(",\"transfer_headroom\":[");
-                for (i, r) in rows.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&format!(
-                        "{{\"machine\":\"{}\",\"as_written\":{},\"optimized\":{},\"headroom\":{}}}",
-                        r.machine,
-                        r.as_written,
-                        r.optimized,
-                        r.headroom()
-                    ));
-                }
-                line.push_str("]}");
+                line.push_str(",\"transfer_headroom\":");
+                line.push_str(&grophecy::headroom_json(rows).render());
+                line.push('}');
             }
             println!("{line}");
         } else {

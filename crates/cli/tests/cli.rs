@@ -319,6 +319,51 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+#[test]
+fn flag_without_a_usable_value_exits_2_naming_what_it_needs() {
+    // (flag, what it needs, whether `x` is a bad value for it)
+    let flags = [
+        ("--machine", "a machine name", false),
+        ("--machines", "a directory of .gmach files", false),
+        ("--export", "a machine name", false),
+        ("--seed", "an integer", true),
+        ("--iters", "an integer", true),
+        ("--temporary", "an array name", false),
+        ("--sparse", "NAME=BYTES", false),
+        ("--addr", "HOST:PORT", false),
+        ("--workers", "an integer", true),
+        ("--queue-depth", "an integer", true),
+        ("--timeout", "an integer (seconds)", true),
+        ("--timeout-ms", "an integer (milliseconds)", true),
+        ("--retries", "an integer", true),
+        ("--retry-budget", "an integer", true),
+        ("--deadline-ms", "an integer (milliseconds)", true),
+        ("--shards", "an integer", true),
+        ("--shard", "HOST:PORT", false),
+        ("--fault-plan", "a plan string", false),
+        ("--command", "a command name", false),
+        ("--format", "`human` or `json`", true),
+        ("--deny", "a lint code or `warnings`", false),
+        ("--allow", "a lint code", false),
+        ("--explain", "a lint code (e.g. GPP012)", false),
+    ];
+    for (flag, what, x_is_bad) in flags {
+        let mut runs = vec![vec!["project", flag]];
+        if x_is_bad {
+            runs.push(vec!["project", flag, "x"]);
+        }
+        for args in runs {
+            let out = gpp().args(&args).output().unwrap();
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("{flag} needs {what}\n"),
+                "{args:?}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Long-running modes: `gpp serve` and `gpp gateway` on ephemeral ports.
 

@@ -15,6 +15,7 @@
 
 use crate::projector::Grophecy;
 use crate::registry::MachineRegistry;
+use crate::report::Json;
 use gpp_datausage::Hints;
 use gpp_skeleton::Program;
 
@@ -69,6 +70,23 @@ pub fn transfer_headroom(
             }
         })
         .collect()
+}
+
+/// The `transfer_headroom` array that `gpp lint --format json` and a
+/// served `project` reply carry: one object per row, in row order.
+pub fn headroom_json(rows: &[MachineHeadroom]) -> Json {
+    Json::Arr(
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("machine", Json::Str(r.machine.clone())),
+                    ("as_written", Json::Num(r.as_written)),
+                    ("optimized", Json::Num(r.optimized)),
+                    ("headroom", Json::Num(r.headroom())),
+                ])
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -160,6 +178,19 @@ d2h b
                 r.optimized
             );
         }
+    }
+
+    #[test]
+    fn rows_render_with_escaped_machine_names() {
+        let row = MachineHeadroom {
+            machine: "lab \"b\"".into(),
+            as_written: 0.5,
+            optimized: 0.25,
+        };
+        assert_eq!(
+            headroom_json(&[row]).render(),
+            r#"[{"machine":"lab \"b\"","as_written":0.5,"optimized":0.25,"headroom":0.25}]"#
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod speedup;
 pub mod timeline;
 
 pub use fusion::{explore_fusion, FusionAnalysis};
-pub use headroom::{transfer_headroom, MachineHeadroom};
+pub use headroom::{headroom_json, transfer_headroom, MachineHeadroom};
 pub use machine::{BusSpec, MachineConfig, ReplayTrace, SimulatedNode};
 pub use measurement::{measure, AppMeasurement};
 pub use memtype::{DualCalibration, MemTypeReport};

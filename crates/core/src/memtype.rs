@@ -10,7 +10,6 @@
 //! `malloc`. This module calibrates *both* memory types, adds the
 //! allocation model, and recommends a host memory type per workload.
 
-use crate::projector::Grophecy;
 use gpp_datausage::{TransferDir, TransferPlan};
 use gpp_pcie::model::DirectionalModel;
 use gpp_pcie::{AllocModel, Bus, Calibrator, Direction, MemType};
@@ -134,16 +133,6 @@ impl DualCalibration {
     }
 }
 
-impl Grophecy {
-    /// Convenience: run the dual calibration and tradeoff exploration for
-    /// a program's transfer plan on the given bus. (The projector itself
-    /// stays pinned-only, matching the paper's assumption; this is the
-    /// opt-in future-work analysis.)
-    pub fn explore_memtype(&self, bus: &mut dyn Bus, plan: &TransferPlan) -> MemTypeReport {
-        DualCalibration::run(bus).explore(plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,18 +189,5 @@ mod tests {
                 MemType::Pageable => assert!(page < pin),
             }
         }
-    }
-
-    #[test]
-    fn grophecy_hook_works() {
-        use crate::machine::MachineConfig;
-        let machine = MachineConfig::anl_eureka_node(5);
-        let mut node = machine.node();
-        let gro = Grophecy::calibrate(&machine, &mut node);
-        let hs = HotSpot { n: 512 };
-        let plan = gpp_datausage::analyze(&hs.program(), &hs.hints());
-        let report = gro.explore_memtype(&mut node.bus, &plan);
-        assert!(report.pinned_transfer > 0.0 && report.pageable_transfer > 0.0);
-        assert!(report.pageable_transfer > report.pinned_transfer);
     }
 }

@@ -7,9 +7,7 @@ use gpp_fault::FaultInjector;
 use gpp_gpu_model::{project_best, GpuSpec, KernelProjection};
 use gpp_pcie::model::DirectionalModel;
 use gpp_pcie::overlap::DEFAULT_STAGING_LATENCY;
-use gpp_pcie::{
-    AllocModel, CalibrationError, Calibrator, ChunkedModel, Direction, FaultyBus, MemType,
-};
+use gpp_pcie::{CalibrationError, Calibrator, ChunkedModel, Direction, FaultyBus};
 use gpp_skeleton::Program;
 use std::sync::Arc;
 
@@ -21,7 +19,6 @@ use std::sync::Arc;
 pub struct Grophecy {
     spec: GpuSpec,
     pcie: DirectionalModel,
-    alloc: Option<AllocModel>,
     /// Per-chunk pinned-staging latency σ for chunked transfer pricing:
     /// derived from the machine's mechanistic bus parameters when it has
     /// them, the replay-era default otherwise.
@@ -52,8 +49,6 @@ pub struct AppProjection {
     /// **Invariant:** a serial, plan-order reduction over
     /// `transfer_times`, for the same reason as `kernel_time`.
     pub transfer_time: f64,
-    /// Optional one-time allocation overhead (future-work feature, §VII).
-    pub alloc_time: f64,
     /// The priced event timeline, present only when the skeleton carries
     /// stream/chunk annotations (`None` keeps annotation-free projections
     /// bit-identical to pre-timeline builds).
@@ -67,7 +62,7 @@ impl AppProjection {
     /// Projected total GPU time for `iters` iterations of the kernel
     /// sequence: kernels repeat, transfers happen once (§IV-B).
     pub fn total_time(&self, iters: u32) -> f64 {
-        self.kernel_time * iters as f64 + self.transfer_time + self.alloc_time
+        self.kernel_time * iters as f64 + self.transfer_time
     }
 
     /// Projected total honoring the annotated concurrent schedule:
@@ -77,11 +72,7 @@ impl AppProjection {
     /// no concurrent schedule.
     pub fn overlapped_total_time(&self, iters: u32) -> f64 {
         match &self.timeline {
-            Some(tl) => {
-                self.kernel_time * (iters.saturating_sub(1)) as f64
-                    + tl.overlapped_pass
-                    + self.alloc_time
-            }
+            Some(tl) => self.kernel_time * (iters.saturating_sub(1)) as f64 + tl.overlapped_pass,
             None => self.total_time(iters),
         }
     }
@@ -110,7 +101,6 @@ impl Grophecy {
         Grophecy {
             spec: machine.gpu_spec.clone(),
             pcie,
-            alloc: None,
             staging_latency: match &machine.bus {
                 BusSpec::Sim(p) => ChunkedModel::from_params(pcie.h2d, p).staging_latency,
                 BusSpec::Replay(_) => DEFAULT_STAGING_LATENCY,
@@ -148,13 +138,6 @@ impl Grophecy {
         let mut bus = FaultyBus::new(&mut node.bus, faults).with_machine(&machine.id);
         let pcie = Calibrator::default().calibrate_checked(&mut bus)?;
         Ok(Self::new(machine, pcie))
-    }
-
-    /// Enables the allocation-overhead term (paper future work, §VII).
-    #[must_use]
-    pub fn with_alloc_model(mut self, alloc: AllocModel) -> Self {
-        self.alloc = Some(alloc);
-        self
     }
 
     /// The fitted PCIe model.
@@ -248,15 +231,6 @@ impl Grophecy {
             .collect();
         let transfer_time = transfer_times.iter().sum();
 
-        let alloc_time = self.alloc.map_or(0.0, |a| {
-            let device_bytes: u64 = plan.all().map(|t| t.bytes).sum();
-            a.offload_setup(
-                device_bytes,
-                plan.h2d_bytes().max(plan.d2h_bytes()),
-                MemType::Pinned,
-            )
-        });
-
         let timeline = program.has_stream_annotations().then(|| {
             let kernel_times: Vec<f64> = kernels.iter().map(|k| k.time).collect();
             Timeline::build(program, &kernel_times, &plan, &transfer_times)
@@ -277,7 +251,6 @@ impl Grophecy {
             plan,
             transfer_times,
             transfer_time,
-            alloc_time,
             timeline,
             multi_gpu,
         }
@@ -593,17 +566,5 @@ mod tests {
         assert_eq!(p_s.kernel_time.to_bits(), p_d.kernel_time.to_bits());
         assert_eq!(p_s.transfer_time.to_bits(), p_d.transfer_time.to_bits());
         assert!(p_s.multi_gpu.is_none() && p_d.multi_gpu.is_some());
-    }
-
-    #[test]
-    fn alloc_model_adds_setup_cost() {
-        let machine = MachineConfig::anl_eureka_node(7);
-        let mut node = machine.node();
-        let gro =
-            Grophecy::calibrate(&machine, &mut node).with_alloc_model(AllocModel::cuda2_era());
-        let proj = gro.project(&vadd(1 << 22), &Hints::new());
-        assert!(proj.alloc_time > 0.0);
-        let plain = projector().project(&vadd(1 << 22), &Hints::new());
-        assert!(proj.total_time(1) > plain.total_time(1));
     }
 }

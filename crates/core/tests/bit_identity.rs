@@ -84,7 +84,7 @@ fn render_current() -> String {
                      kernel={:016x} transfer={:016x} alloc={:016x} total={:016x}",
                     proj.kernel_time.to_bits(),
                     proj.transfer_time.to_bits(),
-                    proj.alloc_time.to_bits(),
+                    0u64,
                     proj.total_time(1).to_bits(),
                 )
                 .unwrap();

@@ -12,8 +12,10 @@ use gpp_skeleton::{ArrayDecl, Program, TransferKind};
 /// Algorithm (paper §III-B), walking the kernels with [`Dataflow`]: in kernel
 /// order, keep the union of device-written sections per array. For each
 /// kernel, any read section not covered by prior device writes must be
-/// transferred host→device. The union of all written sections, minus
-/// hinted temporaries, must come back device→host.
+/// transferred host→device; a strided write covers none of the holes
+/// between its elements. The union of all written sections, widened to
+/// bounding boxes and minus hinted temporaries, must come back
+/// device→host.
 ///
 /// Skeletons that pin an **explicit** transfer schedule (`h2d`/`d2h`
 /// directives; [`Program::has_explicit_transfers`]) are priced *as
@@ -36,7 +38,7 @@ pub fn analyze(program: &Program, hints: &Hints) -> TransferPlan {
             reads[s.r.array.index()].0.insert(s.section.clone());
         }
         for (a, (read, inbound)) in program.arrays.iter().zip(&mut reads) {
-            if let Some(w) = flow.written(a.id) {
+            if let Some(w) = flow.written_densely(a.id) {
                 read.subtract(w);
             }
             if !read.is_empty() {
@@ -106,7 +108,8 @@ fn transfer(decl: &ArrayDecl, dir: TransferDir, (bytes, exact): (u64, bool)) -> 
 
 /// The bytes, and whether they are exact, of moving `set` of `decl`
 /// across the bus in a derived plan: the set's size clamped to the
-/// allocation, or for a sparse array the rule of [`sparse_bytes`].
+/// allocation, or for a sparse array its hinted bound (without a hint,
+/// the whole allocation, inexact).
 pub fn transfer_bytes(decl: &ArrayDecl, hints: &Hints, set: &SectionSet) -> (u64, bool) {
     if decl.sparse {
         return sparse_bytes(decl, hints);
@@ -213,6 +216,33 @@ mod tests {
         let plan = analyze(&prog, &Hints::new());
         let x_in = plan.h2d.iter().find(|t| t.array == x).unwrap();
         assert_eq!(x_in.bytes, 500 * 4);
+    }
+
+    #[test]
+    fn a_read_between_strided_writes_is_sent() {
+        // k1 writes the even elements of x; k2 reads the odd ones, which
+        // no kernel wrote: they must all cross host-to-device.
+        let mut p = ProgramBuilder::new("strided");
+        let x = p.array("x", ElemType::F32, &[64]);
+        let y = p.array("y", ElemType::F32, &[32]);
+        let mut k1 = p.kernel("evens");
+        let i = k1.parallel_loop("i", 32);
+        k1.statement().write(x, &[idx(i) * 2]).finish();
+        k1.finish();
+        let mut k2 = p.kernel("odds");
+        let i = k2.parallel_loop("i", 32);
+        k2.statement()
+            .read(x, &[idx(i) * 2 + 1])
+            .write(y, &[idx(i)])
+            .finish();
+        k2.finish();
+        let prog = p.build().unwrap();
+        let plan = analyze(&prog, &Hints::new());
+        let x_in = plan.h2d.iter().find(|t| t.array == x).unwrap();
+        assert!(x_in.bytes >= 32 * 4, "{x_in:?}");
+        // The copy-back still covers the strided write's bounding box.
+        let x_out = plan.d2h.iter().find(|t| t.array == x).unwrap();
+        assert_eq!(x_out.bytes, 63 * 4);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The dataflow engine: one walk over the kernel sequence, read by both
-//! the transfer plan ([`crate::analyze`]) and `gpp lint`.
+//! the transfer plan ([`crate::analyze()`]) and `gpp lint`.
 //!
 //! [`Dataflow::new`] derives every reference's section once, in program
 //! order, as a [`Site`]. Its caller then walks the kernels in order,
@@ -7,9 +7,9 @@
 //! folding it in ([`Dataflow::fold`]). The unions are those of Havlak &
 //! Kennedy's section dataflow: per array, what earlier kernels wrote, and
 //! what they wrote for certain. `analyze` takes each kernel's reads, less
-//! what earlier kernels wrote, into the upward-exposed union it ships
-//! host-to-device; lint subtracts that same union from a read before it
-//! quotes what the plan ships for it.
+//! what earlier kernels' dense writes stored, into the upward-exposed union
+//! it ships host-to-device; lint subtracts that same union from a read
+//! before it quotes what the plan ships for it.
 
 use gpp_brs::{AccessKind, ArrayId, Section, SectionSet};
 use gpp_skeleton::sections::ref_section;
@@ -47,6 +47,9 @@ struct Unions {
     /// What they wrote; `None` until one writes the array (perhaps no
     /// element of it).
     written: Option<SectionSet>,
+    /// What their dense writes stored, once a strided write has widened
+    /// `written` to its bounding box; `None` while the two agree.
+    dense: Option<SectionSet>,
     /// What their guaranteed writes stored.
     guaranteed: SectionSet,
 }
@@ -89,6 +92,7 @@ impl<'a> Dataflow<'a> {
         let arrays = (p.arrays.iter())
             .map(|a| Unions {
                 written: None,
+                dense: None,
                 guaranteed: SectionSet::empty(a.ndims()),
             })
             .collect();
@@ -107,9 +111,13 @@ impl<'a> Dataflow<'a> {
         for s in sites.iter().filter(|s| s.r.kind.is_write()) {
             let u = &mut self.arrays[s.r.array.index()];
             let empty = || SectionSet::empty(s.section.ndims());
-            u.written
-                .get_or_insert_with(empty)
-                .insert(s.section.clone());
+            let written = u.written.get_or_insert_with(empty);
+            if !s.section.is_dense() {
+                u.dense.get_or_insert_with(|| written.clone());
+            } else if let Some(dense) = &mut u.dense {
+                dense.insert(s.section.clone());
+            }
+            written.insert(s.section.clone());
             if s.is_guaranteed_write() {
                 u.guaranteed.insert(s.section.clone());
             }
@@ -164,6 +172,15 @@ impl<'a> Dataflow<'a> {
     /// writes it.
     pub fn written(&self, a: ArrayId) -> Option<&SectionSet> {
         self.arrays[a.index()].written.as_ref()
+    }
+
+    /// The union of what the folded kernels' dense writes stored of `a`:
+    /// what a read needs no host-to-device copy of. It is
+    /// [`Dataflow::written`] unless a strided write widened that to a
+    /// bounding box whose holes no kernel wrote. `None` if none writes `a`.
+    pub fn written_densely(&self, a: ArrayId) -> Option<&SectionSet> {
+        let u = &self.arrays[a.index()];
+        u.dense.as_ref().or(u.written.as_ref())
     }
 
     /// The union of what the folded kernels' guaranteed writes stored.

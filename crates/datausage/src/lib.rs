@@ -18,9 +18,10 @@
 //!
 //! One engine computes that dataflow: [`Dataflow`] derives each
 //! reference's section once and walks the kernels in order, keeping per
-//! array what earlier kernels wrote. [`analyze`] builds the plan as it
-//! walks, subtracting that union from each kernel's reads, and `gpp lint`
-//! walks the same engine, so every byte a finding quotes is the plan's.
+//! array what earlier kernels wrote. [`analyze()`] builds the plan as it
+//! walks, subtracting what they wrote densely from each kernel's reads,
+//! and `gpp lint` walks the same engine, so every byte a finding quotes
+//! is the plan's.
 //!
 //! Each array is assumed to be transferred separately (one `cudaMemcpy`
 //! per array); [`plan::TransferPlan::batched`] models the alternative for

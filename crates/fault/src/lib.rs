@@ -45,9 +45,9 @@
 //! ```
 //! use gpp_fault::{FaultInjector, FaultPlan};
 //!
-//! let plan: FaultPlan = "seed=7;demo.point:every=3".parse().unwrap();
+//! let plan: FaultPlan = "seed=7;serve.worker.panic:every=3".parse().unwrap();
 //! let inj = FaultInjector::new(plan);
-//! let fired: Vec<bool> = (0..6).map(|_| inj.fires("demo.point")).collect();
+//! let fired: Vec<bool> = (0..6).map(|_| inj.fires("serve.worker.panic")).collect();
 //! assert_eq!(fired, [false, false, true, false, false, true]);
 //! assert_eq!(inj.total_fired(), 2);
 //! ```
@@ -104,9 +104,9 @@ pub const SERVE_COMPUTE_SLOW: &str = "serve.compute.slow";
 /// while the primary hangs.
 pub const GATEWAY_SHARD_HANG: &str = "gateway.shard.hang";
 
-/// Every fault point the stack consults, for docs and plan validation
-/// diagnostics (plans may name other points; unknown points simply never
-/// get consulted).
+/// Every fault point the stack consults. A plan naming any other point
+/// (less its `@scope`) is rejected, since no injection site would ever
+/// consult it.
 pub const KNOWN_POINTS: &[&str] = &[
     PCIE_TRANSFER_ERROR,
     PCIE_TRANSFER_STALL,
@@ -124,10 +124,10 @@ pub const KNOWN_POINTS: &[&str] = &[
 /// The machine-scoped spelling of a fault point: `point@machine`.
 ///
 /// Scoped rules let one plan target a single machine in a multi-machine
-/// registry (e.g. `pcie.transfer.error@v2:always`). The plan grammar treats
-/// the whole string as an opaque point name, so no parser change is needed;
-/// injection sites that know their machine consult the scoped name first
-/// via [`FaultInjector::fire_factor_scoped`].
+/// registry (e.g. `pcie.transfer.error@v2:always`). The plan grammar checks
+/// the part before the `@` against [`KNOWN_POINTS`] and keeps the whole
+/// string as the point name; injection sites that know their machine
+/// consult the scoped name first via [`FaultInjector::fire_factor_scoped`].
 pub fn scoped_point(point: &str, machine: &str) -> String {
     format!("{point}@{machine}")
 }
@@ -276,6 +276,13 @@ impl FromStr for FaultPlan {
             let point = point.trim();
             if point.is_empty() {
                 return Err(plan_err(format!("clause `{clause}` has an empty point")));
+            }
+            let bare = point.split_once('@').map_or(point, |(bare, _)| bare);
+            if !KNOWN_POINTS.contains(&bare) {
+                return Err(plan_err(format!(
+                    "unknown fault point `{bare}` (known: {})",
+                    KNOWN_POINTS.join(", ")
+                )));
             }
             let mut mode = None;
             let mut factor = 20.0;
@@ -603,7 +610,8 @@ mod tests {
     #[test]
     fn grammar_round_trips() {
         let text = "seed=42;pcie.transfer.error:p=0.25;serve.worker.panic:every=7;\
-                    pcie.calibration.outlier:first=3,factor=50;x.y:after=2;z.w:always";
+                    pcie.calibration.outlier:first=3,factor=50;serve.frame.corrupt:after=2;\
+                    gateway.shard.down:always";
         let plan: FaultPlan = text.parse().unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rules().len(), 5);
@@ -617,20 +625,38 @@ mod tests {
         for bad in [
             "nonsense",
             "seed=abc",
-            "point:",
-            "point:p=1.5",
-            "point:p=nope",
-            "point:every=0",
-            "point:factor=2", // factor without a firing rule
-            "point:wibble=3",
+            "serve.worker.panic:",
+            "serve.worker.panic:p=1.5",
+            "serve.worker.panic:p=nope",
+            "serve.worker.panic:every=0",
+            "serve.worker.panic:factor=2", // factor without a firing rule
+            "serve.worker.panic:wibble=3",
             ":p=0.5",
-            "point:factor=-1,always",
+            "serve.worker.panic:factor=-1,always",
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "`{bad}` should fail");
         }
         // Whitespace and empty clauses are tolerated.
-        let ok: FaultPlan = " seed=1 ; a.b : p=0.5 ;; ".parse().unwrap();
+        let ok: FaultPlan = " seed=1 ; serve.worker.panic : p=0.5 ;; ".parse().unwrap();
         assert_eq!(ok.rules().len(), 1);
+    }
+
+    #[test]
+    fn plans_naming_an_unknown_point_are_rejected() {
+        for bad in ["pcie.transfer.eror:always", "pcie.transfer.eror@v2:always"] {
+            let err = bad.parse::<FaultPlan>().unwrap_err().to_string();
+            assert!(
+                err.contains("unknown fault point `pcie.transfer.eror`"),
+                "{err}"
+            );
+        }
+        // Any scope of a known point is fine.
+        for point in KNOWN_POINTS {
+            let scoped: FaultPlan = format!("{}:always", scoped_point(point, "x"))
+                .parse()
+                .unwrap();
+            assert_eq!(scoped.rules().len(), 1);
+        }
     }
 
     #[test]
@@ -650,31 +676,32 @@ mod tests {
 
     #[test]
     fn probability_is_seeded_and_reasonable() {
-        let plan: FaultPlan = "seed=9;p.x:p=0.3".parse().unwrap();
+        let plan: FaultPlan = "seed=9;pcie.transfer.error:p=0.3".parse().unwrap();
         let a = FaultInjector::new(plan.clone());
         let b = FaultInjector::new(plan);
-        let da: Vec<bool> = (0..2000).map(|_| a.fires("p.x")).collect();
-        let db: Vec<bool> = (0..2000).map(|_| b.fires("p.x")).collect();
+        let da: Vec<bool> = (0..2000).map(|_| a.fires("pcie.transfer.error")).collect();
+        let db: Vec<bool> = (0..2000).map(|_| b.fires("pcie.transfer.error")).collect();
         assert_eq!(da, db, "same seed, same decisions");
         let rate = da.iter().filter(|&&f| f).count() as f64 / da.len() as f64;
         assert!((0.25..0.35).contains(&rate), "rate {rate}");
         // A different seed gives a different sequence.
-        let c = FaultInjector::new("seed=10;p.x:p=0.3".parse().unwrap());
-        let dc: Vec<bool> = (0..2000).map(|_| c.fires("p.x")).collect();
+        let c = FaultInjector::new("seed=10;pcie.transfer.error:p=0.3".parse().unwrap());
+        let dc: Vec<bool> = (0..2000).map(|_| c.fires("pcie.transfer.error")).collect();
         assert_ne!(da, dc);
     }
 
     #[test]
     fn point_streams_are_independent() {
         // Consulting point B must not shift point A's decisions.
-        let plan: FaultPlan = "seed=5;a.a:p=0.5;b.b:p=0.5".parse().unwrap();
+        let (a, b) = (PCIE_TRANSFER_ERROR, PCIE_TRANSFER_STALL);
+        let plan: FaultPlan = format!("seed=5;{a}:p=0.5;{b}:p=0.5").parse().unwrap();
         let solo = FaultInjector::new(plan.clone());
-        let solo_a: Vec<bool> = (0..100).map(|_| solo.fires("a.a")).collect();
+        let solo_a: Vec<bool> = (0..100).map(|_| solo.fires(a)).collect();
         let mixed = FaultInjector::new(plan);
         let mixed_a: Vec<bool> = (0..100)
             .map(|_| {
-                mixed.fires("b.b");
-                mixed.fires("a.a")
+                mixed.fires(b);
+                mixed.fires(a)
             })
             .collect();
         assert_eq!(solo_a, mixed_a);
@@ -682,19 +709,19 @@ mod tests {
 
     #[test]
     fn trace_reports_fired_occurrences() {
-        let inj = FaultInjector::new("seed=1;t.t:every=2".parse().unwrap());
+        let inj = FaultInjector::new("seed=1;serve.worker.panic:every=2".parse().unwrap());
         for _ in 0..5 {
-            inj.fires("t.t");
+            inj.fires("serve.worker.panic");
         }
-        assert_eq!(inj.trace(), "t.t: fired 2/5 at [2, 4]\n");
-        assert_eq!(inj.counts(), vec![("t.t".to_string(), 5, 2)]);
+        assert_eq!(inj.trace(), "serve.worker.panic: fired 2/5 at [2, 4]\n");
+        assert_eq!(inj.counts(), vec![("serve.worker.panic".to_string(), 5, 2)]);
         assert_eq!(inj.total_fired(), 2);
     }
 
     #[test]
     fn factors_flow_through() {
-        let inj = FaultInjector::new("s.s:always,factor=123.5".parse().unwrap());
-        assert_eq!(inj.fire_factor("s.s"), Some(123.5));
+        let inj = FaultInjector::new("pcie.transfer.stall:always,factor=123.5".parse().unwrap());
+        assert_eq!(inj.fire_factor("pcie.transfer.stall"), Some(123.5));
         assert_eq!(inj.fire_factor("unlisted"), None);
     }
 
@@ -706,13 +733,14 @@ mod tests {
 
     #[test]
     fn scoped_rule_overrides_bare_for_its_machine_only() {
-        let plan: FaultPlan = "t.t:always,factor=2;t.t@v2:always,factor=7"
+        let p = PCIE_TRANSFER_STALL;
+        let plan: FaultPlan = format!("{p}:always,factor=2;{p}@v2:always,factor=7")
             .parse()
             .unwrap();
         let inj = FaultInjector::new(plan);
-        assert_eq!(inj.fire_factor_scoped("t.t", Some("v2")), Some(7.0));
-        assert_eq!(inj.fire_factor_scoped("t.t", Some("eureka")), Some(2.0));
-        assert_eq!(inj.fire_factor_scoped("t.t", None), Some(2.0));
+        assert_eq!(inj.fire_factor_scoped(p, Some("v2")), Some(7.0));
+        assert_eq!(inj.fire_factor_scoped(p, Some("eureka")), Some(2.0));
+        assert_eq!(inj.fire_factor_scoped(p, None), Some(2.0));
     }
 
     #[test]
@@ -721,13 +749,13 @@ mod tests {
         // a machine label, one without. Because the scoped name misses
         // `by_name` without touching any state, the decision streams match
         // exactly.
-        let plan: FaultPlan = "seed=3;t.t:p=0.4".parse().unwrap();
+        let plan: FaultPlan = "seed=3;pcie.transfer.error:p=0.4".parse().unwrap();
         let bare = FaultInjector::new(plan.clone());
         let scoped = FaultInjector::new(plan);
         for _ in 0..64 {
             assert_eq!(
-                bare.fire_factor("t.t"),
-                scoped.fire_factor_scoped("t.t", Some("eureka"))
+                bare.fire_factor("pcie.transfer.error"),
+                scoped.fire_factor_scoped("pcie.transfer.error", Some("eureka"))
             );
         }
         assert_eq!(bare.trace(), scoped.trace());

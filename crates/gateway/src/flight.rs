@@ -22,7 +22,7 @@ struct Flight {
 /// What joining a flight produced.
 pub enum Joined {
     /// This caller is the leader: do the upstream work, then call
-    /// [`SingleFlight::complete`] with the guard.
+    /// [`LeaderGuard::complete`] with the guard.
     Leader(LeaderGuard),
     /// Another caller was already flying this key; here is its reply.
     Follower(String),

@@ -179,7 +179,7 @@ impl Shard {
     }
 
     /// Sends one already-encoded payload to the shard and returns the raw
-    /// reply: a whole [`Attempt`] on one thread.
+    /// reply: a whole `Attempt` on one thread.
     pub fn forward(
         &self,
         payload: &str,

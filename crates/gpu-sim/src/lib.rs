@@ -32,7 +32,6 @@ pub mod device;
 pub mod instance;
 pub mod occupancy;
 pub mod profile;
-pub mod runtime;
 pub mod sim;
 pub mod timing;
 
@@ -40,6 +39,5 @@ pub use device::DeviceParams;
 pub use instance::{KernelInstance, MemOp, ThreadProgram};
 pub use occupancy::Occupancy;
 pub use profile::profile;
-pub use runtime::{DeviceBuffer, DeviceContext, DeviceMemory, RuntimeError};
-pub use sim::{GpuSim, KernelTiming};
+pub use sim::{GpuSim, KernelTiming, RuntimeError};
 pub use timing::TimingBreakdown;

@@ -2,7 +2,6 @@
 
 use crate::device::DeviceParams;
 use crate::instance::KernelInstance;
-use crate::runtime::RuntimeError;
 use crate::timing::{time_kernel, TimingBreakdown};
 use gpp_fault::FaultInjector;
 use rand::rngs::StdRng;
@@ -13,6 +12,30 @@ use std::sync::Arc;
 /// measurement run before propagating the timing of the last attempt
 /// anyway (mirrors a driver-level retry).
 pub const MAX_LAUNCH_RETRIES: u32 = 8;
+
+/// A failed kernel launch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuntimeError {
+    /// A kernel launch failed transiently (driver hiccup, ECC retry) —
+    /// only ever produced under an active fault plan; retrying is expected
+    /// to succeed.
+    TransientFault {
+        /// The simulator's launch counter when the fault fired.
+        launch: u64,
+    },
+}
+
+impl std::fmt::Display for RuntimeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RuntimeError::TransientFault { launch } => {
+                write!(f, "transient device fault at kernel launch {launch}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RuntimeError {}
 
 /// Result of one simulated kernel launch.
 #[derive(Debug, Clone, PartialEq)]

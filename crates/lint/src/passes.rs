@@ -157,7 +157,7 @@ impl<'a> Ctx<'a> {
                         // What the plan ships for this read, when earlier
                         // statements produce all of it.
                         let mut need = SectionSet::from_section(s.section.clone());
-                        if let Some(w) = flow.written(a) {
+                        if let Some(w) = flow.written_densely(a) {
                             need.subtract(w);
                         }
                         if !need.is_empty() && need.parts().iter().all(|p| cset.covers(p)) {

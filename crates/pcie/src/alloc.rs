@@ -1,20 +1,15 @@
-//! Memory-allocation overhead modeling — the paper's future work (§VII),
-//! implemented here as an optional projection term.
+//! Host memory-allocation overhead modeling — the paper's future work
+//! (§VII), priced by the pinned-vs-pageable tradeoff rather than the
+//! projector.
 //!
 //! "In addition, we plan to ... account for the overhead of memory
-//! allocation." Device allocations (`cudaMalloc`) cost a driver round-trip
-//! plus page-table setup proportional to size; pinned host allocations
-//! (`cudaHostAlloc`) are far more expensive because every page must be
-//! locked and its physical address registered with the device.
+//! allocation." Pinned host allocations (`cudaHostAlloc`) are far more
+//! expensive than pageable ones because every page must be locked and its
+//! physical address registered with the device.
 
-/// Linear allocation-cost models for the three allocation kinds involved
-/// in offloading a kernel.
+/// Linear allocation-cost models for the two kinds of host staging memory.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocModel {
-    /// Fixed cost of a device allocation, seconds.
-    pub device_alpha: f64,
-    /// Marginal cost per device byte, seconds.
-    pub device_beta: f64,
     /// Fixed cost of a pinned host allocation, seconds.
     pub pinned_alpha: f64,
     /// Marginal cost per pinned byte (page locking), seconds.
@@ -29,18 +24,11 @@ impl AllocModel {
     /// Typical values for a CUDA 2.x era driver stack.
     pub fn cuda2_era() -> Self {
         AllocModel {
-            device_alpha: 90e-6,
-            device_beta: 1.0 / 80e9,
             pinned_alpha: 220e-6,
             pinned_beta: 1.0 / 3.5e9, // page-locking walks every page
             pageable_alpha: 2e-6,
             pageable_beta: 1.0 / 500e9,
         }
-    }
-
-    /// Cost of allocating `bytes` on the device.
-    pub fn device(&self, bytes: u64) -> f64 {
-        self.device_alpha + self.device_beta * bytes as f64
     }
 
     /// Cost of allocating `bytes` of host memory of the given type.
@@ -49,13 +37,6 @@ impl AllocModel {
             crate::MemType::Pinned => self.pinned_alpha + self.pinned_beta * bytes as f64,
             crate::MemType::Pageable => self.pageable_alpha + self.pageable_beta * bytes as f64,
         }
-    }
-
-    /// Total one-time allocation overhead for offloading a working set:
-    /// device buffers for everything, plus host-side staging of the given
-    /// type for the transferred bytes.
-    pub fn offload_setup(&self, device_bytes: u64, host_bytes: u64, mem: crate::MemType) -> f64 {
-        self.device(device_bytes) + self.host(host_bytes, mem)
     }
 }
 
@@ -78,18 +59,5 @@ mod tests {
         let small = m.host(1 << 20, MemType::Pinned);
         let large = m.host(64 << 20, MemType::Pinned);
         assert!(large > small * 10.0);
-    }
-
-    #[test]
-    fn device_alloc_is_cheap_relative_to_pinning() {
-        let m = AllocModel::cuda2_era();
-        assert!(m.device(64 << 20) < m.host(64 << 20, MemType::Pinned));
-    }
-
-    #[test]
-    fn offload_setup_sums_components() {
-        let m = AllocModel::cuda2_era();
-        let sum = m.offload_setup(1 << 20, 1 << 20, MemType::Pinned);
-        assert!((sum - (m.device(1 << 20) + m.host(1 << 20, MemType::Pinned))).abs() < 1e-15);
     }
 }

@@ -26,8 +26,8 @@
 //! * [`piecewise::PiecewiseModel`] — a log-size interpolation alternative
 //!   used by the ablation study to show two points are enough (DESIGN.md
 //!   D1).
-//! * [`alloc::AllocModel`] — memory-allocation overhead, the paper's
-//!   stated future work (§VII), included as an optional projection term.
+//! * [`alloc::AllocModel`] — host memory-allocation overhead, the paper's
+//!   stated future work (§VII), priced in the pinned-vs-pageable tradeoff.
 //!
 //! # Example
 //!

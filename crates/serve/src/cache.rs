@@ -682,7 +682,6 @@ mod tests {
             plan: gpp_datausage::TransferPlan::default(),
             transfer_times: Vec::new(),
             transfer_time: 0.0,
-            alloc_time: 0.0,
             timeline: None,
             multi_gpu: None,
         })

@@ -545,12 +545,9 @@ impl ServiceState {
         let parts = TextParts {
             fingerprint: format!("{fingerprint:032x}"),
             diagnostics: (!diags.is_empty()).then(|| diagnostics_json(&diags).render()),
-            transfer_headroom: if fixable {
-                self.transfer_headroom_json(req, &program)
-                    .map(|rows| rows.render())
-            } else {
-                None
-            },
+            transfer_headroom: fixable
+                .then(|| self.transfer_headroom_json(req, &program))
+                .flatten(),
         };
         // Degraded results bypass the projection memo and its text index:
         // they were computed from another key's calibration and must not
@@ -576,7 +573,7 @@ impl ServiceState {
     /// Applies the linter's fix-its to the request's skeleton until a
     /// fixpoint and prices both versions on every registered machine.
     /// `None` when no fix applies or a rewrite fails to re-parse.
-    fn transfer_headroom_json(&self, req: &Request, program: &Program) -> Option<Json> {
+    fn transfer_headroom_json(&self, req: &Request, program: &Program) -> Option<String> {
         let cfg = gpp_lint::LintConfig::new();
         let (fixed, applied) =
             gpp_lint::fix_until_stable(&req.skeleton, "request.gsk", &cfg).ok()?;
@@ -586,18 +583,7 @@ impl ServiceState {
         let optimized = text::parse(&fixed).ok()?;
         let rows =
             grophecy::transfer_headroom(&self.config.machines, req.seed, program, &optimized);
-        Some(Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("machine", Json::Str(r.machine.clone())),
-                        ("as_written", Json::Num(r.as_written)),
-                        ("optimized", Json::Num(r.optimized)),
-                        ("headroom", Json::Num(r.headroom())),
-                    ])
-                })
-                .collect(),
-        ))
+        Some(grophecy::headroom_json(&rows).render())
     }
 
     fn cmd_measure(
