@@ -88,13 +88,7 @@ impl ProgramBuilder {
         id
     }
 
-    /// Marks an already-declared array as a device-side temporary (used
-    /// by the text parser, where attributes follow the declaration).
-    pub fn set_temporary(&mut self, id: ArrayId) {
-        self.arrays[id.index()].temporary = true;
-    }
-
-    /// Declares an array from owned parts (the text parser's way in).
+    /// Declares an array from owned parts.
     pub(crate) fn declare(
         &mut self,
         name: String,
@@ -114,8 +108,8 @@ impl ProgramBuilder {
         id
     }
 
-    /// Resolves a declared array id by name (used by the text parser and
-    /// by callers scheduling explicit transfers).
+    /// Resolves a declared array id by name (for callers scheduling
+    /// explicit transfers).
     pub fn array_id(&self, name: &str) -> Option<ArrayId> {
         self.arrays.iter().find(|a| a.name == name).map(|a| a.id)
     }
@@ -273,16 +267,6 @@ pub struct StatementBuilder<'k, 'p> {
 }
 
 impl StatementBuilder<'_, '_> {
-    /// Resolves an array id by name (used by the text-format parser).
-    pub fn lookup_array(&self, name: &str) -> Option<ArrayId> {
-        self.kernel
-            .program
-            .arrays
-            .iter()
-            .find(|a| a.name == name)
-            .map(|a| a.id)
-    }
-
     /// Adds a read of `array` at the given affine indices.
     pub fn read(mut self, array: ArrayId, index: &[AffineExpr]) -> Self {
         self.refs.push(ArrayRef {
