@@ -69,6 +69,7 @@ pub mod lowering;
 pub mod machine;
 pub mod measurement;
 pub mod memtype;
+pub mod numfmt;
 pub mod projector;
 pub mod registry;
 pub mod report;
