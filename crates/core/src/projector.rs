@@ -4,7 +4,7 @@ use crate::machine::{BusSpec, DeviceLink, MachineConfig, RootComplex, SimulatedN
 use crate::timeline::{MultiGpuProjection, Timeline};
 use gpp_datausage::{analyze, Hints, TransferDir, TransferPlan};
 use gpp_fault::FaultInjector;
-use gpp_gpu_model::{project_best, GpuSpec, KernelProjection};
+use gpp_gpu_model::{project_best, project_best_keyed, GpuSpec, KernelProjection, ProgramChars};
 use gpp_pcie::model::DirectionalModel;
 use gpp_pcie::overlap::DEFAULT_STAGING_LATENCY;
 use gpp_pcie::{CalibrationError, Calibrator, ChunkedModel, Direction, FaultyBus};
@@ -171,14 +171,35 @@ impl Grophecy {
     /// thread costs, and a server is already parallel across requests.
     /// Offline sweeps parallelize across whole projections instead.
     pub fn project(&self, program: &Program, hints: &Hints) -> AppProjection {
+        self.project_with(program, hints, &ProgramChars::of(program))
+    }
+
+    /// [`Grophecy::project`] from the default-axis characteristics
+    /// already synthesized for the program's fingerprint: `chars` must be
+    /// `ProgramChars::of(program)`. Only the other thread axes are
+    /// synthesized here.
+    pub fn project_with(
+        &self,
+        program: &Program,
+        hints: &Hints,
+        chars: &ProgramChars,
+    ) -> AppProjection {
         let kernels: Vec<KernelProjection> = program
             .kernels
             .iter()
-            .map(|k| {
+            .enumerate()
+            .map(|(ki, k)| {
                 let mut best: Option<KernelProjection> = None;
                 for (ai, axis) in k.axis_candidates().into_iter().enumerate() {
-                    let chars = k.characteristics_with_axis(program, axis);
-                    let mut proj = project_best(&k.name, &chars, &self.spec);
+                    // Index 0 is the innermost parallel loop: the default
+                    // axis `chars` was synthesized for.
+                    let mut proj = if ai == 0 {
+                        let (default, key) = chars.kernel(ki);
+                        project_best_keyed(&k.name, default, key, &self.spec)
+                    } else {
+                        let other = k.characteristics_with_axis(program, axis);
+                        project_best(&k.name, &other, &self.spec)
+                    };
                     // Record non-default axis choices so the lowering (and
                     // reports) reproduce the same mapping. Index 0 is the
                     // innermost parallel loop — the default.

@@ -43,10 +43,12 @@ pub mod spec;
 pub mod transform;
 
 pub use occupancy::ModelOccupancy;
-pub use project::{project, project_all, project_best, KernelProjection, ProjectionBound};
+pub use project::{
+    project, project_all, project_best, project_best_keyed, KernelProjection, ProjectionBound,
+};
 pub use soa::search_memo_stats;
 pub use spec::GpuSpec;
 pub use transform::{
-    candidate_space, program_fingerprint, synthesize_transformed, CharsKey, SynthesizedKernel,
-    Transformation, BASE_REGS, MIN_BLOCK_THREADS,
+    candidate_space, program_fingerprint, synthesize_transformed, CharsKey, ProgramChars,
+    SynthesizedKernel, Transformation, BASE_REGS, MIN_BLOCK_THREADS,
 };

@@ -20,7 +20,7 @@
 use crate::occupancy::ModelOccupancy;
 use crate::spec::GpuSpec;
 use crate::transform::{
-    candidate_space, synthesize_transformed, SynthesizedKernel, Transformation,
+    candidate_space, synthesize_transformed, CharsKey, SynthesizedKernel, Transformation,
 };
 use gpp_skeleton::KernelCharacteristics;
 
@@ -141,7 +141,19 @@ fn project_inner(spec: &GpuSpec, kernel: &SynthesizedKernel) -> Option<Eval> {
 /// process-wide search memo; it is bit-identical to [`project_all`]'s best
 /// at any thread count.
 pub fn project_best(name: &str, chars: &KernelCharacteristics, spec: &GpuSpec) -> KernelProjection {
-    crate::soa::project_best_soa(name, chars, spec)
+    project_best_keyed(name, chars, CharsKey::of(chars), spec)
+}
+
+/// [`project_best`] for characteristics whose fingerprint is already
+/// known: `key` must be `CharsKey::of(chars)`, as
+/// [`crate::ProgramChars`] holds it.
+pub fn project_best_keyed(
+    name: &str,
+    chars: &KernelCharacteristics,
+    key: CharsKey,
+    spec: &GpuSpec,
+) -> KernelProjection {
+    crate::soa::project_best_soa(name, chars, key, spec)
 }
 
 /// Explores the whole transformation space and materializes every

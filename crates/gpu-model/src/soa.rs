@@ -93,8 +93,13 @@ pub fn search_memo_stats() -> (u64, u64) {
 /// a pure function of the key, so a hit returns exactly what a miss
 /// would build; two threads missing on one key both build it and the
 /// later insert wins.
-fn setup(chars: &KernelCharacteristics, spec: &GpuSpec, consts: &KernelConsts) -> Arc<SetupEntry> {
-    let key = (CharsKey::of(chars), spec_fingerprint(spec));
+fn setup(
+    chars: &KernelCharacteristics,
+    chars_key: CharsKey,
+    spec: &GpuSpec,
+    consts: &KernelConsts,
+) -> Arc<SetupEntry> {
+    let key = (chars_key, spec_fingerprint(spec));
     let memo = MEMO.get_or_init(Default::default);
     if let Some(hit) = memo.lock().expect("search memo lock poisoned").get(&key) {
         MEMO_HITS.fetch_add(1, Ordering::Relaxed);
@@ -341,10 +346,11 @@ fn eval_entry(entry: &SetupEntry, consts: &KernelConsts) -> Best {
 pub(crate) fn project_best_soa(
     name: &str,
     chars: &KernelCharacteristics,
+    chars_key: CharsKey,
     spec: &GpuSpec,
 ) -> KernelProjection {
     let consts = KernelConsts::of(chars, spec);
-    let entry = setup(chars, spec, &consts);
+    let entry = setup(chars, chars_key, spec, &consts);
     let (i, time, bound) = eval_entry(&entry, &consts).unwrap_or_else(|| {
         panic!("no runnable transformation for kernel `{name}` — block sizes exhausted")
     });
@@ -418,12 +424,12 @@ mod tests {
         // A search on another thread hits the entry this thread built.
         let chars = vadd_chars((1 << 20) + 4096);
         let consts = KernelConsts::of(&chars, &base);
-        let built = setup(&chars, &base, &consts);
+        let built = setup(&chars, CharsKey::of(&chars), &base, &consts);
         let (hits_before, _) = search_memo_stats();
         let seen = std::thread::scope(|s| {
             s.spawn(|| {
                 project_best("add", &chars, &base);
-                setup(&chars, &base, &consts)
+                setup(&chars, CharsKey::of(&chars), &base, &consts)
             })
             .join()
             .unwrap()

@@ -256,15 +256,49 @@ impl CharsKey {
 /// order) changes it. This is the consistent-hash routing and
 /// single-flight coalescing key used by `gpp gateway`.
 pub fn program_fingerprint(program: &gpp_skeleton::Program) -> u128 {
-    // FNV-128 offset basis / prime.
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    h = (h ^ program.kernels.len() as u128).wrapping_mul(PRIME);
-    for kernel in &program.kernels {
-        let f = CharsKey::of(&kernel.characteristics(program)).value();
-        h = (h ^ f).wrapping_mul(PRIME);
+    ProgramChars::of(program).fingerprint()
+}
+
+/// Every kernel's characteristics under its default thread axis, with
+/// their fingerprints: what [`program_fingerprint`] folds and what the
+/// default-axis search of each kernel starts from. A server synthesizes
+/// them once per request and hands them to both.
+pub struct ProgramChars {
+    kernels: Vec<(KernelCharacteristics, CharsKey)>,
+}
+
+impl ProgramChars {
+    /// Synthesizes and fingerprints every kernel of `program`.
+    pub fn of(program: &gpp_skeleton::Program) -> ProgramChars {
+        let kernels = program
+            .kernels
+            .iter()
+            .map(|kernel| {
+                let chars = kernel.characteristics(program);
+                let key = CharsKey::of(&chars);
+                (chars, key)
+            })
+            .collect();
+        ProgramChars { kernels }
     }
-    h
+
+    /// Kernel `k`'s default-axis characteristics and their fingerprint.
+    pub fn kernel(&self, k: usize) -> (&KernelCharacteristics, CharsKey) {
+        let (chars, key) = &self.kernels[k];
+        (chars, *key)
+    }
+
+    /// The program's structural fingerprint (see [`program_fingerprint`]).
+    pub fn fingerprint(&self) -> u128 {
+        // FNV-128 offset basis / prime.
+        let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+        h = (h ^ self.kernels.len() as u128).wrapping_mul(PRIME);
+        for (_, key) in &self.kernels {
+            h = (h ^ key.value()).wrapping_mul(PRIME);
+        }
+        h
+    }
 }
 
 /// A 128-bit structural fingerprint of the characteristics (two FNV-1a
@@ -486,5 +520,23 @@ mod tests {
         };
         let s = t.to_string();
         assert!(s.contains("128") && s.contains("smem") && s.contains("unroll=4"));
+    }
+
+    #[test]
+    fn program_chars_are_what_the_default_axis_search_synthesizes() {
+        let p = gpp_skeleton::text::parse(
+            "program p\narray a f32 [64, 64]\narray b f32 [64, 64]\n\
+             kernel k1\n  parallel i 64\n  parallel j 64\n  stmt adds=1\n    read a [j, i]\n    write b [i, j]\n\
+             kernel k2\n  parallel i 64\n  serial t 4\n  stmt adds=1\n    read b [i, t]\n    write a [i, t]\n",
+        )
+        .unwrap();
+        let chars = ProgramChars::of(&p);
+        for (k, kernel) in p.kernels.iter().enumerate() {
+            let (default, key) = chars.kernel(k);
+            let axis = kernel.axis_candidates()[0];
+            assert_eq!(*default, kernel.characteristics_with_axis(&p, axis));
+            assert_eq!(key, CharsKey::of(default));
+        }
+        assert_eq!(chars.fingerprint(), program_fingerprint(&p));
     }
 }

@@ -6,27 +6,28 @@
 //! worker pool, by benchmarks, or by tests without any networking.
 
 use crate::cache::{
-    fnv1a, CalibKey, Calibration, CalibrationCache, ProjectionCache, ProjectionKey,
-    RenderedProjection, TextKey,
+    CalibKey, Calibration, CalibrationCache, ProjectionCache, ProjectionKey, RenderedProjection,
+    TextKey,
 };
 use crate::client::RetryBudget;
 use crate::metrics::Metrics;
 use crate::protocol::{Command, LintDiagnostic, ProtocolError, Request};
 use gpp_datausage::{analyze, Hints};
 use gpp_fault::FaultInjector;
+use gpp_gpu_model::ProgramChars;
 use gpp_lint::{lint_program, Diagnostic, Severity};
 use gpp_pcie::{Direction, MemType, SweepValidation};
 use gpp_skeleton::text;
 use gpp_skeleton::{Program, SourceMap};
 use grophecy::machine::MachineConfig;
 use grophecy::measurement::measure;
+use grophecy::numfmt::{write_hex128, write_u64};
 use grophecy::projector::Grophecy;
 use grophecy::registry::MachineRegistry;
 use grophecy::report::{
     measurement_json, projection_json, speedup_json, write_num, write_str, Json,
 };
 use grophecy::speedup::SpeedupReport;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -480,13 +481,15 @@ impl ServiceState {
     /// Projects via the LRU memo. The key hashes the parsed program's
     /// content, so formatting-only differences still hit. A miss renders
     /// the projection once, as it enters the memo; every hit reuses the
-    /// bytes.
+    /// bytes. `chars` is `ProgramChars::of(program)`, already made for the
+    /// key's fingerprint.
     fn project_cached(
         &self,
         key: &ProjectionKey,
         cal: &Calibration,
         program: &Program,
         hints: &Hints,
+        chars: &ProgramChars,
     ) -> (Arc<RenderedProjection>, bool) {
         if let Some(p) = self.projections.get(key) {
             self.metrics
@@ -497,7 +500,7 @@ impl ServiceState {
             .bump_machine(&key.machine, |c| c.proj_misses.bump());
         let proj = Arc::new(RenderedProjection::new(
             cal,
-            cal.gro.project(program, hints),
+            cal.gro.project_with(program, hints, chars),
         ));
         self.projections.insert(key.clone(), proj.clone());
         (proj, false)
@@ -537,13 +540,16 @@ impl ServiceState {
         self.check_deadline(start, remaining)?;
         let (cal, stale) = self.projector(req)?;
         self.check_deadline(start, remaining)?;
-        let fingerprint = gpp_gpu_model::program_fingerprint(&program);
+        // Each kernel is synthesized once: for the fingerprint here, and
+        // again only for a miss's other thread axes.
+        let chars = ProgramChars::of(&program);
+        let fingerprint = chars.fingerprint();
         // Findings with machine-applicable fixes also price the skeleton
         // as written against its fix-it-optimized schedule on every
         // machine this instance serves.
         let fixable = diags.iter().any(|d| d.fix.is_some());
         let parts = TextParts {
-            fingerprint: format!("{fingerprint:032x}"),
+            fingerprint: hex_fingerprint(fingerprint),
             diagnostics: (!diags.is_empty()).then(|| diagnostics_json(&diags).render()),
             transfer_headroom: fixable
                 .then(|| self.transfer_headroom_json(req, &program))
@@ -553,17 +559,18 @@ impl ServiceState {
         // they were computed from another key's calibration and must not
         // be replayed as fresh once calibration recovers.
         if stale {
-            let rendered = RenderedProjection::new(&cal, cal.gro.project(&program, &hints));
+            let rendered =
+                RenderedProjection::new(&cal, cal.gro.project_with(&program, &hints, &chars));
             return Ok(project_reply(req, &parts, &rendered, false, true));
         }
         let key = ProjectionKey {
             machine: req.machine.clone(),
             seed: req.seed,
             skeleton_hash: program.content_hash(),
-            hints_hash: fnv1a(hints_fingerprint(req).as_bytes()),
+            hints_hash: hints_hash(req),
             fingerprint,
         };
-        let (rendered, cached) = self.project_cached(&key, &cal, &program, &hints);
+        let (rendered, cached) = self.project_cached(&key, &cal, &program, &hints, &chars);
         let parts = Arc::new(parts);
         self.projections
             .alias(&key, &text, text_hash, parts.clone());
@@ -723,7 +730,7 @@ impl ServiceState {
             Json::obj([
                 ("machine", Json::Str(k.machine.clone())),
                 ("seed", num(k.seed)),
-                ("fingerprint", Json::Str(format!("{:032x}", k.fingerprint))),
+                ("fingerprint", Json::Str(hex_fingerprint(k.fingerprint))),
             ])
         });
         let faults = [("faults_injected", num(self.config.faults.total_fired()))];
@@ -814,11 +821,11 @@ fn project_reply(
     );
     out.push_str(r#"{"ok":true,"command":"project","machine":"#);
     write_str(&req.machine, &mut out);
-    let _ = write!(
-        out,
-        r#","seed":{},"iters":{},"fingerprint":"#,
-        req.seed, req.iters
-    );
+    out.push_str(r#","seed":"#);
+    write_u64(req.seed, &mut out);
+    out.push_str(r#","iters":"#);
+    write_u64(req.iters.into(), &mut out);
+    out.push_str(r#","fingerprint":"#);
     write_str(&parts.fingerprint, &mut out);
     out.push_str(if cached {
         r#","cached":true"#
@@ -875,13 +882,39 @@ pub fn resolve_machine(
         .map_err(|e| ProtocolError::new("machine", e.to_string()))
 }
 
-/// Canonical, order-insensitive fingerprint of a request's hints.
-fn hints_fingerprint(req: &Request) -> String {
-    let mut temps = req.temporaries.clone();
-    temps.sort();
-    let mut sparse: Vec<String> = req.sparse.iter().map(|(n, b)| format!("{n}:{b}")).collect();
-    sparse.sort();
-    format!("t={};s={}", temps.join(","), sparse.join(","))
+/// A program fingerprint as the 32 hex digits replies and `stats` show.
+fn hex_fingerprint(fingerprint: u128) -> String {
+    let mut hex = String::with_capacity(32);
+    write_hex128(fingerprint, &mut hex);
+    hex
+}
+
+/// Canonical, order-insensitive hash of a request's hints: FNV-1a over
+/// the sorted temporaries, then the sorted sparse bounds, each name
+/// preceded by its length so that no two lists hash the same bytes. A
+/// request without hints sorts nothing and allocates nothing.
+fn hints_hash(req: &Request) -> u64 {
+    let mut temps: Vec<&str> = req.temporaries.iter().map(String::as_str).collect();
+    temps.sort_unstable();
+    let mut sparse: Vec<(&str, u64)> = req.sparse.iter().map(|(n, b)| (n.as_str(), *b)).collect();
+    sparse.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(&(temps.len() as u64).to_le_bytes());
+    for name in temps {
+        eat(&(name.len() as u64).to_le_bytes());
+        eat(name.as_bytes());
+    }
+    for (name, bytes) in sparse {
+        eat(&(name.len() as u64).to_le_bytes());
+        eat(name.as_bytes());
+        eat(&bytes.to_le_bytes());
+    }
+    h
 }
 
 /// The structured error response body.

@@ -66,36 +66,36 @@ const BUDGETS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
     (
         "hotspot_1024",
         include_str!("../../../skeletons/hotspot_1024.gsk"),
-        172,
+        147,
         3,
-        47,
+        44,
         13,
         26,
     ),
     (
         "pipelined_vadd",
         include_str!("../../../skeletons/pipelined_vadd.gsk"),
-        96,
+        85,
         3,
-        32,
+        28,
         16,
         5,
     ),
     (
         "spmm_stassuij",
         include_str!("../../../skeletons/spmm_stassuij.gsk"),
-        152,
+        131,
         3,
-        53,
+        48,
         12,
         21,
     ),
     (
         "vector_add",
         include_str!("../../../skeletons/vector_add.gsk"),
-        88,
+        78,
         3,
-        29,
+        26,
         13,
         13,
     ),
