@@ -11,10 +11,9 @@ use crate::lowering::lower_kernel;
 use crate::machine::SimulatedNode;
 use crate::projector::AppProjection;
 use gpp_cpu_sim::WorkEstimate;
-use gpp_datausage::{Transfer, TransferDir};
+use gpp_datausage::{Dataflow, Transfer, TransferDir};
 use gpp_pcie::{Bus, Direction, MemType};
-use gpp_skeleton::sections::{read_sets, write_sets};
-use gpp_skeleton::Program;
+use gpp_skeleton::{AccessKind, Program};
 
 /// Measured (simulated-hardware) times for one application + data size.
 #[derive(Debug, Clone)]
@@ -124,7 +123,8 @@ pub fn cpu_work(program: &Program) -> WorkEstimate {
     let mut bytes = 0.0;
     let mut working_set = 0u64;
     let mut random_lines = 0.0;
-    for kernel in &program.kernels {
+    let flow = Dataflow::new(program);
+    for (ki, kernel) in program.kernels.iter().enumerate() {
         // CPU issue cost: every flop and every memory reference occupies a
         // slot (the E5405 retires loads and arithmetic from the same
         // narrow pipeline on these scalar-ish codes).
@@ -136,13 +136,11 @@ pub fn cpu_work(program: &Program) -> WorkEstimate {
                 * kernel.cpu_compute_scale;
         }
         let mut touched = 0u64;
-        for (array, set) in read_sets(kernel, program) {
-            let decl = program.array(array);
-            touched += set.byte_count(decl.elem.bytes()).min(decl.byte_count());
-        }
-        for (array, set) in write_sets(kernel, program) {
-            let decl = program.array(array);
-            touched += set.byte_count(decl.elem.bytes()).min(decl.byte_count());
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            for (array, set) in flow.kernel_sets(ki, kind) {
+                let decl = program.array(array);
+                touched += set.byte_count(decl.elem.bytes()).min(decl.byte_count());
+            }
         }
         bytes += touched as f64;
         working_set = working_set.max(touched);

@@ -8,8 +8,8 @@
 //! (`gpp deps`) and because the dependence structure justifies the kernel
 //! sequencing the skeletons declare (see `gpp-workloads::bsp`).
 
+use crate::dataflow::Dataflow;
 use gpp_brs::{classify_dependence, ArrayId, DependenceKind};
-use gpp_skeleton::sections::kernel_accesses;
 use gpp_skeleton::Program;
 
 /// One inter-kernel dependence edge.
@@ -34,36 +34,31 @@ pub struct Dependence {
 /// Input dependencies (read-read) are omitted — they carry reuse
 /// information but impose no ordering.
 pub fn dependences(program: &Program) -> Vec<Dependence> {
-    // Collect per-kernel accesses once.
-    let per_kernel: Vec<_> = program
-        .kernels
-        .iter()
-        .map(|k| kernel_accesses(k, program))
-        .collect();
-
+    let flow = Dataflow::new(program);
+    let kernels = program.kernels.len();
     let mut out = Vec::new();
-    for from in 0..per_kernel.len() {
-        for to in from..per_kernel.len() {
-            for a in &per_kernel[from] {
-                for b in &per_kernel[to] {
-                    if a.array != b.array {
+    for from in 0..kernels {
+        for to in from..kernels {
+            for a in flow.kernel_sites(from) {
+                for b in flow.kernel_sites(to) {
+                    let (ka, kb) = (a.r.kind, b.r.kind);
+                    if a.r.array != b.r.array {
                         continue;
                     }
                     // Same-kernel read/write pairs only count once and
                     // only when ordering matters.
-                    if from == to && a.kind == b.kind {
+                    if from == to && ka == kb {
                         continue;
                     }
-                    if let Some(kind) = classify_dependence(a.kind, &a.section, b.kind, &b.section)
-                    {
+                    if let Some(kind) = classify_dependence(ka, &a.section, kb, &b.section) {
                         if !kind.is_ordering() {
                             continue;
                         }
                         let dep = Dependence {
                             from_kernel: from,
                             to_kernel: to,
-                            array: a.array,
-                            array_name: program.array(a.array).name.clone(),
+                            array: a.r.array,
+                            array_name: program.array(a.r.array).name.clone(),
                             kind,
                         };
                         if !out.contains(&dep) {
@@ -105,16 +100,14 @@ pub fn render(program: &Program, deps: &[Dependence]) -> String {
 
 /// The arrays whose flow dependences cross kernel boundaries: exactly the
 /// data that stays resident on the device between kernels and therefore
-/// never crosses the bus — the analyzer's savings, itemized.
+/// never crosses the bus — the analyzer's savings, itemized. A kernel
+/// whose read of an array overlaps an earlier kernel's write is
+/// [`Dataflow::served`], the test `gpp lint`'s GPP007 uses.
 pub fn device_resident_arrays(program: &Program) -> Vec<ArrayId> {
-    let mut out: Vec<ArrayId> = dependences(program)
-        .into_iter()
-        .filter(|d| d.kind == DependenceKind::Flow && d.from_kernel < d.to_kernel)
-        .map(|d| d.array)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    let flow = Dataflow::new(program);
+    (program.arrays.iter().map(|a| a.id))
+        .filter(|&a| (1..program.kernels.len()).any(|ki| flow.served(ki, a)))
+        .collect()
 }
 
 #[cfg(test)]

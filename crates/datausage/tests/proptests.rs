@@ -2,10 +2,9 @@
 //! kernel sequences.
 
 use gpp_brs::SectionSet;
-use gpp_datausage::{analyze, Hints};
+use gpp_datausage::{analyze, Dataflow, Hints};
 use gpp_skeleton::builder::{idx, ProgramBuilder};
-use gpp_skeleton::sections::{read_sets, write_sets};
-use gpp_skeleton::{ElemType, Program};
+use gpp_skeleton::{AccessKind, ElemType, Program};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -62,9 +61,10 @@ proptest! {
         for t in &plan.h2d {
             sent.insert(t.array, t.bytes);
         }
+        let flow = Dataflow::new(&program);
         let mut written: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for kernel in &program.kernels {
-            for (array, reads) in read_sets(kernel, &program) {
+        for ki in 0..program.kernels.len() {
+            for (array, reads) in flow.kernel_sets(ki, AccessKind::Read) {
                 let mut need = reads.clone();
                 if let Some(w) = written.get(&array) {
                     need.subtract(w);
@@ -83,7 +83,7 @@ proptest! {
                     );
                 }
             }
-            for (array, w) in write_sets(kernel, &program) {
+            for (array, w) in flow.kernel_sets(ki, AccessKind::Write) {
                 match written.get_mut(&array) {
                     Some(set) => set.union_with(&w),
                     None => {
@@ -99,9 +99,10 @@ proptest! {
     #[test]
     fn all_writes_come_back_without_hints(program in random_program()) {
         let plan = analyze(&program, &Hints::new());
+        let flow = Dataflow::new(&program);
         let mut written: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for kernel in &program.kernels {
-            for (array, w) in write_sets(kernel, &program) {
+        for ki in 0..program.kernels.len() {
+            for (array, w) in flow.kernel_sets(ki, AccessKind::Write) {
                 match written.get_mut(&array) {
                     Some(set) => set.union_with(&w),
                     None => {

@@ -11,13 +11,14 @@
 //! * the IR itself ([`Program`], [`Kernel`], [`Statement`], [`ArrayRef`],
 //!   [`AffineExpr`]),
 //! * a fluent [`builder`] for constructing skeletons by hand (the way a user
-//!   of GROPHECY++ describes their CPU code),
-//! * [`sections`] — extraction of the bounded regular sections each kernel
-//!   reads and writes (feeding the `gpp-datausage` analyzer), and
+//!   of GROPHECY++ describes their CPU code), and
 //! * [`characteristics`] — synthesis of the per-kernel performance
 //!   characteristics (threads, arithmetic intensity, coalescing classes,
 //!   reuse) that both the analytic GPU model and the GPU timing simulator
 //!   consume.
+//!
+//! The bounded regular section each array reference touches is derived in
+//! one place, `gpp-datausage`'s dataflow engine.
 //!
 //! # Example: a 5-point stencil skeleton
 //!
@@ -55,7 +56,6 @@ pub mod builder;
 pub mod characteristics;
 pub mod expr;
 pub mod ir;
-pub mod sections;
 pub mod text;
 pub mod validate;
 

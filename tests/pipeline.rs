@@ -62,7 +62,8 @@ fn analyzer_soundness_everything_read_is_available() {
     // (transferred-in sections) ∪ (sections written by earlier kernels or
     // itself). This is the analyzer's core safety property.
     use grophecy_plus_plus::brs::SectionSet;
-    use grophecy_plus_plus::skeleton::sections::{read_sets, write_sets};
+    use grophecy_plus_plus::datausage::Dataflow;
+    use grophecy_plus_plus::skeleton::AccessKind;
     use std::collections::BTreeMap;
 
     for case in gpp_workloads::paper_cases() {
@@ -83,9 +84,10 @@ fn analyzer_soundness_everything_read_is_available() {
                 SectionSet::from_section(grophecy_plus_plus::brs::Section::whole(&decl.extents)),
             );
         }
+        let flow = Dataflow::new(program);
         let mut written: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for kernel in &program.kernels {
-            for (array, reads) in read_sets(kernel, program) {
+        for (ki, kernel) in program.kernels.iter().enumerate() {
+            for (array, reads) in flow.kernel_sets(ki, AccessKind::Read) {
                 let covered_by_transfer = have.contains_key(&array);
                 let covered_by_writes = written
                     .get(&array)
@@ -98,7 +100,7 @@ fn analyzer_soundness_everything_read_is_available() {
                     program.array(array).name
                 );
             }
-            for (array, writes) in write_sets(kernel, program) {
+            for (array, writes) in flow.kernel_sets(ki, AccessKind::Write) {
                 match written.get_mut(&array) {
                     Some(w) => w.union_with(&writes),
                     None => {
