@@ -56,6 +56,13 @@ cargo test $CARGO_FLAGS --release -q -p grophecy --lib numfmt -- --ignored
 echo "== gpp lint (committed skeletons, deny warnings)"
 cargo build $CARGO_FLAGS --release -p gpp-cli
 target/release/gpp lint skeletons/*.gsk --deny warnings
+# `gpp deps` on every committed skeleton that parses (all but the
+# structural fixture): it must exit 0 and print its report.
+for f in skeletons/*.gsk fixtures/bad/*.gsk; do
+    [ "$f" = fixtures/bad/gpp000_structural.gsk ] && continue
+    DEPS=$(target/release/gpp deps "$f") || { echo "gpp deps failed on $f"; exit 1; }
+    [ -n "$DEPS" ] || { echo "gpp deps printed nothing for $f"; exit 1; }
+done
 
 echo "== gpp lint --fix (program corpus: fixes converge and are idempotent)"
 # Every whole-program fixture must (a) re-lint clean after one --fix run

@@ -913,7 +913,7 @@ fn cmd_gateway(opt: &Options) -> ExitCode {
 }
 
 fn cmd_request(opt: &Options) -> ExitCode {
-    use gpp_serve::{request_with_retries_budgeted, Command, Request, RetryBudget};
+    use gpp_serve::{request_with_retries, Command, Request, RetryBudget};
     use std::time::Duration;
     let Some(command) = Command::parse(&opt.remote_command) else {
         eprintln!(
@@ -948,7 +948,7 @@ fn cmd_request(opt: &Options) -> ExitCode {
         None => Duration::from_secs(opt.timeout_secs),
     };
     let budget = opt.retry_budget.map(RetryBudget::new);
-    match request_with_retries_budgeted(
+    match request_with_retries(
         opt.addr.as_str(),
         &req,
         timeout,

@@ -313,24 +313,15 @@ impl RetryBudget {
 /// attempts — except when the rejection carried a `retry_after_ms` hint,
 /// in which case the hint (±25% jitter) paces the next attempt instead of
 /// the fixed base. `retries` is the number of *extra* attempts after the
-/// first. Equivalent to [`request_with_retries_budgeted`] with no budget.
+/// first.
+///
+/// An optional shared [`RetryBudget`] meters the loop: every retry (never
+/// the first attempt) withdraws a token first, and a successful reply
+/// deposits back. When the budget runs dry the call stops retrying
+/// immediately and returns the last `busy`/`shed` reply it saw (or the
+/// last transport error), so callers can distinguish "server said come
+/// back later" from "gave up".
 pub fn request_with_retries(
-    addr: impl ToSocketAddrs + Clone,
-    request: &Request,
-    timeout: Duration,
-    retries: u32,
-    base: Duration,
-) -> io::Result<String> {
-    request_with_retries_budgeted(addr, request, timeout, retries, base, None)
-}
-
-/// [`request_with_retries`] metered by an optional shared [`RetryBudget`]:
-/// every retry (never the first attempt) withdraws a token first, and a
-/// successful reply deposits back. When the budget runs dry the call stops
-/// retrying immediately and returns the last `busy`/`shed` reply it saw
-/// (or the last transport error), so callers can distinguish "server said
-/// come back later" from "gave up".
-pub fn request_with_retries_budgeted(
     addr: impl ToSocketAddrs + Clone,
     request: &Request,
     timeout: Duration,

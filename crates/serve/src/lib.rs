@@ -27,10 +27,7 @@ pub mod protocol;
 pub mod server;
 pub mod service;
 
-pub use client::{
-    backoff_delay, request_once, request_with_retries, request_with_retries_budgeted, Client,
-    RetryBudget,
-};
+pub use client::{backoff_delay, request_once, request_with_retries, Client, RetryBudget};
 pub use protocol::{batch_response, Command, ProtocolError, Request};
 pub use server::{Server, ServerHandle};
 pub use service::{ServeConfig, ServiceState};

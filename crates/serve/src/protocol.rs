@@ -429,24 +429,6 @@ pub fn batch_response(replies: &[String]) -> String {
     out
 }
 
-/// One static-analyzer finding on the wire: carried on a `lint`
-/// rejection (and echoed in successful replies when the analyzer has
-/// warnings or notes to report).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintDiagnostic {
-    /// Stable code, `GPP000`..`GPP014`.
-    pub code: String,
-    /// `error`, `warning`, or `note`.
-    pub severity: String,
-    /// 1-based source line (0 when the finding has no span).
-    pub line: usize,
-    /// 1-based source column.
-    pub col: usize,
-    /// Length of the underlined source text, in bytes.
-    pub len: usize,
-    pub message: String,
-}
-
 /// A structured protocol-level error (also serialized into responses).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolError {
@@ -455,7 +437,7 @@ pub struct ProtocolError {
     pub message: String,
     /// Non-empty only for `lint` rejections: the findings that caused
     /// them, serialized as a top-level `diagnostics` array.
-    pub diagnostics: Vec<LintDiagnostic>,
+    pub diagnostics: Vec<gpp_lint::Diagnostic>,
     /// For `busy`/`shed` rejections: how long (ms) the server suggests
     /// waiting before retrying, derived from current queue depth × the
     /// observed median compute time. Serialized as a top-level

@@ -11,7 +11,7 @@ use crate::cache::{
 };
 use crate::client::RetryBudget;
 use crate::metrics::Metrics;
-use crate::protocol::{Command, LintDiagnostic, ProtocolError, Request};
+use crate::protocol::{Command, ProtocolError, Request};
 use gpp_datausage::{analyze, Hints};
 use gpp_fault::FaultInjector;
 use gpp_gpu_model::ProgramChars;
@@ -395,23 +395,6 @@ impl ServiceState {
         ))
     }
 
-    /// The calibrated projector for commands that replay the single-shot
-    /// sequence on a fresh node (`measure`, `calibrate`): plain path when
-    /// no plan is active, fault-aware checked path otherwise. No degraded
-    /// fallback here — these commands exist to exercise the node itself.
-    fn calibrate_node(
-        &self,
-        machine: &MachineConfig,
-        node: &mut grophecy::machine::SimulatedNode,
-    ) -> Result<Grophecy, ProtocolError> {
-        let faults = &self.config.faults;
-        if !faults.is_active() {
-            return Ok(Grophecy::calibrate(machine, node));
-        }
-        Grophecy::try_calibrate(machine, node, faults.clone())
-            .map_err(|e| ProtocolError::new("calibration-failed", e.to_string()))
-    }
-
     /// Parses the skeleton (keeping the source map for spanned lint
     /// diagnostics), validates it, and resolves hint names. Hints start
     /// from the skeleton's own `temporary` declarations, so attributes in
@@ -472,7 +455,7 @@ impl ServiceState {
                      pass lint=0 to project anyway"
                 ),
             );
-            e.diagnostics = diags.iter().map(diag_wire).collect();
+            e.diagnostics = diags;
             return Err(e);
         }
         Ok(diags)
@@ -607,10 +590,12 @@ impl ServiceState {
         // (fresh node, calibration consuming the same RNG stream as the
         // CLI) so served responses are bit-identical to `gpp measure`.
         // Measurements are side-effectful on the node, so they bypass the
-        // projection memo by design.
+        // projection memo by design, and a failed calibration has no
+        // degraded fallback: the command exists to exercise the node.
         let machine = self.machine(req)?;
         let mut node = machine.node();
-        let gro = self.calibrate_node(&machine, &mut node)?;
+        let gro = Grophecy::try_calibrate(&machine, &mut node, self.config.faults.clone())
+            .map_err(|e| ProtocolError::new("calibration-failed", e.to_string()))?;
         let proj = gro.project(&program, &hints);
         self.check_deadline(start, remaining)?;
         let meas = measure(&mut node, &program, &proj);
@@ -687,7 +672,8 @@ impl ServiceState {
         // node's RNG stream right after calibration, like `gpp calibrate`.
         let machine = self.machine(req)?;
         let mut node = machine.node();
-        let gro = self.calibrate_node(&machine, &mut node)?;
+        let gro = Grophecy::try_calibrate(&machine, &mut node, self.config.faults.clone())
+            .map_err(|e| ProtocolError::new("calibration-failed", e.to_string()))?;
         let sweeps = Direction::ALL
             .into_iter()
             .map(|dir| {
@@ -932,10 +918,7 @@ pub fn error_json(e: &ProtocolError) -> Json {
     // Only lint rejections carry findings; every other error reply stays
     // byte-for-byte what it always was.
     if !e.diagnostics.is_empty() {
-        fields.push((
-            "diagnostics",
-            Json::Arr(e.diagnostics.iter().map(wire_diag_json).collect()),
-        ));
+        fields.push(("diagnostics", diagnostics_json(&e.diagnostics)));
     }
     // Same convention for the retry hint: only busy/shed rejections carry
     // one, so every other error reply keeps its exact legacy bytes.
@@ -956,36 +939,22 @@ pub fn deadline_exceeded(deadline_ms: u64) -> ProtocolError {
     )
 }
 
-/// A [`gpp_lint::Diagnostic`] flattened onto the wire.
-fn diag_wire(d: &Diagnostic) -> LintDiagnostic {
-    LintDiagnostic {
-        code: d.code.as_str().to_string(),
-        severity: d.severity.as_str().to_string(),
-        line: d.span.line,
-        col: d.span.col,
-        len: d.span.len,
-        message: d.message.clone(),
-    }
-}
-
-fn wire_diag_json(d: &LintDiagnostic) -> Json {
-    Json::obj([
-        ("code", Json::Str(d.code.clone())),
-        ("severity", Json::Str(d.severity.clone())),
-        ("line", Json::Num(d.line as f64)),
-        ("col", Json::Num(d.col as f64)),
-        ("len", Json::Num(d.len as f64)),
-        ("message", Json::Str(d.message.clone())),
-    ])
-}
-
-/// The `diagnostics` array attached to successful replies when the
-/// analyzer produced warnings or notes.
+/// The `diagnostics` array of a `lint` rejection, or of a successful
+/// reply when the analyzer produced warnings or notes.
 fn diagnostics_json(diags: &[Diagnostic]) -> Json {
     Json::Arr(
         diags
             .iter()
-            .map(|d| wire_diag_json(&diag_wire(d)))
+            .map(|d| {
+                Json::obj([
+                    ("code", Json::Str(d.code.as_str().to_string())),
+                    ("severity", Json::Str(d.severity.as_str().to_string())),
+                    ("line", Json::Num(d.span.line as f64)),
+                    ("col", Json::Num(d.span.col as f64)),
+                    ("len", Json::Num(d.span.len as f64)),
+                    ("message", Json::Str(d.message.clone())),
+                ])
+            })
             .collect(),
     )
 }

@@ -5,9 +5,7 @@
 
 use gpp_serve::protocol::{read_frame, write_frame};
 use gpp_serve::service::{busy_response_with_hint, shed_queue_response};
-use gpp_serve::{
-    request_with_retries, request_with_retries_budgeted, Command, Request, RetryBudget,
-};
+use gpp_serve::{request_with_retries, Command, Request, RetryBudget};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,6 +53,7 @@ fn busy_then_shed_then_success_retries_through() {
         TIMEOUT,
         2,
         Duration::from_millis(1),
+        None,
     )
     .unwrap();
     assert_eq!(reply, ok_reply());
@@ -74,6 +73,7 @@ fn retry_paces_itself_on_the_server_hint() {
         TIMEOUT,
         1,
         Duration::from_millis(1),
+        None,
     )
     .unwrap();
     let waited = started.elapsed();
@@ -98,7 +98,7 @@ fn exhausted_budget_stops_retrying_and_returns_the_last_rejection() {
         busy_response_with_hint(1),
     ]);
     let budget = RetryBudget::new(1);
-    let reply = request_with_retries_budgeted(
+    let reply = request_with_retries(
         addr,
         &Request::new(Command::Ping),
         TIMEOUT,
@@ -117,7 +117,7 @@ fn exhausted_budget_stops_retrying_and_returns_the_last_rejection() {
 fn success_deposits_back_into_the_budget() {
     let (addr, _) = scripted_server(vec![busy_response_with_hint(1), ok_reply()]);
     let budget = RetryBudget::new(1);
-    let reply = request_with_retries_budgeted(
+    let reply = request_with_retries(
         addr,
         &Request::new(Command::Ping),
         TIMEOUT,
@@ -148,6 +148,7 @@ fn transport_errors_retry_then_surface() {
         Duration::from_millis(200),
         2,
         Duration::from_millis(1),
+        None,
     )
     .unwrap_err();
     assert!(
