@@ -21,7 +21,8 @@
 //! array what earlier kernels wrote. [`analyze()`] builds the plan as it
 //! walks, subtracting what they wrote densely from each kernel's reads,
 //! and `gpp lint` walks the same engine, so every byte a finding quotes
-//! is the plan's.
+//! is the plan's. The dependence report ([`dependences`]) and the
+//! device-resident arrays read the same sections.
 //!
 //! Each array is assumed to be transferred separately (one `cudaMemcpy`
 //! per array); [`plan::TransferPlan::batched`] models the alternative for
