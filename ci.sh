@@ -53,6 +53,12 @@ echo "== number writer vs format! (release, 5*10^7 seeded bit patterns)"
 # a minute.
 cargo test $CARGO_FLAGS --release -q -p grophecy --lib numfmt -- --ignored
 
+echo "== transfer-plan oracle (release: skeletons, full-size paper cases, 4096 generated programs)"
+# The tier-1 run checks the fixtures, small paper cases and 512 generated
+# programs in a debug build; this runs the oracle's ignored case, which
+# traces every element of the full-size inputs, in about ten seconds.
+cargo test $CARGO_FLAGS --release -q --test transfer_oracle -- --ignored
+
 echo "== gpp lint (committed skeletons, deny warnings)"
 cargo build $CARGO_FLAGS --release -p gpp-cli
 target/release/gpp lint skeletons/*.gsk --deny warnings

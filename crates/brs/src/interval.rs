@@ -171,29 +171,6 @@ impl Interval {
         !self.intersect(other).is_empty()
     }
 
-    /// Smallest single interval containing both (the BRS `UNION` hull).
-    ///
-    /// Over-approximates whenever the exact union is not itself a regular
-    /// section: the result stride is `gcd` of the input strides and the
-    /// offset difference, which may admit elements in neither input. This is
-    /// the classic Havlak–Kennedy merge and is safe (superset) for transfer
-    /// sizing.
-    pub fn hull(&self, other: &Interval) -> Interval {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        let lo = self.lo.min(other.lo);
-        let hi = self.hi.max(other.hi);
-        let mut g = gcd(self.stride, other.stride);
-        g = gcd(g, (self.lo - other.lo).abs().max(1));
-        // Offsets differing by a non-multiple of the stride force density.
-        let g = if (self.lo - other.lo) % g != 0 { 1 } else { g };
-        Interval::new(lo, hi, g.max(1))
-    }
-
     /// Exact subtraction for dense intervals: `self \ other` as 0–2 dense
     /// pieces.
     ///
@@ -382,31 +359,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hull_is_superset() {
-        let a = Interval::new(0, 8, 4);
-        let b = Interval::new(2, 10, 4);
-        let h = a.hull(&b);
-        for x in a.iter().chain(b.iter()) {
-            assert!(h.contains(x), "{h} missing {x}");
-        }
-    }
-
-    #[test]
-    fn hull_of_aligned_strided_stays_strided() {
-        let a = Interval::new(0, 8, 4);
-        let b = Interval::new(12, 20, 4);
-        let h = a.hull(&b);
-        assert_eq!(h, Interval::new(0, 20, 4));
-    }
-
-    #[test]
-    fn hull_with_empty_is_identity() {
-        let a = Interval::new(3, 9, 3);
-        assert_eq!(a.hull(&Interval::empty()), a);
-        assert_eq!(Interval::empty().hull(&a), a);
     }
 
     #[test]

@@ -200,26 +200,6 @@ impl Section {
             .all(|(a, b)| a.overlaps(b))
     }
 
-    /// The single-section hull (`UNION` merge of Havlak–Kennedy): smallest
-    /// regular section containing both. Over-approximates whenever the true
-    /// union is not a regular section (e.g. two disjoint boxes).
-    ///
-    /// For exact unions use [`crate::SectionSet`].
-    pub fn hull(&self, other: &Section) -> Section {
-        assert_eq!(
-            self.ndims(),
-            other.ndims(),
-            "section dimensionality mismatch"
-        );
-        if self.is_empty() {
-            return other.clone();
-        }
-        if other.is_empty() {
-            return self.clone();
-        }
-        Section::new(self.dims.iter().zip(other.dims()).map(|(a, b)| a.hull(b)))
-    }
-
     /// Exact subtraction `self \ other` for **dense** sections, returned as
     /// a list of disjoint dense sections (at most `2 * ndims` pieces).
     ///
@@ -263,27 +243,6 @@ impl Section {
             remaining[d] = overlap;
         }
         pieces
-    }
-
-    /// Iterate all points (row-major). For tests and tiny sections only.
-    pub fn iter_points(&self) -> Box<dyn Iterator<Item = Vec<i64>> + '_> {
-        if self.is_empty() {
-            return Box::new(std::iter::empty());
-        }
-        if self.dims.is_empty() {
-            return Box::new(std::iter::once(Vec::new()));
-        }
-        let head = self.dims[0];
-        let tail = Section::new(self.dims[1..].iter().copied());
-        Box::new(head.iter().flat_map(move |x| {
-            let tail = tail.clone();
-            tail.iter_points()
-                .map(move |mut rest| {
-                    rest.insert(0, x);
-                    rest
-                })
-                .collect::<Vec<_>>()
-        }))
     }
 }
 
@@ -365,16 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn hull_covers_both() {
-        let a = Section::dense(&[(0, 2), (0, 2)]);
-        let b = Section::dense(&[(8, 9), (1, 4)]);
-        let h = a.hull(&b);
-        assert!(h.contains_section(&a));
-        assert!(h.contains_section(&b));
-        assert_eq!(h, Section::dense(&[(0, 9), (0, 4)]));
-    }
-
-    #[test]
     fn subtract_dense_interior_hole() {
         // 10x10 minus interior 4x4 leaves 100-16=84 elements in 4 pieces.
         let a = Section::dense(&[(0, 9), (0, 9)]);
@@ -424,14 +373,5 @@ mod tests {
         let s = Section::dense(&[(0, 3), (1, 7)]);
         assert_eq!(s.to_string(), "([0:3], [1:7])");
         assert_eq!(Section::empty(2).to_string(), "∅");
-    }
-
-    #[test]
-    fn iter_points_matches_count() {
-        let s = Section::new(vec![Interval::new(0, 4, 2), Interval::dense(1, 3)]);
-        let pts: Vec<_> = s.iter_points().collect();
-        assert_eq!(pts.len() as u64, s.element_count());
-        assert!(pts.contains(&vec![2, 2]));
-        assert!(!pts.contains(&vec![1, 2]));
     }
 }

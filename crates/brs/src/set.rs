@@ -181,16 +181,6 @@ impl SectionSet {
         self.element_count() * elem_bytes as u64
     }
 
-    /// The bounding regular section of the whole set (useful when a single
-    /// contiguous transfer is preferred over many small ones).
-    pub fn bounding_section(&self) -> Section {
-        let mut it = self.parts.iter();
-        match it.next() {
-            None => Section::empty(self.ndims),
-            Some(first) => it.fold(first.clone(), |acc, p| acc.hull(p)),
-        }
-    }
-
     /// Number of disjoint pieces.
     pub fn piece_count(&self) -> usize {
         self.parts.len()
@@ -362,14 +352,6 @@ mod tests {
         // Nothing removed (safe over-approximation), flagged inexact.
         assert_eq!(s.element_count(), 100);
         assert!(!s.is_exact());
-    }
-
-    #[test]
-    fn bounding_section_hulls_everything() {
-        let mut s = SectionSet::empty(2);
-        s.insert(sec(&[(0, 1), (0, 1)]));
-        s.insert(sec(&[(10, 11), (5, 6)]));
-        assert_eq!(s.bounding_section(), sec(&[(0, 11), (0, 6)]));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the BRS algebra.
 //!
 //! These check the algebraic laws the data-usage analyzer relies on:
-//! intersection exactness, hull supersetting, and exact disjoint-union
-//! counting for dense sections.
+//! intersection exactness, exact disjoint-union counting for dense
+//! sections, and, for strided ones, unions that lose no element and
+//! subtractions that remove none the subtrahend lacks.
 
 use gpp_brs::{Interval, Section, SectionSet};
 use proptest::prelude::*;
@@ -18,6 +19,23 @@ fn interval() -> impl Strategy<Value = Interval> {
 fn dense_section2() -> impl Strategy<Value = Section> {
     ((0i64..20, 0i64..10), (0i64..20, 0i64..10))
         .prop_map(|((l0, s0), (l1, s1))| Section::dense(&[(l0, l0 + s0), (l1, l1 + s1)]))
+}
+
+/// Strategy for 2-D sections whose dimensions may be strided.
+fn section2() -> impl Strategy<Value = Section> {
+    ((0i64..20, 0i64..12, 1i64..5), (0i64..20, 0i64..12, 1i64..5)).prop_map(
+        |((l0, s0, t0), (l1, s1, t1))| {
+            Section::new([
+                Interval::new(l0, l0 + s0, t0),
+                Interval::new(l1, l1 + s1, t1),
+            ])
+        },
+    )
+}
+
+/// Every point of the 40x40 universe the sections live in.
+fn universe() -> impl Iterator<Item = [i64; 2]> {
+    (0..40i64).flat_map(|x| (0..40i64).map(move |y| [x, y]))
 }
 
 fn members(i: &Interval) -> Vec<i64> {
@@ -42,27 +60,6 @@ proptest! {
     #[test]
     fn intersect_with_self_is_identity(a in interval()) {
         prop_assert_eq!(a.intersect(&a), a);
-    }
-
-    #[test]
-    fn hull_is_superset(a in interval(), b in interval()) {
-        let h = a.hull(&b);
-        for x in a.iter().chain(b.iter()) {
-            prop_assert!(h.contains(x), "hull {} missing {}", h, x);
-        }
-    }
-
-    #[test]
-    fn hull_commutative(a in interval(), b in interval()) {
-        prop_assert_eq!(a.hull(&b), b.hull(&a));
-    }
-
-    #[test]
-    fn hull_absorbs_intersection(a in interval(), b in interval()) {
-        // a ∩ b ⊆ hull(a, b)
-        let c = a.intersect(&b);
-        let h = a.hull(&b);
-        prop_assert!(h.contains_interval(&c));
     }
 
     #[test]
@@ -165,5 +162,70 @@ proptest! {
             rev.insert(s.clone());
         }
         prop_assert_eq!(fwd.element_count(), rev.element_count());
+    }
+
+    #[test]
+    fn strided_union_loses_no_element(sections in prop::collection::vec(section2(), 1..5)) {
+        let mut set = SectionSet::empty(2);
+        for s in &sections {
+            set.insert(s.clone());
+        }
+        for p in universe() {
+            if sections.iter().any(|s| s.contains_point(&p)) {
+                prop_assert!(set.contains_point(&p), "{} lost {:?}", set, p);
+            }
+        }
+        prop_assert!(set.element_count() >= sections.iter().map(Section::element_count).max().unwrap());
+    }
+
+    #[test]
+    fn strided_subtract_removes_only_the_subtrahends_elements(
+        a in prop::collection::vec(section2(), 1..4),
+        b in prop::collection::vec(section2(), 1..4),
+    ) {
+        // The subtrahend holds the union of `b`, each strided section
+        // widened to its box.
+        let (mut set, mut cut) = (SectionSet::empty(2), SectionSet::empty(2));
+        a.iter().for_each(|s| set.insert(s.clone()));
+        b.iter().for_each(|s| cut.insert(s.clone()));
+        let before = set.clone();
+        set.subtract(&cut);
+        for p in universe() {
+            let kept = before.contains_point(&p) && !cut.contains_point(&p);
+            prop_assert_eq!(set.contains_point(&p), kept, "{:?}", p);
+        }
+    }
+
+    #[test]
+    fn strided_subtract_section_removes_only_its_elements(
+        a in prop::collection::vec(section2(), 1..4),
+        b in section2(),
+    ) {
+        let mut set = SectionSet::empty(2);
+        a.iter().for_each(|s| set.insert(s.clone()));
+        let before = set.clone();
+        set.subtract_section(&b);
+        for p in universe() {
+            if before.contains_point(&p) && !b.contains_point(&p) {
+                prop_assert!(set.contains_point(&p), "{} removed {:?}", set, p);
+            }
+            if set.contains_point(&p) {
+                prop_assert!(before.contains_point(&p), "{} gained {:?}", set, p);
+            }
+        }
+    }
+
+    #[test]
+    fn strided_covers_only_what_it_holds(
+        a in prop::collection::vec(section2(), 1..4),
+        b in section2(),
+    ) {
+        let mut set = SectionSet::empty(2);
+        a.iter().for_each(|s| set.insert(s.clone()));
+        if set.covers(&b) {
+            for p in universe().filter(|p| b.contains_point(p)) {
+                prop_assert!(set.contains_point(&p), "{} covers {} but lacks {:?}", set, b, p);
+            }
+        }
     }
 }

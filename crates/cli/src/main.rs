@@ -743,8 +743,13 @@ fn cmd_measure(program: &Program, hints: &Hints, opt: &Options) -> ExitCode {
 fn cmd_analyze(program: &Program, hints: &Hints, _opt: &Options) -> ExitCode {
     let plan = analyze(program, hints);
     print!("{plan}");
-    if !plan.is_exact() {
+    let conservative =
+        |sparse| (plan.all()).any(|t| !t.exact && program.array(t.array).sparse == sparse);
+    if conservative(true) {
         println!("note: conservative sizes present — add --sparse hints to tighten them.");
+    }
+    if conservative(false) {
+        println!("note: strided sections are widened to their bounding boxes, so some sizes are upper bounds.");
     }
     ExitCode::SUCCESS
 }

@@ -1,12 +1,11 @@
 //! Property tests for the data usage analyzer over randomly generated
-//! kernel sequences.
+//! kernel sequences. The umbrella crate's `tests/transfer_oracle.rs`
+//! checks the plan's soundness element by element.
 
-use gpp_brs::SectionSet;
-use gpp_datausage::{analyze, Dataflow, Hints};
+use gpp_datausage::{analyze, Hints};
 use gpp_skeleton::builder::{idx, ProgramBuilder};
-use gpp_skeleton::{AccessKind, ElemType, Program};
+use gpp_skeleton::{ElemType, Program};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// A tiny random program: up to 3 arrays of up to 64 elements, up to 3
 /// kernels, each reading/writing random offset windows of random arrays.
@@ -51,73 +50,6 @@ fn random_program() -> impl Strategy<Value = Program> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Soundness: every section a kernel reads is either covered by prior
-    /// device writes or contained in the host→device transfer set.
-    #[test]
-    fn reads_are_always_available_on_device(program in random_program()) {
-        let plan = analyze(&program, &Hints::new());
-        let mut sent: BTreeMap<_, u64> = BTreeMap::new();
-        for t in &plan.h2d {
-            sent.insert(t.array, t.bytes);
-        }
-        let flow = Dataflow::new(&program);
-        let mut written: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for ki in 0..program.kernels.len() {
-            for (array, reads) in flow.kernel_sets(ki, AccessKind::Read) {
-                let mut need = reads.clone();
-                if let Some(w) = written.get(&array) {
-                    need.subtract(w);
-                }
-                if !need.is_empty() {
-                    // The remainder must have been transferred (we check
-                    // bytes: the plan sends at least that many for this
-                    // array).
-                    let sent_bytes = sent.get(&array).copied().unwrap_or(0);
-                    prop_assert!(
-                        sent_bytes >= need.byte_count(4),
-                        "array {} needs {} B but plan sends {}",
-                        program.array(array).name,
-                        need.byte_count(4),
-                        sent_bytes
-                    );
-                }
-            }
-            for (array, w) in flow.kernel_sets(ki, AccessKind::Write) {
-                match written.get_mut(&array) {
-                    Some(set) => set.union_with(&w),
-                    None => {
-                        written.insert(array, w);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Completeness of the output set: every written array appears in the
-    /// device→host plan (no hints), with at least the written bytes.
-    #[test]
-    fn all_writes_come_back_without_hints(program in random_program()) {
-        let plan = analyze(&program, &Hints::new());
-        let flow = Dataflow::new(&program);
-        let mut written: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for ki in 0..program.kernels.len() {
-            for (array, w) in flow.kernel_sets(ki, AccessKind::Write) {
-                match written.get_mut(&array) {
-                    Some(set) => set.union_with(&w),
-                    None => {
-                        written.insert(array, w);
-                    }
-                }
-            }
-        }
-        for (array, set) in &written {
-            let t = plan.d2h.iter().find(|t| t.array == *array);
-            prop_assert!(t.is_some(), "written array {array} missing from d2h");
-            prop_assert!(t.unwrap().bytes >= set.byte_count(4));
-        }
-        prop_assert_eq!(plan.d2h.len(), written.len());
-    }
 
     /// Transfer sizes never exceed the allocations.
     #[test]

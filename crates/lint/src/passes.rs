@@ -122,10 +122,11 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// GPP002 + GPP006: walks the analyzer's dataflow, which holds what
-    /// *earlier kernels* wrote; this pass adds what *earlier statements of
-    /// the kernel* wrote for certain. The plan subtracts only the former
-    /// from a read; GPP006 reports what is left when the latter covers it.
+    /// GPP002 + GPP006: walks the analyzer's dataflow, whose must-union
+    /// holds what *earlier kernels* certainly wrote; this pass adds what
+    /// *earlier statements of the kernel* certainly wrote. The plan
+    /// subtracts only the former from a read; GPP006 reports what is left
+    /// when the latter covers it.
     fn liveness(&mut self, diags: &mut Vec<Diagnostic>) {
         // Indexed by array id; emptied after each kernel.
         let mut cur: Vec<SectionSet> = (self.p.arrays.iter())
@@ -157,9 +158,7 @@ impl<'a> Ctx<'a> {
                         // What the plan ships for this read, when earlier
                         // statements produce all of it.
                         let mut need = SectionSet::from_section(s.section.clone());
-                        if let Some(w) = flow.written_densely(a) {
-                            need.subtract(w);
-                        }
+                        need.subtract(flow.guaranteed(a));
                         if !need.is_empty() && need.parts().iter().all(|p| cset.covers(p)) {
                             diags.push(Diagnostic::new(
                                 Code::RedundantH2d,
@@ -194,7 +193,8 @@ impl<'a> Ctx<'a> {
     fn dead_writes(&self, diags: &mut Vec<Diagnostic>) {
         let sites = self.flow.sites();
         for (wi, w) in sites.iter().enumerate() {
-            if !w.is_guaranteed_write() {
+            // An exact write that always runs; only must-writes overwrite it.
+            if !(w.r.kind.is_write() && w.exact && w.full) {
                 continue;
             }
             let (a, ki) = (w.r.array, w.ki);
@@ -971,9 +971,10 @@ mod tests {
     }
 
     #[test]
-    fn read_the_plan_serves_from_an_earlier_kernel_is_not_redundant_h2d() {
-        // `prior` writes x only now and then, but the plan subtracts all
-        // it may write from k's read: it ships `a` alone.
+    fn read_after_a_conditional_earlier_write_is_redundant_h2d() {
+        // `prior` writes x only now and then, so it certainly writes no
+        // element: the plan ships k's read of x as well as `a`. The
+        // kernel's first statement produces all of x, so GPP006 fires.
         let p = gpp_skeleton::text::parse(
             "\
 program p
@@ -997,9 +998,39 @@ kernel k
         .unwrap();
         let plan = gpp_datausage::analyze(&p, &Hints::for_program(&p));
         let h2d: Vec<&str> = plan.h2d.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(h2d, ["a"]);
+        assert_eq!(h2d, ["a", "x"]);
         let d = lint(&p);
-        assert!(d.iter().all(|d| d.code != Code::RedundantH2d), "{d:?}");
+        let redundant: Vec<_> = d.iter().filter(|d| d.code == Code::RedundantH2d).collect();
+        assert_eq!(redundant.len(), 1, "{d:?}");
+        assert!(
+            redundant[0].message.contains("256 B"),
+            "{}",
+            redundant[0].message
+        );
+    }
+
+    #[test]
+    fn temporary_read_between_strided_writes_is_uninitialized() {
+        // `produce` writes the even elements of the temporary, `consume`
+        // reads the odd ones, which nothing wrote, though they lie within
+        // the bounding box t[0..62] of the write.
+        let mut p = ProgramBuilder::new("interleaved");
+        let t = p.temporary_array("t", ElemType::F32, &[64]);
+        let y = p.array("y", ElemType::F32, &[32]);
+        let mut k1 = p.kernel("produce");
+        let i = k1.parallel_loop("i", 32);
+        k1.statement().write(t, &[idx(i) * 2]).finish();
+        k1.finish();
+        let mut k2 = p.kernel("consume");
+        let i = k2.parallel_loop("i", 31);
+        k2.statement()
+            .read(t, &[idx(i) * 2 + 1])
+            .write(y, &[idx(i)])
+            .finish();
+        k2.finish();
+        let p = p.build().unwrap();
+        let d = lint(&p);
+        assert!(d.iter().any(|d| d.code == Code::UninitializedRead), "{d:?}");
     }
 
     #[test]

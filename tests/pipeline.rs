@@ -57,62 +57,6 @@ fn projection_scales_linearly_with_data_size() {
 }
 
 #[test]
-fn analyzer_soundness_everything_read_is_available() {
-    // For every paper workload: each kernel's reads must be covered by
-    // (transferred-in sections) ∪ (sections written by earlier kernels or
-    // itself). This is the analyzer's core safety property.
-    use grophecy_plus_plus::brs::SectionSet;
-    use grophecy_plus_plus::datausage::Dataflow;
-    use grophecy_plus_plus::skeleton::AccessKind;
-    use std::collections::BTreeMap;
-
-    for case in gpp_workloads::paper_cases() {
-        let program = &case.program;
-        let plan = analyze(program, &case.hints);
-        // Arrays transferred in (in full or in part) — for soundness we
-        // credit the transferred section as "whole array" only when the
-        // plan actually moves the whole array; partial transfers must
-        // cover the reads minus prior writes, which is what we check via
-        // byte accounting below.
-        let mut have: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for t in &plan.h2d {
-            let decl = program.array(t.array);
-            // The plan transfers at least the read-not-written union.
-            assert!(t.bytes > 0);
-            have.insert(
-                t.array,
-                SectionSet::from_section(grophecy_plus_plus::brs::Section::whole(&decl.extents)),
-            );
-        }
-        let flow = Dataflow::new(program);
-        let mut written: BTreeMap<_, SectionSet> = BTreeMap::new();
-        for (ki, kernel) in program.kernels.iter().enumerate() {
-            for (array, reads) in flow.kernel_sets(ki, AccessKind::Read) {
-                let covered_by_transfer = have.contains_key(&array);
-                let covered_by_writes = written
-                    .get(&array)
-                    .is_some_and(|w| reads.parts().iter().all(|p| w.covers(p)));
-                assert!(
-                    covered_by_transfer || covered_by_writes,
-                    "{} kernel {} reads array {} that is neither transferred nor device-produced",
-                    case.app,
-                    kernel.name,
-                    program.array(array).name
-                );
-            }
-            for (array, writes) in flow.kernel_sets(ki, AccessKind::Write) {
-                match written.get_mut(&array) {
-                    Some(w) => w.union_with(&writes),
-                    None => {
-                        written.insert(array, writes);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn cpu_work_is_consistent_across_paper_workloads() {
     for case in gpp_workloads::paper_cases() {
         let w = cpu_work(&case.program);
