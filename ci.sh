@@ -64,10 +64,21 @@ cargo build $CARGO_FLAGS --release -p gpp-cli
 target/release/gpp lint skeletons/*.gsk --deny warnings
 # `gpp deps` on every committed skeleton that parses (all but the
 # structural fixture): it must exit 0 and print its report.
-for f in skeletons/*.gsk fixtures/bad/*.gsk; do
+for f in skeletons/*.gsk fixtures/bad/*.gsk fixtures/transfer/*.gsk; do
     [ "$f" = fixtures/bad/gpp000_structural.gsk ] && continue
     DEPS=$(target/release/gpp deps "$f") || { echo "gpp deps failed on $f"; exit 1; }
     [ -n "$DEPS" ] || { echo "gpp deps printed nothing for $f"; exit 1; }
+done
+# `gpp analyze` on the transfer-plan fixtures: it must exit 0, and a plan
+# whose sections over-approximate what the kernels touch must say so.
+for f in fixtures/transfer/*.gsk; do
+    PLAN=$(target/release/gpp analyze "$f") || { echo "gpp analyze failed on $f"; exit 1; }
+    case "$f" in
+    */diagonal_write.gsk | */gapped_write.gsk | */strided_copy_back.gsk)
+        grep -qF "(conservative)" <<<"$PLAN" \
+            || { echo "gpp analyze calls an upper bound exact on $f"; exit 1; }
+        ;;
+    esac
 done
 
 echo "== gpp lint --fix (program corpus: fixes converge and are idempotent)"

@@ -35,11 +35,6 @@ impl Interval {
         Self::new(lo, hi, 1)
     }
 
-    /// A single point.
-    pub fn point(p: i64) -> Self {
-        Self::new(p, p, 1)
-    }
-
     /// A strided interval; `hi` is clamped down to the last reachable
     /// element. Returns the empty interval if `lo > hi`. `stride` must be
     /// at least 1.
@@ -328,7 +323,7 @@ mod tests {
         let a = Interval::new(1, 13, 3);
         let b = Interval::new(4, 14, 5);
         let c = a.intersect(&b);
-        assert_eq!(c, Interval::point(4));
+        assert_eq!(c, Interval::dense(4, 4));
     }
 
     #[test]
@@ -370,7 +365,7 @@ mod tests {
         let evens = Interval::new(0, 100, 2);
         assert!(evens.contains_interval(&Interval::new(0, 100, 4)));
         assert!(!evens.contains_interval(&Interval::new(0, 100, 3)));
-        assert!(!evens.contains_interval(&Interval::point(1)));
+        assert!(!evens.contains_interval(&Interval::dense(1, 1)));
     }
 
     #[test]

@@ -17,12 +17,16 @@
 //! * [`SectionSet::union_with`] — `UNION`, merges the sections that must be
 //!   transferred across the PCIe bus.
 //!
-//! Exactness policy: all operations on **dense** (stride-1) sections are
+//! Exactness policy: every operation on **dense** (stride-1) sections is
 //! exact, including element counting of unions via disjoint decomposition.
-//! Operations involving non-unit strides may over-approximate (return a
-//! superset), which is the safe direction for transfer-size estimation: we
-//! would rather transfer a few extra elements than miss one. Every
-//! over-approximating code path is documented at the definition site.
+//! A [`SectionSet`] holds dense parts only. Inserting a strided section
+//! inserts its bounding box, a superset, which is the safe direction for
+//! transfer-size estimation: we would rather transfer a few extra elements
+//! than miss one. Subtracting needs a dense section, since removing a box
+//! would remove elements a strided section lacks. A set keeps no record of
+//! whether it over-approximates: that is decided once, where a reference
+//! becomes a section (`Site::exact` in `gpp-datausage`), and the caller
+//! carries it.
 //!
 //! # Example
 //!

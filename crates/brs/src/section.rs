@@ -80,18 +80,6 @@ impl Section {
         Section::new(bounds.iter().map(|&(lo, hi)| Interval::dense(lo, hi)))
     }
 
-    /// The section covering an entire array of the given extents
-    /// (`0 ..= extent-1` per dimension).
-    pub fn whole(extents: &[usize]) -> Self {
-        Section::new(extents.iter().map(|&e| {
-            if e == 0 {
-                Interval::empty()
-            } else {
-                Interval::dense(0, e as i64 - 1)
-            }
-        }))
-    }
-
     /// A scalar section (zero dimensions, one element).
     pub fn scalar() -> Self {
         Section::new([])
@@ -132,11 +120,6 @@ impl Section {
             return 0;
         }
         self.dims.iter().map(Interval::count).product()
-    }
-
-    /// Size in bytes given the element width.
-    pub fn byte_count(&self, elem_bytes: usize) -> u64 {
-        self.element_count() * elem_bytes as u64
     }
 
     /// True if the point (one coordinate per dimension) lies in the section.
@@ -265,21 +248,6 @@ impl std::fmt::Display for Section {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn whole_and_counts() {
-        let s = Section::whole(&[4, 5]);
-        assert_eq!(s.element_count(), 20);
-        assert_eq!(s.byte_count(4), 80);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn whole_with_zero_extent_is_empty() {
-        let s = Section::whole(&[4, 0]);
-        assert!(s.is_empty());
-        assert_eq!(s.element_count(), 0);
-    }
 
     #[test]
     fn scalar_has_one_element() {

@@ -12,18 +12,17 @@ use crate::section::Section;
 
 /// A union of bounded regular sections over one array.
 ///
-/// Invariant: the stored sections are pairwise disjoint, so
+/// Invariant: the stored sections are dense and pairwise disjoint, so
 /// [`element_count`](SectionSet::element_count) is an exact sum.
 ///
-/// Dense sections are handled exactly. Inserting a **strided** section
-/// falls back to inserting its dense bounding box (a documented
-/// over-approximation, safe for transfer sizing — see crate docs); the
-/// fallback is observable via [`SectionSet::is_exact`].
+/// Inserting a **strided** section inserts its dense bounding box, a
+/// superset (see the crate docs). The set keeps no record of that: what
+/// a reference's section over-approximates is decided where the section
+/// is made, and the caller carries it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SectionSet {
     ndims: usize,
     parts: Vec<Section>,
-    exact: bool,
 }
 
 impl SectionSet {
@@ -32,7 +31,6 @@ impl SectionSet {
         SectionSet {
             ndims,
             parts: Vec::new(),
-            exact: true,
         }
     }
 
@@ -60,29 +58,17 @@ impl SectionSet {
         self.parts.is_empty()
     }
 
-    /// False if any operation had to over-approximate (strided insert or
-    /// strided subtraction); counts are then upper bounds.
-    #[inline]
-    pub fn is_exact(&self) -> bool {
-        self.exact
-    }
-
     /// Inserts a section, keeping parts disjoint (`UNION`).
     ///
     /// Dense sections are decomposed exactly. A strided section is widened
-    /// to its dense bounding box first, marking the set inexact — the
-    /// Havlak–Kennedy merge direction, a superset.
+    /// to its dense bounding box first: the Havlak–Kennedy merge
+    /// direction, a superset.
     pub fn insert(&mut self, s: Section) {
         assert_eq!(s.ndims(), self.ndims, "section dimensionality mismatch");
         if s.is_empty() {
             return;
         }
-        let s = if s.is_dense() {
-            s
-        } else {
-            self.exact = false;
-            densify(&s)
-        };
+        let s = if s.is_dense() { s } else { densify(&s) };
         if !self.parts.iter().any(|p| p.overlaps(&s)) {
             self.parts.push(s);
             return;
@@ -101,7 +87,6 @@ impl SectionSet {
     /// Empties the set, keeping its storage for reuse.
     pub fn clear(&mut self) {
         self.parts.clear();
-        self.exact = true;
     }
 
     /// Unions another set into this one.
@@ -109,34 +94,28 @@ impl SectionSet {
         for p in &other.parts {
             self.insert(p.clone());
         }
-        self.exact &= other.exact;
     }
 
-    /// Removes every element of `s` from the set.
+    /// Removes every element of the **dense** section `s` from the set.
+    /// Exact.
     ///
-    /// Exact for dense `s`; a strided `s` is *shrunk to nothing removed*
-    /// (i.e. the subtraction is skipped and the set marked inexact) because
-    /// removing a bounding box would under-approximate, which is unsafe for
-    /// transfer sizing.
+    /// # Panics
+    /// Panics if `s` is strided: removing its bounding box would remove
+    /// elements `s` lacks.
     pub fn subtract_section(&mut self, s: &Section) {
         assert_eq!(s.ndims(), self.ndims, "section dimensionality mismatch");
-        if s.is_empty() {
-            return;
+        assert!(s.is_dense(), "subtract_section requires a dense section");
+        if !s.is_empty() {
+            subtract_each(&mut self.parts, s);
         }
-        if !s.is_dense() {
-            self.exact = false;
-            return;
-        }
-        subtract_each(&mut self.parts, s);
     }
 
-    /// Removes every element of `other` from the set (same caveats as
-    /// [`subtract_section`](SectionSet::subtract_section)).
+    /// Removes every element of `other` from the set. Exact: the parts of
+    /// a set are dense.
     pub fn subtract(&mut self, other: &SectionSet) {
         for p in &other.parts {
-            self.subtract_section(p);
+            subtract_each(&mut self.parts, p);
         }
-        self.exact &= other.exact;
     }
 
     /// True if the point lies in the union.
@@ -155,6 +134,13 @@ impl SectionSet {
             // Conservative: only report covered if the bounding box is.
             return self.covers(&densify(s));
         }
+        // Without allocating: a part holds all of `s`, or none meets it.
+        if self.parts.iter().any(|p| p.contains_section(s)) {
+            return true;
+        }
+        if !self.overlaps(s) {
+            return false;
+        }
         let mut rest = vec![s.clone()];
         for p in &self.parts {
             subtract_each(&mut rest, p);
@@ -170,8 +156,7 @@ impl SectionSet {
         self.parts.iter().any(|p| p.overlaps(s))
     }
 
-    /// Exact element count (an upper bound if [`is_exact`](Self::is_exact)
-    /// is false).
+    /// Exact element count.
     pub fn element_count(&self) -> u64 {
         self.parts.iter().map(Section::element_count).sum()
     }
@@ -243,7 +228,6 @@ mod tests {
         let s = SectionSet::empty(2);
         assert!(s.is_empty());
         assert_eq!(s.element_count(), 0);
-        assert!(s.is_exact());
         assert_eq!(s.to_string(), "∅");
     }
 
@@ -280,7 +264,6 @@ mod tests {
         s.insert(sec(&[(0, 9), (0, 9)]));
         s.insert(sec(&[(5, 14), (5, 14)]));
         assert_eq!(s.element_count(), 175);
-        assert!(s.is_exact());
     }
 
     #[test]
@@ -334,24 +317,19 @@ mod tests {
     }
 
     #[test]
-    fn strided_insert_marks_inexact_and_overapproximates() {
+    fn strided_insert_widens_to_its_box() {
         let strided = Section::new(vec![crate::Interval::new(0, 98, 2)]);
         let mut s = SectionSet::empty(1);
-        s.insert(strided.clone());
-        assert!(!s.is_exact());
-        // Upper bound: bounding box has 99 elements >= true 50.
-        assert!(s.element_count() >= strided.element_count());
+        s.insert(strided);
+        // Upper bound: the bounding box has 99 elements, the section 50.
         assert_eq!(s.element_count(), 99);
     }
 
     #[test]
-    fn strided_subtract_is_skipped_for_safety() {
+    #[should_panic(expected = "requires a dense section")]
+    fn strided_subtract_section_panics() {
         let mut s = SectionSet::from_section(sec(&[(0, 99)]));
-        let strided = Section::new(vec![crate::Interval::new(0, 98, 2)]);
-        s.subtract_section(&strided);
-        // Nothing removed (safe over-approximation), flagged inexact.
-        assert_eq!(s.element_count(), 100);
-        assert!(!s.is_exact());
+        s.subtract_section(&Section::new(vec![crate::Interval::new(0, 98, 2)]));
     }
 
     #[test]
@@ -390,6 +368,5 @@ mod tests {
         let mut s = SectionSet::empty(3);
         s.insert(Section::empty(3));
         assert!(s.is_empty());
-        assert!(s.is_exact());
     }
 }

@@ -749,7 +749,7 @@ fn cmd_analyze(program: &Program, hints: &Hints, _opt: &Options) -> ExitCode {
         println!("note: conservative sizes present — add --sparse hints to tighten them.");
     }
     if conservative(false) {
-        println!("note: strided sections are widened to their bounding boxes, so some sizes are upper bounds.");
+        println!("note: some references are strided, gapped, diagonal or data-dependent, so their sizes are upper bounds.");
     }
     ExitCode::SUCCESS
 }

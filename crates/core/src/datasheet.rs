@@ -75,6 +75,7 @@ use crate::machine::{BusSpec, DeviceLink, MachineConfig, ReplayTrace, RootComple
 use gpp_cpu_sim::CpuParams;
 use gpp_gpu_model::{GpuSpec, ModelOccupancy, BASE_REGS, MIN_BLOCK_THREADS};
 use gpp_gpu_sim::DeviceParams;
+use gpp_pcie::replay::{parse_sample, parse_samples};
 use gpp_pcie::{BusParams, Direction, MemType, PcieGen};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -565,8 +566,9 @@ pub fn parse_with(
                         if k == "replay" && from == "from" =>
                     {
                         let text = resolve(path).map_err(|e| GmachError::new(lineno, e))?;
-                        replay_samples = parse_trace_samples(&text).map_err(|e| {
-                            GmachError::new(lineno, format!("in trace `{path}`: {e}"))
+                        replay_samples = parse_samples(&text).map_err(|e| {
+                            let e = format!("in trace `{path}`: line {}: {}", e.line, e.message);
+                            GmachError::new(lineno, e)
                         })?;
                         replay_label = Some(label.clone());
                         section = Section::BusReplay;
@@ -625,7 +627,7 @@ pub fn parse_with(
                         Token::Str(_) => Err(GmachError::new(lineno, "bad sample field")),
                     })
                     .collect::<Result<_, _>>()?;
-                let sample = parse_sample_words(&words).map_err(|e| GmachError::new(lineno, e))?;
+                let sample = parse_sample(&words).map_err(|e| GmachError::new(lineno, e))?;
                 replay_samples.push(sample);
             }
             key => match section {
@@ -797,46 +799,6 @@ pub fn parse_with(
         .validate()
         .map_err(|e| GmachError::new(0, format!("invalid replay trace: {e}")))?;
     Ok(config)
-}
-
-fn parse_sample_words(words: &[&str]) -> Result<(u64, Direction, MemType, f64), String> {
-    let [bytes, dir, mem, secs] = words else {
-        return Err("usage: sample <bytes> <h2d|d2h> <pinned|pageable> <seconds>".into());
-    };
-    let bytes: u64 = bytes
-        .parse()
-        .map_err(|_| format!("bad byte count `{bytes}`"))?;
-    let dir = match *dir {
-        "h2d" => Direction::HostToDevice,
-        "d2h" => Direction::DeviceToHost,
-        other => return Err(format!("direction must be h2d|d2h, got `{other}`")),
-    };
-    let mem = match *mem {
-        "pinned" => MemType::Pinned,
-        "pageable" => MemType::Pageable,
-        other => return Err(format!("memtype must be pinned|pageable, got `{other}`")),
-    };
-    let secs: f64 = secs.parse().map_err(|_| format!("bad seconds `{secs}`"))?;
-    if !(secs.is_finite() && secs > 0.0) {
-        return Err("seconds must be positive".into());
-    }
-    Ok((bytes, dir, mem, secs))
-}
-
-/// Parses sidecar trace text (the [`gpp_pcie::RecordedBus`] line format)
-/// into raw samples.
-fn parse_trace_samples(input: &str) -> Result<Vec<(u64, Direction, MemType, f64)>, String> {
-    let mut samples = Vec::new();
-    for (lineno, raw) in input.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let words: Vec<&str> = line.split_whitespace().collect();
-        let sample = parse_sample_words(&words).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        samples.push(sample);
-    }
-    Ok(samples)
 }
 
 #[cfg(test)]

@@ -187,7 +187,8 @@ fn replay_calibration_matches_a_bare_recorded_bus() {
     let gro = Grophecy::calibrate(&machine, &mut node);
 
     let trace = std::fs::read_to_string(format!("{dir}/eureka-day0.trace")).unwrap();
-    let mut bare = RecordedBus::parse("eureka-day0", &trace).unwrap();
+    let samples = gpp_pcie::replay::parse_samples(&trace).unwrap();
+    let mut bare = RecordedBus::from_samples("eureka-day0", &samples).unwrap();
     let direct = Calibrator::default().calibrate(&mut bare);
 
     assert_eq!(

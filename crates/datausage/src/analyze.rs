@@ -21,19 +21,24 @@ pub fn analyze(program: &Program, hints: &Hints) -> TransferPlan {
         return explicit_plan(program, hints);
     }
     let sets = transfer_sets(program, hints);
-    let priced = |dir, set: fn(&ArraySets) -> Option<&SectionSet>| {
+    let priced = |dir, set: fn(&ArraySets) -> (Option<&SectionSet>, bool)| {
         (program.arrays.iter().zip(&sets))
-            .filter_map(|(a, s)| Some(transfer(a, dir, transfer_bytes(a, hints, set(s)?))))
+            .filter_map(|(a, s)| {
+                let (set, exact) = set(s);
+                // A sparse array's sections are never exact; a hint is.
+                let exact = exact || a.sparse && hints.sparse_bytes(a.id).is_some();
+                Some(transfer(a, dir, (transfer_bytes(a, hints, set?), exact)))
+            })
             .collect()
     };
     TransferPlan {
-        h2d: priced(TransferDir::ToDevice, |s| s.h2d.as_ref()),
-        d2h: priced(TransferDir::FromDevice, |s| s.d2h.as_ref()),
+        h2d: priced(TransferDir::ToDevice, |s| (s.h2d.as_ref(), s.h2d_exact)),
+        d2h: priced(TransferDir::FromDevice, |s| (s.d2h.as_ref(), s.d2h_exact)),
     }
 }
 
 /// The sections a derived plan moves of one array.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ArraySets {
     /// What crosses host-to-device before the first kernel; `None` if
     /// nothing does.
@@ -41,6 +46,14 @@ pub struct ArraySets {
     /// What crosses device-to-host after the last kernel; `None` for a
     /// hinted temporary or an array no kernel writes.
     pub d2h: Option<SectionSet>,
+    /// True if `h2d` holds just the elements the kernels need uploaded:
+    /// every site of the array is [`Site::exact`](crate::Site::exact) and
+    /// dense, so no union widened and the must-union holds every certain
+    /// write.
+    pub h2d_exact: bool,
+    /// True if `d2h` holds just the elements the kernels may write: every
+    /// write site of the array is exact and dense.
+    pub d2h_exact: bool,
 }
 
 /// The sections of the derived plan, indexed by array id: what
@@ -54,15 +67,29 @@ pub struct ArraySets {
 ///   memory nothing wrote;
 /// * **device→host**: what the kernels may have written
 ///   ([`Dataflow::written`]), but for hinted temporaries.
+///
+/// Each set's exactness flag comes from the sites that build it, and
+/// from nothing else.
 pub fn transfer_sets(program: &Program, hints: &Hints) -> Vec<ArraySets> {
-    let mut sets = vec![ArraySets::default(); program.arrays.len()];
+    let fresh = ArraySets {
+        h2d: None,
+        d2h: None,
+        h2d_exact: true,
+        d2h_exact: true,
+    };
+    let mut sets = vec![fresh; program.arrays.len()];
     let mut flow = Dataflow::new(program);
     for ki in 0..program.kernels.len() {
         for (a, set) in program.arrays.iter().zip(&mut sets) {
             let mut read = SectionSet::empty(a.ndims());
-            let sites = flow.kernel_sites(ki).iter();
-            for s in sites.filter(|s| s.r.array == a.id && s.r.kind.is_read()) {
-                read.insert(s.section.clone());
+            for s in flow.kernel_sites(ki).iter().filter(|s| s.r.array == a.id) {
+                let exact = s.exact && s.section.is_dense();
+                set.h2d_exact &= exact;
+                if s.r.kind.is_write() {
+                    set.d2h_exact &= exact;
+                } else {
+                    read.insert(s.section.clone());
+                }
             }
             read.subtract(flow.guaranteed(a.id));
             fold(&mut set.h2d, read);
@@ -130,16 +157,14 @@ fn transfer(decl: &ArrayDecl, dir: TransferDir, (bytes, exact): (u64, bool)) -> 
     }
 }
 
-/// The bytes, and whether they are exact, of moving `set` of `decl`
-/// across the bus in a derived plan: the set's size clamped to the
-/// allocation, or for a sparse array its hinted bound (without a hint,
-/// the whole allocation, inexact).
-pub fn transfer_bytes(decl: &ArrayDecl, hints: &Hints, set: &SectionSet) -> (u64, bool) {
+/// The bytes of moving `set` of `decl` across the bus in a derived plan:
+/// the set's size clamped to the allocation, or for a sparse array its
+/// hinted bound (without a hint, the whole allocation).
+pub fn transfer_bytes(decl: &ArrayDecl, hints: &Hints, set: &SectionSet) -> u64 {
     if decl.sparse {
-        return sparse_bytes(decl, hints);
+        return sparse_bytes(decl, hints).0;
     }
-    let b = set.byte_count(decl.elem.bytes()).min(decl.byte_count());
-    (b, set.is_exact())
+    set.byte_count(decl.elem.bytes()).min(decl.byte_count())
 }
 
 /// A sparse array moves its hinted bound on the useful contents, clamped
@@ -270,6 +295,28 @@ mod tests {
         assert_eq!(x_in.bytes, 64 * 4);
         let x_out = plan.d2h.iter().find(|t| t.array == x).unwrap();
         assert_eq!(x_out.bytes, 63 * 4);
+    }
+
+    #[test]
+    fn only_exact_dense_sites_make_exact_transfers() {
+        // `x[i, i]` writes 8 elements, but its section is the 8x8 box; the
+        // copy of `x` into `y` is exact.
+        let mut p = ProgramBuilder::new("diagonal");
+        let x = p.array("x", ElemType::F32, &[8, 8]);
+        let y = p.array("y", ElemType::F32, &[8, 8]);
+        let mut k = p.kernel("k");
+        let i = k.parallel_loop("i", 8);
+        let j = k.parallel_loop("j", 8);
+        k.statement().write(x, &[idx(i), idx(i)]).finish();
+        k.statement()
+            .read(x, &[idx(i), idx(j)])
+            .write(y, &[idx(i), idx(j)])
+            .finish();
+        k.finish();
+        let plan = analyze(&p.build().unwrap(), &Hints::new());
+        let exact = |ts: &[Transfer], a| ts.iter().find(|t| t.array == a).unwrap().exact;
+        assert!(!exact(&plan.h2d, x) && !exact(&plan.d2h, x));
+        assert!(exact(&plan.d2h, y));
     }
 
     #[test]

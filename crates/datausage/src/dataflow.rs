@@ -37,10 +37,15 @@ pub struct Site<'a> {
     pub ri: usize,
     /// The reference.
     pub r: &'a ArrayRef,
-    /// The elements it may touch, clamped to the array's extents.
+    /// The elements it may touch, clamped to the array's extents: always
+    /// a superset of what the reference touches, so an overlap or cover
+    /// test on it is sound whether or not it is exact.
     pub section: Section,
     /// False if `section` over-approximates: an irregular index, a sparse
     /// array, an index whose terms leave gaps, or a loop in two dimensions.
+    /// The one source of exactness: it answers must-questions
+    /// ([`Site::is_guaranteed_write`]) and sets the plan's flags
+    /// ([`crate::ArraySets`]).
     pub exact: bool,
     /// True if the statement always runs (`active_fraction >= 1`).
     pub full: bool,
@@ -306,7 +311,6 @@ mod tests {
         // Three diagonal 62x62 boxes at offsets 0, 1, 2; union by
         // inclusion-exclusion: 3*62^2 - 61^2 - 61^2 - 60^2 + 60^2 = 4090.
         assert_eq!(set.element_count(), 4090);
-        assert!(set.is_exact());
         // It reaches both ends of the diagonal, not the other corners.
         assert!(set.contains_point(&[0, 0]) && set.contains_point(&[63, 63]));
         assert!(!set.contains_point(&[0, 63]) && !set.contains_point(&[63, 0]));

@@ -33,8 +33,9 @@ pub struct Transfer {
     pub bytes: u64,
     /// Direction.
     pub dir: TransferDir,
-    /// False if the size is a conservative over-approximation (sparse
-    /// fallback or inexact section algebra).
+    /// False if the size is a conservative over-approximation: a sparse
+    /// array without a hint, or in a derived plan a set one of whose sites
+    /// is not exact and dense ([`crate::ArraySets`]).
     pub exact: bool,
 }
 

@@ -49,6 +49,12 @@ pub fn lint_program(program: &Program, map: Option<&SourceMap>, hints: &Hints) -
         map,
         hints,
         flow: Dataflow::new(program),
+        live: (program.arrays.iter())
+            .map(|a| Live {
+                written: SectionSet::empty(a.ndims()),
+                uncovered: false,
+            })
+            .collect(),
     };
     let mut diags = Vec::new();
     ctx.out_of_bounds(&mut diags); // GPP001
@@ -69,6 +75,17 @@ struct Ctx<'a> {
     /// The analyzer's walk: [`Ctx::liveness`] folds every kernel; GPP007
     /// then reads the whole program's unions.
     flow: Dataflow<'a>,
+    /// [`Ctx::liveness`]'s state, indexed by array id.
+    live: Vec<Live>,
+}
+
+/// One array's state in [`Ctx::liveness`].
+struct Live {
+    /// What earlier statements of the current kernel certainly wrote.
+    written: SectionSet,
+    /// True once a read is not covered by the must-unions: the read GPP002
+    /// flags on a temporary, and that bars GPP007.
+    uncovered: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -128,10 +145,6 @@ impl<'a> Ctx<'a> {
     /// subtracts only the former from a read; GPP006 reports what is left
     /// when the latter covers it.
     fn liveness(&mut self, diags: &mut Vec<Diagnostic>) {
-        // Indexed by array id; emptied after each kernel.
-        let mut cur: Vec<SectionSet> = (self.p.arrays.iter())
-            .map(|a| SectionSet::empty(a.ndims()))
-            .collect();
         for ki in 0..self.p.kernels.len() {
             let flow = &self.flow;
             // Sites are in program order, so each statement's are a run.
@@ -140,9 +153,12 @@ impl<'a> Ctx<'a> {
                 for s in stmt.iter().filter(|s| s.r.kind == AccessKind::Read) {
                     let a = s.r.array;
                     let decl = self.p.array(a);
-                    let cset = &cur[a.index()];
+                    let live = &mut self.live[a.index()];
+                    let uncovered = !covered(&s.section, flow.guaranteed(a), &live.written);
+                    live.uncovered |= uncovered;
+                    let cset = &self.live[a.index()].written;
                     if self.is_temp(a) {
-                        if !covered(&s.section, flow.guaranteed(a), cset) {
+                        if uncovered {
                             diags.push(Diagnostic::new(
                                 Code::UninitializedRead,
                                 self.ref_span(ki, s.si, s.ri),
@@ -154,7 +170,7 @@ impl<'a> Ctx<'a> {
                                 ),
                             ));
                         }
-                    } else if s.exact && !cset.is_empty() {
+                    } else if !cset.is_empty() {
                         // What the plan ships for this read, when earlier
                         // statements produce all of it.
                         let mut need = SectionSet::from_section(s.section.clone());
@@ -179,10 +195,12 @@ impl<'a> Ctx<'a> {
                 }
                 // Then record this statement's guaranteed writes.
                 for s in stmt.iter().filter(|s| s.is_guaranteed_write()) {
-                    cur[s.r.array.index()].insert(s.section.clone());
+                    self.live[s.r.array.index()]
+                        .written
+                        .insert(s.section.clone());
                 }
             }
-            cur.iter_mut().for_each(SectionSet::clear);
+            self.live.iter_mut().for_each(|l| l.written.clear());
             self.flow.fold(ki);
         }
     }
@@ -193,8 +211,8 @@ impl<'a> Ctx<'a> {
     fn dead_writes(&self, diags: &mut Vec<Diagnostic>) {
         let sites = self.flow.sites();
         for (wi, w) in sites.iter().enumerate() {
-            // An exact write that always runs; only must-writes overwrite it.
-            if !(w.r.kind.is_write() && w.exact && w.full) {
+            // A write that always runs; only must-writes overwrite it.
+            if !(w.r.kind.is_write() && w.full) {
                 continue;
             }
             let (a, ki) = (w.r.array, w.ki);
@@ -220,12 +238,7 @@ impl<'a> Ctx<'a> {
                 .filter(|s| !same_stmt(s) && s.r.array == a);
             let verdict = later.find_map(|s| {
                 if s.r.kind == AccessKind::Read {
-                    let touches = if s.exact {
-                        remaining.overlaps(&s.section)
-                    } else {
-                        !remaining.is_empty()
-                    };
-                    touches.then_some(true)
+                    remaining.overlaps(&s.section).then_some(true)
                 } else if s.is_guaranteed_write() {
                     remaining.subtract_section(&s.section);
                     remaining.is_empty().then_some(false)
@@ -380,11 +393,7 @@ impl<'a> Ctx<'a> {
                         && w.r.array == a
                         && !w.r.is_irregular()
                         && w.r.index != r.r.index
-                        && if r.exact {
-                            w.section.overlaps(&r.section)
-                        } else {
-                            !w.section.is_empty()
-                        }
+                        && w.section.overlaps(&r.section)
                 });
                 if conflicting {
                     flagged.insert(a);
@@ -406,11 +415,12 @@ impl<'a> Ctx<'a> {
     }
 
     /// GPP007: an array whose first access writes it and whose last
-    /// access reads it, with a read served by an earlier kernel's write,
-    /// lives entirely on the device, yet without a `temporary` hint the
-    /// plan still copies it back. The finding quotes the plan's
-    /// device-to-host bytes for it. An explicit schedule is priced as
-    /// written, hints or not, so there a hint would save nothing.
+    /// access reads it, with a read served by an earlier kernel's write
+    /// and every read covered by certain writes (GPP002's rule), lives
+    /// entirely on the device, yet without a `temporary` hint the plan
+    /// still copies it back. The finding quotes the plan's device-to-host
+    /// bytes for it. An explicit schedule is priced as written, hints or
+    /// not, so there a hint would save nothing.
     fn temporary_hints(&self, diags: &mut Vec<Diagnostic>) {
         if self.p.has_explicit_transfers() {
             return;
@@ -420,22 +430,20 @@ impl<'a> Ctx<'a> {
             self.p.kernels.len(),
             "GPP007 quotes the whole walk"
         );
-        let mut first = vec![None; self.p.arrays.len()];
-        let mut last = vec![None; self.p.arrays.len()];
-        for s in self.flow.sites() {
-            first[s.r.array.index()].get_or_insert(s.r.kind);
-            last[s.r.array.index()] = Some(s.r.kind);
-        }
         for decl in &self.p.arrays {
             let a = decl.id;
+            let mut kinds = (self.flow.sites().iter())
+                .filter(|s| s.r.array == a)
+                .map(|s| s.r.kind);
             if self.is_temp(a)
-                || first[a.index()] != Some(AccessKind::Write)
-                || last[a.index()] != Some(AccessKind::Read)
+                || self.live[a.index()].uncovered
+                || kinds.next() != Some(AccessKind::Write)
+                || kinds.next_back() != Some(AccessKind::Read)
                 || !(0..self.p.kernels.len()).any(|ki| self.flow.served(ki, a))
             {
                 continue;
             }
-            let bytes = (self.flow.written(a)).map_or(0, |w| transfer_bytes(decl, self.hints, w).0);
+            let bytes = (self.flow.written(a)).map_or(0, |w| transfer_bytes(decl, self.hints, w));
             if bytes == 0 {
                 continue;
             }

@@ -10,12 +10,15 @@
 //! 3. A traffic-removing fix (GPP010) yields positive headroom on
 //!    every committed machine, and the reported headroom equals the
 //!    projector-measured delta exactly.
+//! 4. On the committed fixtures, fixing never adds a finding whose code
+//!    the file lacked.
 
 use gpp_datausage::Hints;
 use gpp_lint::{fix_until_stable, lint_source, Code, LintConfig};
 use grophecy::projector::Grophecy;
 use grophecy::{transfer_headroom, MachineRegistry};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const FAMILY: [Code; 4] = [
@@ -148,4 +151,28 @@ fn redundant_upload_fixture_has_projector_exact_headroom() {
             r.machine
         );
     }
+}
+
+#[test]
+fn fixes_add_no_finding_to_the_fixtures() {
+    let codes = |src: &str| -> BTreeSet<Code> {
+        let report = lint_source(src, "p.gsk", &LintConfig::new());
+        report.diagnostics.iter().map(|d| d.code).collect()
+    };
+    let mut checked = 0;
+    for dir in ["fixtures/bad", "fixtures/transfer"] {
+        let entries = std::fs::read_dir(repo_root().join(dir)).unwrap();
+        let mut files: Vec<PathBuf> = (entries.map(|e| e.unwrap().path()))
+            .filter(|f| f.extension().is_some_and(|x| x == "gsk"))
+            .collect();
+        files.sort();
+        for f in files {
+            let src = std::fs::read_to_string(&f).unwrap();
+            let (fixed, _) = fixpoint(&src);
+            let added: Vec<Code> = codes(&fixed).difference(&codes(&src)).copied().collect();
+            assert!(added.is_empty(), "{}: fixing adds {added:?}", f.display());
+            checked += 1;
+        }
+    }
+    assert!(checked >= 20, "only {checked} fixtures checked");
 }

@@ -329,7 +329,7 @@ proptest! {
     }
 }
 
-/// `prep` writes only the first half of `coeff`; `update` reads it.
+/// `prep` writes only the first half of `coeff`; `update` reads that half.
 const HALF_COEFF: &str = "\
 program p
 array img f32 [256]
@@ -340,7 +340,7 @@ kernel prep
     read  img [i]
     write coeff [i]
 kernel update
-  parallel i 256
+  parallel i 128
   stmt
     read  coeff [i]
     read  img [i]
@@ -371,6 +371,18 @@ fn missing_temporary_quotes_the_plans_copy_back() {
         "{}",
         hint[0].message
     );
+}
+
+#[test]
+fn missing_temporary_is_silent_while_a_read_is_not_certainly_written() {
+    // `update` reads all of `coeff`, half of which no kernel writes: as a
+    // temporary, that half would be read uninitialized (GPP002).
+    let src = HALF_COEFF.replace("update\n  parallel i 128", "update\n  parallel i 256");
+    let (_, d) = lint_text(&src);
+    assert!(d.iter().all(|d| d.code != Code::MissingTemporary), "{d:?}");
+    let (_, d) =
+        lint_text(&src.replace("array coeff f32 [256]", "array coeff f32 [256] temporary"));
+    assert!(d.iter().any(|d| d.code == Code::UninitializedRead), "{d:?}");
 }
 
 #[test]

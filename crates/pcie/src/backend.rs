@@ -91,8 +91,9 @@ mod tests {
 1          d2h pinned 1.13e-5
 536870912  d2h pinned 0.216
 ";
-        let mut bare = RecordedBus::parse("t", TRACE).unwrap();
-        let mut wrapped = BusBackend::Replay(RecordedBus::parse("t", TRACE).unwrap());
+        let samples = crate::replay::parse_samples(TRACE).unwrap();
+        let mut bare = RecordedBus::from_samples("t", &samples).unwrap();
+        let mut wrapped = BusBackend::Replay(bare.clone());
         let a = Calibrator::default().calibrate(&mut bare);
         let b = Calibrator::default().calibrate(&mut wrapped);
         assert_eq!(a.h2d.alpha.to_bits(), b.h2d.alpha.to_bits());

@@ -95,65 +95,55 @@ impl RecordedBus {
         })
     }
 
-    /// Parses the one-sample-per-line text format.
-    pub fn parse(name: impl Into<String>, input: &str) -> Result<Self, TraceError> {
-        let mut samples = Vec::new();
-        for (lineno, raw) in input.lines().enumerate() {
-            let lineno = lineno + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut w = line.split_whitespace();
-            let mut field = |what: &str| {
-                w.next().ok_or(TraceError {
-                    line: lineno,
-                    message: format!("missing {what}"),
-                })
-            };
-            let bytes: u64 = field("bytes")?.parse().map_err(|_| TraceError {
-                line: lineno,
-                message: "bad byte count".into(),
-            })?;
-            let dir = match field("direction")? {
-                "h2d" => Direction::HostToDevice,
-                "d2h" => Direction::DeviceToHost,
-                other => {
-                    return Err(TraceError {
-                        line: lineno,
-                        message: format!("direction must be h2d|d2h, got `{other}`"),
-                    })
-                }
-            };
-            let mem = match field("memtype")? {
-                "pinned" => MemType::Pinned,
-                "pageable" => MemType::Pageable,
-                other => {
-                    return Err(TraceError {
-                        line: lineno,
-                        message: format!("memtype must be pinned|pageable, got `{other}`"),
-                    })
-                }
-            };
-            let secs: f64 = field("seconds")?.parse().map_err(|_| TraceError {
-                line: lineno,
-                message: "bad seconds".into(),
-            })?;
-            if !(secs.is_finite() && secs > 0.0) {
-                return Err(TraceError {
-                    line: lineno,
-                    message: "seconds must be positive".into(),
-                });
-            }
-            samples.push((bytes, dir, mem, secs));
-        }
-        Self::from_samples(name, &samples)
-    }
-
     /// True if the trace covers this (direction, memtype) curve.
     pub fn covers(&self, dir: Direction, mem: MemType) -> bool {
         self.curves.contains_key(&key(dir, mem))
     }
+}
+
+/// Parses one sample from its four fields, `bytes h2d|d2h
+/// pinned|pageable seconds`: a line of the text format, or the words after
+/// a `.gmach` `sample` directive.
+pub fn parse_sample(words: &[&str]) -> Result<(u64, Direction, MemType, f64), String> {
+    let [bytes, dir, mem, secs] = words else {
+        return Err("usage: sample <bytes> <h2d|d2h> <pinned|pageable> <seconds>".into());
+    };
+    let bytes: u64 = bytes
+        .parse()
+        .map_err(|_| format!("bad byte count `{bytes}`"))?;
+    let dir = match *dir {
+        "h2d" => Direction::HostToDevice,
+        "d2h" => Direction::DeviceToHost,
+        other => return Err(format!("direction must be h2d|d2h, got `{other}`")),
+    };
+    let mem = match *mem {
+        "pinned" => MemType::Pinned,
+        "pageable" => MemType::Pageable,
+        other => return Err(format!("memtype must be pinned|pageable, got `{other}`")),
+    };
+    let secs: f64 = secs.parse().map_err(|_| format!("bad seconds `{secs}`"))?;
+    if !(secs.is_finite() && secs > 0.0) {
+        return Err("seconds must be positive".into());
+    }
+    Ok((bytes, dir, mem, secs))
+}
+
+/// Parses the one-sample-per-line text format into samples for
+/// [`RecordedBus::from_samples`].
+pub fn parse_samples(input: &str) -> Result<Vec<(u64, Direction, MemType, f64)>, TraceError> {
+    let mut samples = Vec::new();
+    for (lineno, raw) in input.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let words: Vec<&str> = line.split_whitespace().collect();
+        samples.push(parse_sample(&words).map_err(|message| TraceError {
+            line: lineno + 1,
+            message,
+        })?);
+    }
+    Ok(samples)
 }
 
 impl Bus for RecordedBus {
@@ -190,9 +180,13 @@ mod tests {
 536870912  d2h pinned 0.216
 ";
 
+    fn trace_bus(name: &str) -> RecordedBus {
+        RecordedBus::from_samples(name, &parse_samples(TRACE).unwrap()).unwrap()
+    }
+
     #[test]
     fn parses_and_replays() {
-        let mut bus = RecordedBus::parse("eureka", TRACE).unwrap();
+        let mut bus = trace_bus("eureka");
         assert!(bus.covers(Direction::HostToDevice, MemType::Pinned));
         assert!(!bus.covers(Direction::HostToDevice, MemType::Pageable));
         let t = bus.transfer(1024, Direction::HostToDevice, MemType::Pinned);
@@ -207,7 +201,7 @@ mod tests {
 
     #[test]
     fn calibrator_works_against_a_trace() {
-        let mut bus = RecordedBus::parse("eureka", TRACE).unwrap();
+        let mut bus = trace_bus("eureka");
         let model = Calibrator::default().calibrate(&mut bus);
         // α comes straight from the recorded 1-byte sample.
         assert!((model.h2d.alpha - 9.9e-6).abs() < 1e-9);
@@ -217,26 +211,27 @@ mod tests {
 
     #[test]
     fn interpolates_between_knots() {
-        let mut bus = RecordedBus::parse("t", TRACE).unwrap();
+        let mut bus = trace_bus("t");
         let t = bus.transfer(2048, Direction::HostToDevice, MemType::Pinned);
         assert!(t > 1.03e-5 && t < 4.3e-4);
     }
 
     #[test]
     fn parse_errors_carry_lines() {
-        let e = RecordedBus::parse("x", "1 sideways pinned 1e-6\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        let e = parse_samples("# ok\n1 sideways pinned 1e-6\n").unwrap_err();
+        assert_eq!(e.line, 2);
         assert!(e.to_string().contains("h2d|d2h"));
-        let e = RecordedBus::parse("x", "1 h2d pinned -3.0\n").unwrap_err();
+        let e = parse_samples("1 h2d pinned -3.0\n").unwrap_err();
         assert!(e.message.contains("positive"));
-        let e = RecordedBus::parse("x", "1 h2d pinned 1e-6\n").unwrap_err();
+        let one = parse_samples("1 h2d pinned 1e-6\n").unwrap();
+        let e = RecordedBus::from_samples("x", &one).unwrap_err();
         assert!(e.message.contains("two distinct sizes"));
     }
 
     #[test]
     #[should_panic(expected = "no CPU-to-GPU/pageable samples")]
     fn uncovered_curve_panics_loudly() {
-        let mut bus = RecordedBus::parse("t", TRACE).unwrap();
+        let mut bus = trace_bus("t");
         let _ = bus.transfer(1024, Direction::HostToDevice, MemType::Pageable);
     }
 }

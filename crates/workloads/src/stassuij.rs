@@ -356,10 +356,23 @@ mod tests {
         let with = gpp_datausage::analyze(&s.program(), &s.hints());
         let without = gpp_datausage::analyze(&s.program(), &Hints::new());
         // Whole allocations are transferred; with our synthetic nnz the
-        // allocations equal nnz exactly, so sizes match but are flagged
-        // inexact.
-        assert!(with.is_exact());
-        assert!(!without.is_exact());
+        // allocations equal nnz exactly, so sizes match, but only the
+        // hints make the sparse arrays exact. `b_dense` is gathered at
+        // data-dependent rows, so its upload is conservative either way.
+        let exact = |plan: &gpp_datausage::TransferPlan, sparse: bool| {
+            let prog = s.program();
+            let mut ts = plan.all().filter(|t| prog.array(t.array).sparse == sparse);
+            ts.all(|t| t.exact)
+        };
+        assert!(exact(&with, true));
+        assert!(!exact(&without, true));
+        let b_dense = |plan: &gpp_datausage::TransferPlan| {
+            (plan.h2d.iter())
+                .find(|t| t.name == "b_dense")
+                .unwrap()
+                .exact
+        };
+        assert!(!b_dense(&with) && !b_dense(&without));
         assert!(without.h2d_bytes() >= with.h2d_bytes());
     }
 

@@ -24,10 +24,13 @@
 //! * **R2**: an element that is copied back was uploaded or certainly
 //!   written, so the copy-back clobbers no host data;
 //! * **R3**: an element that a kernel may write comes back, unless the
-//!   array is a temporary.
+//!   array is a temporary;
+//! * **R4**: a set that [`transfer_sets`] flags exact holds just the
+//!   truth: an upload the fewest elements R1–R3 allow, the copy-back of
+//!   a non-temporary the elements a kernel may write.
 //!
-//! Over-approximation is no failure: each input's plan-to-truth byte
-//! ratios are printed (run with `--nocapture`). The full-size run is
+//! Elsewhere over-approximation is no failure: each input's plan-to-truth
+//! byte ratios are printed (run with `--nocapture`). The full-size run is
 //! ignored in the default test run; it is run in release with
 //! `cargo test --release --test transfer_oracle -- --ignored`.
 
@@ -59,6 +62,11 @@ impl Bits {
 
     fn union_with(&mut self, other: &Bits) {
         self.0.iter_mut().zip(&other.0).for_each(|(a, b)| *a |= b);
+    }
+
+    /// The elements in just one of `self` and `other`.
+    fn differ(&self, other: &Bits) -> Bits {
+        Bits(self.0.iter().zip(&other.0).map(|(a, b)| a ^ b).collect())
     }
 
     /// The elements of `self` in none of `others`.
@@ -322,6 +330,14 @@ fn check(name: &str, p: &Program, hints: &Hints, faults: &mut Vec<String>) -> By
             // The copy-back of a may-write needs the host's values first.
             need[ai].union_with(&may[ai].minus(&[&must[ai]]));
             bytes.truth_d2h += may[ai].count() * elem;
+            if sets[ai].d2h_exact {
+                let what = "differ between the copy-back flagged exact and the truth".to_string();
+                fault(a, "R4", what, &d2h[ai].differ(&may[ai]));
+            }
+        }
+        if sets[ai].h2d_exact {
+            let what = "differ between the upload flagged exact and the truth".to_string();
+            fault(a, "R4", what, &h2d[ai].differ(&need[ai]));
         }
         bytes.truth_h2d += need[ai].count() * elem;
         bytes.plan_h2d += h2d[ai].count() * elem;
